@@ -47,11 +47,23 @@ def to_classical(mu: IdempotentMeasure) -> ClassicalMeasure:
     """Softmax conversion: atom ``i`` gets ``e^{w_i} / sum_j e^{w_j}``.
 
     Weights are at most 0, so every exponential is at most 1 and the
-    denominator is at least 1; nothing can overflow.
+    denominator is at least 1; nothing can overflow.  A finite weight so
+    low that its stored mass underflows to 0 (``e^{w_i}`` itself, or the
+    division by the total) would leave the support; that raises
+    ``ValueError`` instead of dropping the atom.
     """
     masses = [mp_exp(w) for w in mu.weights]
     total = math.fsum(masses)
-    return ClassicalMeasure(mu.space, tuple(m / total for m in masses))
+    stored = []
+    for label, w, m in zip(mu.space.points, mu.weights, masses):
+        p = m / total
+        if p == 0.0 and w is not BOTTOM:
+            raise ValueError(
+                f"weight {w!r} of point {label!r} underflows to mass 0;"
+                " the conversion would drop it from the support"
+            )
+        stored.append(p)
+    return ClassicalMeasure(mu.space, tuple(stored))
 
 
 def _weight_gap(a: IdempotentMeasure, b: IdempotentMeasure) -> float:

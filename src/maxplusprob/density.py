@@ -14,14 +14,16 @@ point, and the normalization shift is itself at most ``L_d / (2n)``.
 ``convergence_report`` tabulates the observed errors against that
 bound, using a fine-grid evaluation (default one million cells) as the
 reference value.
+
+numpy is imported inside the functions that sample, not at module
+level: it costs more to load than the rest of the package, and only
+this module's sampling needs it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .measures import (
     FiniteSpace,
@@ -101,11 +103,13 @@ class PiecewiseLinear:
 
     def sample(self, xs: np.ndarray) -> np.ndarray:
         """Values at the given x array, by linear interpolation."""
+        import numpy as np
         knots_x = np.array([x for x, _ in self.breakpoints])
         knots_y = np.array([y for _, y in self.breakpoints])
         return np.interp(xs, knots_x, knots_y)
 
     def __call__(self, x: float) -> float:
+        import numpy as np
         return float(self.sample(np.array([float(x)]))[0])
 
 
@@ -148,6 +152,7 @@ def grid_space(n: int) -> FiniteSpace:
 
 def discretize(d: DensityMeasure, n: int) -> IdempotentMeasure:
     """Sample a density on the ``n``-grid and renormalize the weights."""
+    import numpy as np
     xs = np.array(grid_points(n))
     raw = d.sample(xs)
     return normalize_idempotent(grid_space(n), [float(v) for v in raw])
@@ -155,6 +160,7 @@ def discretize(d: DensityMeasure, n: int) -> IdempotentMeasure:
 
 def sample_function(phi: ContinuousTestFunction, n: int) -> TestFunction:
     """Restrict a continuous test function to the ``n``-grid."""
+    import numpy as np
     xs = np.array(grid_points(n))
     return TestFunction(grid_space(n), tuple(float(v) for v in phi.sample(xs)))
 
@@ -173,6 +179,7 @@ def eval_density_measure(
         raise ValueError(
             f"the resolution must be at least {_MIN_RESOLUTION}, got {resolution}"
         )
+    import numpy as np
     xs = np.arange(resolution + 1, dtype=np.float64) / float(resolution)
     return float(np.max(d.sample(xs) + phi.sample(xs)))
 

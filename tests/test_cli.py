@@ -217,6 +217,42 @@ def test_console_script_runs(doc, tmp_path):
     assert json.loads(result.stdout) == {"value": 3}
 
 
+def test_only_density_sampling_loads_numpy(doc):
+    # numpy costs more than the rest of a cold start; importing the package
+    # and running any subcommand that samples no density must not load it.
+    data = Path(__file__).resolve().parent / "data"
+    bare = subprocess.run(
+        [
+            sys.executable, "-c",
+            "import maxplusprob, maxplusprob.cli, sys;"
+            " assert 'numpy' not in sys.modules",
+        ],
+        capture_output=True, text=True,
+    )
+    assert bare.returncode == 0, bare.stderr
+    evaluated = subprocess.run(
+        [
+            sys.executable, "-X", "importtime", "-m", "maxplusprob", "eval",
+            "--measure", str(data / "m.json"), "--function", str(data / "f.json"),
+        ],
+        capture_output=True, text=True,
+    )
+    assert evaluated.returncode == 0, evaluated.stderr
+    assert "maxplusprob.cli" in evaluated.stderr
+    assert [line for line in evaluated.stderr.splitlines() if "numpy" in line] == []
+    converged = subprocess.run(
+        [
+            sys.executable, "-m", "maxplusprob", "density-converge",
+            "--density", doc("d.json", FLAT_DENSITY),
+            "--function", doc("phi.json", RAMP),
+            "--grid", "10",
+        ],
+        capture_output=True, text=True,
+    )
+    assert converged.returncode == 0, converged.stderr
+    assert json.loads(converged.stdout)["within_bound"] is True
+
+
 # -- error handling -------------------------------------------------------------
 
 

@@ -76,6 +76,20 @@ def test_zero_mass_and_bottom_exchange():
     assert back.weights[1] == 0.0
 
 
+def test_softmax_rejects_a_weight_whose_mass_underflows():
+    # e^-800 is 0.0 in floats; the atom must not leave the support silently.
+    with pytest.raises(ValueError, match=r"-800\.0 of point 'b'"):
+        to_classical(IdempotentMeasure(AB, (0.0, -800.0)))
+    # e^-745 is the smallest subnormal, nonzero, but halving it rounds to 0.
+    assert math.exp(-745.0) > 0.0
+    with pytest.raises(ValueError, match=r"-745\.0 of point 'c'"):
+        to_classical(IdempotentMeasure(ABC, (0.0, 0.0, -745.0)))
+    # BOTTOM atoms still map to mass 0, and masses that survive stay put.
+    kept = to_classical(IdempotentMeasure(ABC, (0.0, BOTTOM, -700.0)))
+    assert kept.weights[1] == 0.0
+    assert support(kept) == frozenset({"a", "c"})
+
+
 # -- roundtrips ------------------------------------------------------------------
 
 

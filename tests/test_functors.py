@@ -7,6 +7,7 @@ import pytest
 
 from maxplusprob import (
     BOTTOM,
+    ClassicalMeasure,
     FiniteSpace,
     IdempotentMeasure,
     PointMap,
@@ -27,6 +28,7 @@ from maxplusprob import (
     reconstruct_product,
     verify_counterexample,
 )
+from maxplusprob.functors import _fixture, _paired_image
 
 from gen import (
     random_classical,
@@ -93,6 +95,14 @@ def test_pushforward_classical_takes_fiber_sums():
     mu = classical_measure(ABC, (0.4, 0.2, 0.4))
     out = pushforward_classical(f, mu)
     assert out.weights == pytest.approx((0.8, 0.2), abs=1e-15)
+
+
+def test_pushforward_classical_sums_fibers_exactly_rounded():
+    ten = FiniteSpace(tuple(f"p{i}" for i in range(10)))
+    collapse = PointMap(ten, space_of(1), ("a",) * 10)
+    uniform = ClassicalMeasure(ten, (0.1,) * 10)
+    # The float sum of ten 0.1s is 0.9999999999999999; fsum rounds once.
+    assert pushforward_classical(collapse, uniform).weights == (1.0,)
 
 
 def test_pushforward_dispatch_and_mismatch():
@@ -186,6 +196,16 @@ def test_product_classical_multiplies_masses():
     assert out.weights == (0.125, 0.375, 0.125, 0.375)
 
 
+def test_product_classical_renormalizes_within_the_input_gate():
+    # Each factor meets the 1e-12 sum invariant, but the raw products sum
+    # to 1 + 1.8e-12; the product must be renormalized, not rejected.
+    c = ClassicalMeasure(AB, (0.5 + 9e-13, 0.5))
+    out = product_classical(c, c)
+    assert math.fsum(out.weights) == pytest.approx(1.0, abs=1e-15)
+    assert out.weights[1] == out.weights[2]
+    assert out.weights[0] > out.weights[1] > out.weights[3]
+
+
 def test_product_with_bottom_atoms():
     mu = dirac(AB, "a")
     nu = IdempotentMeasure(AB, (0.0, -1.0))
@@ -263,6 +283,32 @@ def test_counterexample_witness_images_agree_under_both_maps():
     assert pushforward(g, report.witness_mu) == report.witness_image_under_g
     assert pushforward(f, report.witness_nu) == report.witness_image_under_f
     assert pushforward(g, report.witness_nu) == report.witness_image_under_g
+
+
+def test_paired_image_forms_equal_the_pushforwards_bit_for_bit():
+    domain, f, g = _fixture()
+    step = 12
+    grid = [
+        classical_measure(domain, (i / step, j / step, (step - i - j) / step), renormalize=True)
+        for i in range(step + 1)
+        for j in range(step + 1 - i)
+    ]
+    assert len(grid) == 91
+    rng = random.Random(31)
+    sampled = [
+        classical_measure(domain, [rng.uniform(0.0, 1.0) for _ in range(3)], renormalize=True)
+        for _ in range(300)
+    ]
+    for mu in grid + sampled:
+        under_f, under_g = pair_map_image(f, g, mu)
+        assert _paired_image(mu) == under_f.weights + under_g.weights
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_counterexample_holds_for_other_seeds(seed):
+    report = verify_counterexample(random_pairs=500, seed=seed)
+    assert report.grid_pairs_checked == 4186
+    assert report.classical_injective
 
 
 def test_counterexample_is_seeded_and_reproducible():
