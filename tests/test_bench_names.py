@@ -1,0 +1,63 @@
+"""The benchmark looks package functions up by module and name.
+
+``bench/spans.py`` wraps each ``(module, attribute)`` of its
+``FUNCTIONS`` table and the ``__post_init__`` of each class in
+``CONSTRUCTORS``; ``bench/workloads.py`` calls module attributes
+directly.  Renaming one of them would break a traced benchmark run while
+every other test passes, so this test resolves them all.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import maxplusprob  # noqa: F401 - imports every submodule
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("bench_spans", BENCH / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_function_resolves():
+    spans = _load_spans()
+    for module, attr, _ in spans.FUNCTIONS:
+        mod = importlib.import_module(f"maxplusprob.{module}")
+        assert callable(getattr(mod, attr)), f"{module}.{attr}"
+
+
+def test_every_traced_constructor_is_a_measures_class():
+    spans = _load_spans()
+    measures = importlib.import_module("maxplusprob.measures")
+    for name in spans.CONSTRUCTORS:
+        cls = getattr(measures, name)
+        assert isinstance(cls, type) and cls.__module__ == measures.__name__, name
+
+
+def test_every_module_attribute_the_workloads_call_resolves():
+    # ``Scale`` binds the submodules by name (``from maxplusprob import
+    # convert, functors, ...``); every ``module.attr`` on such a name
+    # must exist.
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "maxplusprob":
+            modules.update(alias.name for alias in node.names)
+    used = {
+        (node.value.id, node.attr)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in modules
+    }
+    assert used, "no package module attributes found in bench/workloads.py"
+    for module, attr in sorted(used):
+        mod = importlib.import_module(f"maxplusprob.{module}")
+        assert hasattr(mod, attr), f"{module}.{attr}"
