@@ -10,159 +10,19 @@ unit interval.  The ``maxplusprob`` command exposes the same operations
 over JSON files.
 """
 
-from .convert import naturality_gap, roundtrip_gap, to_classical, to_idempotent
-from .density import (
-    ContinuousTestFunction,
-    ConvergenceReport,
-    ConvergenceRow,
-    DensityMeasure,
-    PiecewiseLinear,
-    convergence_report,
-    discretize,
-    eval_density_measure,
-    grid_points,
-    grid_space,
-    sample_function,
-)
-from .functors import (
-    CounterexampleReport,
-    PointMap,
-    ProductSpace,
-    compose,
-    pair_map_image,
-    product_classical,
-    product_function,
-    product_idempotent,
-    pushforward,
-    pushforward_classical,
-    pushforward_idempotent,
-    reconstruct_product,
-    verify_counterexample,
-)
-from .geometry import (
-    SegmentPoint,
-    approx_coefficients,
-    approx_distance_closed_form,
-    approx_toward_measure,
-    approx_toward_point,
-    exactness_threshold,
-    scalar_distance,
-    segment_distance,
-    support_meets,
-)
-from .jsonio import (
-    SchemaError,
-    decode_continuous_function,
-    decode_density,
-    decode_function,
-    decode_measure,
-    decode_point_map,
-    encode_convergence_report,
-    encode_counterexample_report,
-    encode_measure,
-    encode_scalar,
-)
-from .measures import (
-    ClassicalMeasure,
-    FiniteSpace,
-    IdempotentMeasure,
-    TestFunction,
-    classical_measure,
-    dirac,
-    evaluate,
-    evaluate_classical,
-    evaluate_idempotent,
-    has_support_at_most,
-    maxplus_combine,
-    normalize_idempotent,
-    point_mass,
-    support,
-)
-from .semiring import (
-    BOTTOM,
-    BottomType,
-    MaxPlusValue,
-    as_scalar,
-    big_oplus,
-    is_bottom,
-    mp_exp,
-    mp_ln,
-    odot,
-    oplus,
-)
+from . import convert, density, functors, geometry, jsonio, measures, semiring
+from .convert import *  # noqa: F401,F403
+from .density import *  # noqa: F401,F403
+from .functors import *  # noqa: F401,F403
+from .geometry import *  # noqa: F401,F403
+from .jsonio import *  # noqa: F401,F403
+from .measures import *  # noqa: F401,F403
+from .semiring import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BOTTOM",
-    "BottomType",
-    "ClassicalMeasure",
-    "ContinuousTestFunction",
-    "ConvergenceReport",
-    "ConvergenceRow",
-    "CounterexampleReport",
-    "DensityMeasure",
-    "FiniteSpace",
-    "IdempotentMeasure",
-    "MaxPlusValue",
-    "PiecewiseLinear",
-    "PointMap",
-    "ProductSpace",
-    "SchemaError",
-    "SegmentPoint",
-    "TestFunction",
-    "approx_coefficients",
-    "approx_distance_closed_form",
-    "approx_toward_measure",
-    "approx_toward_point",
-    "as_scalar",
-    "big_oplus",
-    "classical_measure",
-    "compose",
-    "convergence_report",
-    "decode_continuous_function",
-    "decode_density",
-    "decode_function",
-    "decode_measure",
-    "decode_point_map",
-    "dirac",
-    "discretize",
-    "encode_convergence_report",
-    "encode_counterexample_report",
-    "encode_measure",
-    "encode_scalar",
-    "eval_density_measure",
-    "evaluate",
-    "evaluate_classical",
-    "evaluate_idempotent",
-    "exactness_threshold",
-    "grid_points",
-    "grid_space",
-    "has_support_at_most",
-    "is_bottom",
-    "maxplus_combine",
-    "mp_exp",
-    "mp_ln",
-    "naturality_gap",
-    "normalize_idempotent",
-    "odot",
-    "oplus",
-    "pair_map_image",
-    "point_mass",
-    "product_classical",
-    "product_function",
-    "product_idempotent",
-    "pushforward",
-    "pushforward_classical",
-    "pushforward_idempotent",
-    "reconstruct_product",
-    "roundtrip_gap",
-    "sample_function",
-    "scalar_distance",
-    "segment_distance",
-    "support",
-    "support_meets",
-    "to_classical",
-    "to_idempotent",
-    "verify_counterexample",
+    name
+    for module in (convert, density, functors, geometry, jsonio, measures, semiring)
+    for name in module.__all__
 ]

@@ -107,17 +107,7 @@ def _cmd_push(args: argparse.Namespace) -> dict:
 def _cmd_product(args: argparse.Namespace) -> dict:
     mu = _load_measure(args.measure)
     nu = _load_measure(args.measure2)
-    if isinstance(mu, measures.IdempotentMeasure) and isinstance(
-        nu, measures.IdempotentMeasure
-    ):
-        out = functors.product_idempotent(mu, nu)
-    elif isinstance(mu, measures.ClassicalMeasure) and isinstance(
-        nu, measures.ClassicalMeasure
-    ):
-        out = functors.product_classical(mu, nu)
-    else:
-        raise _CliError("product requires two measures of the same kind")
-    return jsonio.encode_measure(out)
+    return jsonio.encode_measure(functors.product(mu, nu))
 
 
 def _cmd_convert(args: argparse.Namespace) -> dict:

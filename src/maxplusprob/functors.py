@@ -1,9 +1,10 @@
 """Pushforwards, product measures, and the paired-pushforward probe.
 
-A ``PointMap`` between finite spaces transports measures: idempotent
-weights move by taking the fiberwise maximum, classical masses by the
-fiberwise sum.  Products pair two measures on the product space, with
-atom weight ``w_x + w_y`` (idempotent) or ``w_x * w_y`` (classical).
+A ``PointMap`` between finite spaces transports measures: each image
+point gets the semiring sum of its fiber, the maximum for idempotent
+weights and the sum for classical masses.  Products pair two measures of
+one kind on the product space, with atom weight the semiring product,
+``w_x + w_y`` (idempotent) or ``w_x * w_y`` (classical).
 
 ``verify_counterexample`` runs a fixed three-point scenario in which the
 pair of pushforwards under two maps separates classical measures but
@@ -14,7 +15,7 @@ non-injective pushforward.
 
 from __future__ import annotations
 
-import math
+import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,9 +27,11 @@ from .measures import (
     IdempotentMeasure,
     Measure,
     TestFunction,
+    check_exact_keys,
     classical_measure,
+    dirac,
 )
-from .semiring import BOTTOM, MaxPlusValue, big_oplus, odot
+from .semiring import MAX_PLUS, odot
 
 __all__ = [
     "CounterexampleReport",
@@ -36,6 +39,7 @@ __all__ = [
     "ProductSpace",
     "compose",
     "pair_map_image",
+    "product",
     "product_classical",
     "product_function",
     "product_idempotent",
@@ -87,12 +91,7 @@ class PointMap:
         codomain: FiniteSpace,
         mapping: Mapping[str, str],
     ) -> "PointMap":
-        missing = [p for p in domain.points if p not in mapping]
-        if missing:
-            raise ValueError(f"map missing for points: {missing!r}")
-        extra = [k for k in mapping if k not in domain]
-        if extra:
-            raise ValueError(f"map given for unknown points: {extra!r}")
+        check_exact_keys(domain, mapping, "images")
         return cls(domain, codomain, tuple(mapping[p] for p in domain.points))
 
     @classmethod
@@ -149,75 +148,48 @@ def product_function(phi: TestFunction, psi: TestFunction) -> TestFunction:
 # -- pushforwards ------------------------------------------------------------
 
 
-def pushforward_idempotent(f: PointMap, mu: IdempotentMeasure) -> IdempotentMeasure:
-    """Transport an idempotent measure: each image point gets its fiber maximum.
-
-    Points with empty fiber get BOTTOM; the overall maximum is still
-    exactly 0, so the result is normalized by construction.
-    """
-    if mu.space != f.domain:
-        raise ValueError("space mismatch: measure does not live on the map domain")
-    weights = tuple(big_oplus(mu.weights[i] for i in fiber) for fiber in f._fibers)
-    return IdempotentMeasure(f.codomain, weights)
-
-
-def pushforward_classical(f: PointMap, mu: ClassicalMeasure) -> ClassicalMeasure:
-    """Transport a classical measure: each image point gets its fiber sum."""
-    if mu.space != f.domain:
-        raise ValueError("space mismatch: measure does not live on the map domain")
-    weights = tuple(math.fsum(mu.weights[i] for i in fiber) for fiber in f._fibers)
-    return ClassicalMeasure(f.codomain, weights)
-
-
 def pushforward(f: PointMap, mu: Measure) -> Measure:
-    """Transport either kind of measure along ``f``."""
-    if isinstance(mu, IdempotentMeasure):
-        return pushforward_idempotent(f, mu)
-    if isinstance(mu, ClassicalMeasure):
-        return pushforward_classical(f, mu)
-    raise TypeError(f"not a measure: {mu!r}")
+    """Transport a measure along ``f``: each image point gets its fiber's sum.
+
+    Idempotent weights take the fiber maximum, BOTTOM for an empty fiber;
+    the overall maximum is still exactly 0, so the image is normalized by
+    construction.  Classical masses take the exactly rounded fiber sum.
+    """
+    if not isinstance(mu, Measure):
+        raise TypeError(f"not a measure: {mu!r}")
+    if mu.space != f.domain:
+        raise ValueError("space mismatch: measure does not live on the map domain")
+    fold = mu.semiring.sum
+    weights = tuple(fold(mu.weights[i] for i in fiber) for fiber in f._fibers)
+    return type(mu).build(f.codomain, weights)
+
+
+pushforward_idempotent = pushforward_classical = pushforward
 
 
 # -- products ----------------------------------------------------------------
 
 
-def product_idempotent(
-    mu: IdempotentMeasure, nu: IdempotentMeasure
-) -> IdempotentMeasure:
-    """The max-plus product measure: atom ``(x, y)`` weighs ``w_x + w_y``.
+def product(mu: Measure, nu: Measure) -> Measure:
+    """The product measure: atom ``(x, y)`` weighs ``w_x (.) w_y``.
 
-    This is the unique measure with ``m(phi (.) psi) = mu(phi) + nu(psi)``
-    for split functions; ``reconstruct_product`` checks that uniqueness
-    constructively.
+    Idempotent factors give ``w_x + w_y``, the unique measure with
+    ``m(phi (.) psi) = mu(phi) + nu(psi)`` for split functions;
+    ``reconstruct_product`` checks that uniqueness constructively.
+    Classical factors give ``w_x * w_y``.  Each factor sums to 1 within
+    1e-12, so the products can miss by about twice that; ``build``
+    renormalizes them within the 1e-9 input gate and keeps products that
+    already meet 1e-12 bit for bit.
     """
+    if type(mu) is not type(nu):
+        raise ValueError("product requires two measures of the same kind")
     prod = ProductSpace.of(mu.space, nu.space)
-    weights = tuple(odot(a, b) for a in mu.weights for b in nu.weights)
-    return IdempotentMeasure(prod.space, weights)
+    pairs = itertools.product(mu.weights, nu.weights)
+    weights = tuple(itertools.starmap(mu.semiring.times, pairs))
+    return type(mu).build(prod.space, weights)
 
 
-def product_classical(mu: ClassicalMeasure, nu: ClassicalMeasure) -> ClassicalMeasure:
-    """The ordinary product measure: atom ``(x, y)`` weighs ``w_x * w_y``.
-
-    The factors sum to 1 within 1e-12 each, so the products can miss by
-    about twice that; ``classical_measure`` renormalizes them within its
-    1e-9 input gate and keeps products that already meet 1e-12 bit for bit.
-    """
-    prod = ProductSpace.of(mu.space, nu.space)
-    weights = tuple(a * b for a in mu.weights for b in nu.weights)
-    return classical_measure(prod.space, weights)
-
-
-def _evaluate_maxplus(
-    mu: IdempotentMeasure, values: Sequence[MaxPlusValue]
-) -> MaxPlusValue:
-    # Evaluation extended to functions taking BOTTOM values.  Kept
-    # module-private: public test functions stay finite, but indicator
-    # functions (0 at one point, BOTTOM elsewhere) need this.
-    return big_oplus(odot(w, v) for w, v in zip(mu.weights, values))
-
-
-def _indicator(space: FiniteSpace, at: int) -> tuple[MaxPlusValue, ...]:
-    return tuple(0.0 if i == at else BOTTOM for i in range(len(space)))
+product_idempotent = product_classical = product
 
 
 def reconstruct_product(
@@ -231,9 +203,17 @@ def reconstruct_product(
     through the evaluation functional rather than by reading weights,
     must reproduce ``product_idempotent`` exactly.
     """
+
+    def integral(m: IdempotentMeasure, label: str):
+        # m(chi_label): the indicator (0 at label, BOTTOM elsewhere) is
+        # the weight vector of the point measure, and it takes BOTTOM
+        # values, so it is folded here rather than passed to evaluate.
+        chi = dirac(m.space, label).weights
+        return MAX_PLUS.sum(map(MAX_PLUS.times, m.weights, chi))
+
     prod = ProductSpace.of(mu.space, nu.space)
-    left = [_evaluate_maxplus(mu, _indicator(mu.space, i)) for i in range(len(mu.space))]
-    right = [_evaluate_maxplus(nu, _indicator(nu.space, j)) for j in range(len(nu.space))]
+    left = [integral(mu, x) for x in mu.space.points]
+    right = [integral(nu, y) for y in nu.space.points]
     weights = tuple(odot(a, b) for a in left for b in right)
     return IdempotentMeasure(prod.space, weights)
 
@@ -308,7 +288,7 @@ def _paired_image(mu: ClassicalMeasure) -> tuple[float, ...]:
     # The masses of (f_* mu, g_* mu) for the fixture's maps, as the
     # linear forms (a + c, b, a + b, c).  Each fiber has at most two
     # points, so each coordinate is the one float addition that
-    # pushforward_classical makes: the values are bit-identical.
+    # pushforward makes: the values are bit-identical.
     a, b, c = mu.weights
     return (a + c, b, a + b, c)
 

@@ -24,11 +24,11 @@ from typing import Union
 from .density import ContinuousTestFunction, ConvergenceReport, DensityMeasure
 from .functors import CounterexampleReport, PointMap
 from .measures import (
-    ClassicalMeasure,
     FiniteSpace,
     IdempotentMeasure,
     Measure,
     TestFunction,
+    check_exact_keys,
     classical_measure,
 )
 from .semiring import BOTTOM, MaxPlusValue
@@ -107,12 +107,10 @@ def _decode_space(node: object, path: str) -> FiniteSpace:
 
 def _decode_table(node: object, path: str, space: FiniteSpace) -> dict[str, object]:
     table = _expect_object(node, path)
-    missing = [p for p in space.points if p not in table]
-    if missing:
-        raise SchemaError(path, f"missing entries for points: {missing!r}")
-    extra = [k for k in table if k not in space]
-    if extra:
-        raise SchemaError(path, f"entries for unknown points: {extra!r}")
+    try:
+        check_exact_keys(space, table, "entries")
+    except ValueError as err:
+        raise SchemaError(path, str(err)) from None
     return table
 
 
@@ -216,17 +214,8 @@ def encode_scalar(value: MaxPlusValue) -> Union[float, str]:
 
 def encode_measure(mu: Measure) -> dict:
     """The measure document for either kind."""
-    if isinstance(mu, IdempotentMeasure):
-        kind = "idempotent"
-        weights = {
-            p: encode_scalar(w) for p, w in zip(mu.space.points, mu.weights)
-        }
-    elif isinstance(mu, ClassicalMeasure):
-        kind = "classical"
-        weights = {p: float(w) for p, w in zip(mu.space.points, mu.weights)}
-    else:
-        raise TypeError(f"not a measure: {mu!r}")
-    return {"space": list(mu.space.points), "kind": kind, "weights": weights}
+    weights = {p: encode_scalar(w) for p, w in zip(mu.space.points, mu.weights)}
+    return {"space": list(mu.space.points), "kind": mu.kind, "weights": weights}
 
 
 def encode_counterexample_report(report: CounterexampleReport) -> dict:

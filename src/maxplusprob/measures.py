@@ -5,6 +5,9 @@ it live:
 
 * ``TestFunction``: a real-valued function given by one finite value per
   point.
+* ``Measure``: the common base; it carries the weights and the
+  ``Semiring`` they live in, so evaluation, support and (in
+  ``functors``) transport are written once for both kinds.
 * ``IdempotentMeasure``: atom weights in the max-plus scalar domain,
   every weight at most 0 and the largest exactly 0.  Such a measure acts
   on a test function by ``max_i (weight_i + phi(x_i))``.
@@ -13,22 +16,33 @@ it live:
 
 Weights are stored densely, one slot per point of the space, so that a
 measure and a function on the same space always align index by index.
-Points carrying ``BOTTOM`` (or mass 0 on the classical side) simply do
-not belong to the support.
+Points carrying the semiring's zero (``BOTTOM``, or mass 0 on the
+classical side) simply do not belong to the support.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence, Union
+from typing import Callable, ClassVar, Mapping, Sequence, Union
 
-from .semiring import BOTTOM, MaxPlusValue, as_scalar, big_oplus, odot, oplus
+from .semiring import (
+    BOTTOM,
+    MAX_PLUS,
+    SUM_PRODUCT,
+    MaxPlusValue,
+    Semiring,
+    as_scalar,
+    big_oplus,
+    odot,
+    oplus,
+)
 
 __all__ = [
     "ClassicalMeasure",
     "FiniteSpace",
     "IdempotentMeasure",
+    "Measure",
     "TestFunction",
     "classical_measure",
     "dirac",
@@ -112,7 +126,7 @@ class TestFunction:
 
     @classmethod
     def from_mapping(cls, space: FiniteSpace, values: Mapping[str, float]) -> "TestFunction":
-        _check_exact_keys(space, values, "function values")
+        check_exact_keys(space, values, "function values")
         return cls(space, tuple(float(values[p]) for p in space.points))
 
     def __call__(self, label: str) -> float:
@@ -139,7 +153,48 @@ class TestFunction:
 
 
 @dataclass(frozen=True)
-class IdempotentMeasure:
+class Measure:
+    """A probability measure of either kind on a finite space.
+
+    Subclasses fix ``semiring``, the scalars the weights live in, and
+    ``kind``, the tag the JSON documents carry.  ``build`` makes a
+    measure of the same kind from computed weights.
+
+    Attributes
+    ----------
+    space : FiniteSpace
+    weights : tuple
+        One weight per point of the space.
+    """
+
+    space: FiniteSpace
+    weights: tuple
+
+    semiring: ClassVar[Semiring]
+    kind: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        # Each kind validates its own weights; the base has no invariant.
+        raise TypeError("build an IdempotentMeasure or a ClassicalMeasure")
+
+    @classmethod
+    def build(cls, space: FiniteSpace, weights: Sequence) -> "Measure":
+        """A measure of this kind from weights an operation computed."""
+        return cls(space, weights)
+
+    def weight(self, label: str) -> MaxPlusValue:
+        return self.weights[self.space.index(label)]
+
+    @property
+    def support(self) -> frozenset[str]:
+        zero = self.semiring.zero
+        return frozenset(
+            p for p, w in zip(self.space.points, self.weights) if w != zero
+        )
+
+
+@dataclass(frozen=True)
+class IdempotentMeasure(Measure):
     """A max-plus probability measure on a finite space.
 
     Attributes
@@ -151,8 +206,8 @@ class IdempotentMeasure:
         outside the support.
     """
 
-    space: FiniteSpace
-    weights: tuple[MaxPlusValue, ...]
+    semiring = MAX_PLUS
+    kind = "idempotent"
 
     def __post_init__(self) -> None:
         weights = tuple(as_scalar(w) for w in self.weights)
@@ -168,18 +223,9 @@ class IdempotentMeasure:
             raise ValueError(f"idempotent weights must have maximum 0, got {peak!r}")
         object.__setattr__(self, "weights", weights)
 
-    def weight(self, label: str) -> MaxPlusValue:
-        return self.weights[self.space.index(label)]
-
-    @property
-    def support(self) -> frozenset[str]:
-        return frozenset(
-            p for p, w in zip(self.space.points, self.weights) if w is not BOTTOM
-        )
-
 
 @dataclass(frozen=True)
-class ClassicalMeasure:
+class ClassicalMeasure(Measure):
     """An ordinary probability measure on a finite space.
 
     Attributes
@@ -189,8 +235,8 @@ class ClassicalMeasure:
         One nonnegative mass per point, summing to 1 within 1e-12.
     """
 
-    space: FiniteSpace
-    weights: tuple[float, ...]
+    semiring = SUM_PRODUCT
+    kind = "classical"
 
     def __post_init__(self) -> None:
         weights = tuple(float(w) for w in self.weights)
@@ -204,17 +250,10 @@ class ClassicalMeasure:
             raise ValueError(f"classical weights must sum to 1, got {total!r}")
         object.__setattr__(self, "weights", weights)
 
-    def weight(self, label: str) -> float:
-        return self.weights[self.space.index(label)]
-
-    @property
-    def support(self) -> frozenset[str]:
-        return frozenset(
-            p for p, w in zip(self.space.points, self.weights) if w > 0.0
-        )
-
-
-Measure = Union[IdempotentMeasure, ClassicalMeasure]
+    @classmethod
+    def build(cls, space: FiniteSpace, weights: Sequence) -> "ClassicalMeasure":
+        """Computed masses miss 1 by rounding; renormalize within the input gate."""
+        return classical_measure(space, weights)
 
 
 # -- constructors ------------------------------------------------------------
@@ -246,7 +285,7 @@ def normalize_idempotent(
     aligned with the space order.  All-BOTTOM input has empty support
     and is rejected.
     """
-    values = _aligned_scalars(space, raw)
+    values = _aligned(space, raw, as_scalar)
     peak = big_oplus(values)
     if peak is BOTTOM:
         raise ValueError("empty support: every weight is BOTTOM")
@@ -268,13 +307,7 @@ def classical_measure(
     already meet it are kept bit for bit, which makes the constructor
     idempotent and decode(encode(m)) exact.
     """
-    if isinstance(weights, Mapping):
-        _check_exact_keys(space, weights, "weights")
-        values = [float(weights[p]) for p in space.points]  # type: ignore[arg-type]
-    else:
-        values = [float(w) for w in weights]
-        if len(values) != len(space):
-            raise ValueError("one weight per point of the space is required")
+    values = _aligned(space, weights, float)
     for v in values:
         if not math.isfinite(v) or v < 0.0:
             raise ValueError(f"classical weights must be finite and >= 0, got {v!r}")
@@ -286,52 +319,35 @@ def classical_measure(
             f"weights sum to {total!r}, not 1; pass renormalize=True to rescale"
         )
     if abs(total - 1.0) <= _SUM_TOL:
-        return ClassicalMeasure(space, tuple(values))
+        return ClassicalMeasure(space, values)
     return ClassicalMeasure(space, tuple(v / total for v in values))
 
 
 # -- evaluation and support --------------------------------------------------
 
 
-def evaluate_idempotent(mu: IdempotentMeasure, phi: TestFunction) -> float:
-    """Max-plus integral: ``max_i (weight_i + phi(x_i))`` over the support.
-
-    Always finite, because some weight is exactly 0.
-    """
-    if mu.space != phi.space:
-        raise ValueError("space mismatch between measure and function")
-    best: float | None = None
-    for w, v in zip(mu.weights, phi.values):
-        if w is BOTTOM:
-            continue
-        s = w + v
-        if best is None or s > best:
-            best = s
-    assert best is not None  # the weight invariant guarantees an atom
-    return best
-
-
-def evaluate_classical(mu: ClassicalMeasure, phi: TestFunction) -> float:
-    """Expectation of ``phi`` under a classical measure."""
-    if mu.space != phi.space:
-        raise ValueError("space mismatch between measure and function")
-    return math.fsum(w * v for w, v in zip(mu.weights, phi.values))
-
-
 def evaluate(mu: Measure, phi: TestFunction) -> float:
-    """Evaluate ``phi`` under either kind of measure."""
-    if isinstance(mu, IdempotentMeasure):
-        return evaluate_idempotent(mu, phi)
-    if isinstance(mu, ClassicalMeasure):
-        return evaluate_classical(mu, phi)
-    raise TypeError(f"not a measure: {mu!r}")
+    """The integral ``(+)_i weight_i (.) phi(x_i)`` in the measure's semiring.
+
+    Idempotent: ``max_i (weight_i + phi(x_i))`` over the support, always
+    finite because some weight is exactly 0.  Classical: the expectation,
+    exactly rounded.
+    """
+    if not isinstance(mu, Measure):
+        raise TypeError(f"not a measure: {mu!r}")
+    if mu.space != phi.space:
+        raise ValueError("space mismatch between measure and function")
+    return mu.semiring.dot(mu.weights, phi.values)
+
+
+evaluate_idempotent = evaluate_classical = evaluate
 
 
 def support(mu: Measure) -> frozenset[str]:
     """The set of points carrying weight: finite weights, or positive mass."""
-    if isinstance(mu, (IdempotentMeasure, ClassicalMeasure)):
-        return mu.support
-    raise TypeError(f"not a measure: {mu!r}")
+    if not isinstance(mu, Measure):
+        raise TypeError(f"not a measure: {mu!r}")
+    return mu.support
 
 
 def maxplus_combine(
@@ -370,22 +386,26 @@ def has_support_at_most(mu: Measure, n: int) -> bool:
 # -- helpers -----------------------------------------------------------------
 
 
-def _check_exact_keys(space: FiniteSpace, mapping: Mapping, what: str) -> None:
+def check_exact_keys(space: FiniteSpace, mapping: Mapping, what: str) -> None:
+    """Require ``mapping`` to be keyed by exactly the points of ``space``."""
     missing = [p for p in space.points if p not in mapping]
     if missing:
-        raise ValueError(f"{what} missing for points: {missing!r}")
+        raise ValueError(f"missing {what} for points: {missing!r}")
     extra = [k for k in mapping if k not in space]
     if extra:
         raise ValueError(f"{what} given for unknown points: {extra!r}")
 
 
-def _aligned_scalars(
-    space: FiniteSpace, raw: Union[Mapping[str, object], Sequence[object]]
-) -> tuple[MaxPlusValue, ...]:
+def _aligned(
+    space: FiniteSpace,
+    raw: Union[Mapping[str, object], Sequence[object]],
+    coerce: Callable[[object], MaxPlusValue],
+) -> tuple:
+    # Raw weights keyed by label or in space order, coerced one by one.
     if isinstance(raw, Mapping):
-        _check_exact_keys(space, raw, "weights")
-        return tuple(as_scalar(raw[p]) for p in space.points)
-    values = tuple(as_scalar(v) for v in raw)
+        check_exact_keys(space, raw, "weights")
+        return tuple(coerce(raw[p]) for p in space.points)
+    values = tuple(coerce(v) for v in raw)
     if len(values) != len(space):
         raise ValueError("one weight per point of the space is required")
     return values

@@ -6,17 +6,26 @@ is neutral for the former and absorbing for the latter.  ``BOTTOM`` is
 a tagged singleton rather than ``float("-inf")`` so these identities
 hold exactly and no IEEE special cases (``-inf + inf``, signed zero
 surprises under exponentiation) can leak into results.
+
+A ``Semiring`` record bundles what a measure kind computes with, so
+each measure operation is written once: ``MAX_PLUS`` for idempotent
+measures and ``SUM_PRODUCT`` for classical ones.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Union
+import operator
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence, Union
 
 __all__ = [
     "BOTTOM",
     "BottomType",
+    "MAX_PLUS",
     "MaxPlusValue",
+    "SUM_PRODUCT",
+    "Semiring",
     "as_scalar",
     "big_oplus",
     "is_bottom",
@@ -106,3 +115,51 @@ def mp_ln(x: float) -> MaxPlusValue:
     if x == 0.0:
         return BOTTOM
     return math.log(x)
+
+
+@dataclass(frozen=True)
+class Semiring:
+    """The scalar operations a measure kind evaluates and transports with.
+
+    Attributes
+    ----------
+    zero : scalar
+        The neutral element of the sum; weights equal to it mark points
+        outside the support.
+    sum : callable
+        Fold over an iterable of scalars; the empty fold is ``zero``.
+    times : callable
+        The multiplication of two scalars.
+    dot : callable
+        ``dot(weights, values)``, the fold of ``times`` over aligned
+        pairs: the evaluation kernel, written out per instance because
+        it is the hot loop.
+    """
+
+    zero: MaxPlusValue
+    sum: Callable[[Iterable[MaxPlusValue]], MaxPlusValue]
+    times: Callable[[MaxPlusValue, MaxPlusValue], MaxPlusValue]
+    dot: Callable[[Sequence[MaxPlusValue], Sequence[float]], MaxPlusValue]
+
+
+def _max_plus_dot(
+    weights: Sequence[MaxPlusValue], values: Sequence[float]
+) -> MaxPlusValue:
+    best: float | None = None
+    for w, v in zip(weights, values):
+        if w is BOTTOM:
+            continue
+        s = w + v
+        if best is None or s > best:
+            best = s
+    return BOTTOM if best is None else best
+
+
+def _sum_product_dot(weights: Sequence[float], values: Sequence[float]) -> float:
+    return math.fsum(w * v for w, v in zip(weights, values))
+
+
+MAX_PLUS = Semiring(zero=BOTTOM, sum=big_oplus, times=odot, dot=_max_plus_dot)
+SUM_PRODUCT = Semiring(
+    zero=0.0, sum=math.fsum, times=operator.mul, dot=_sum_product_dot
+)

@@ -19,6 +19,7 @@ from maxplusprob import (
     evaluate,
     evaluate_idempotent,
     pair_map_image,
+    product,
     product_classical,
     product_function,
     product_idempotent,
@@ -103,6 +104,16 @@ def test_pushforward_classical_sums_fibers_exactly_rounded():
     uniform = ClassicalMeasure(ten, (0.1,) * 10)
     # The float sum of ten 0.1s is 0.9999999999999999; fsum rounds once.
     assert pushforward_classical(collapse, uniform).weights == (1.0,)
+
+
+def test_pushforward_classical_renormalizes_within_the_input_gate():
+    # The masses sum to 1 + 9.999e-13, within the 1e-12 invariant, but
+    # rounding in the fiber sums takes the image to 1 + 1e-12 and past
+    # it; the image must be renormalized, not rejected.
+    mu = ClassicalMeasure(ABC, (0.5, 6.661338147750939e-17, 0.5000000000009999))
+    f = PointMap(ABC, FiniteSpace(("y", "z")), ("y", "y", "z"))
+    out = pushforward_classical(f, mu)
+    assert out.weights == (0.49999999999950007, 0.5000000000004998)
 
 
 def test_pushforward_dispatch_and_mismatch():
@@ -204,6 +215,11 @@ def test_product_classical_renormalizes_within_the_input_gate():
     assert math.fsum(out.weights) == pytest.approx(1.0, abs=1e-15)
     assert out.weights[1] == out.weights[2]
     assert out.weights[0] > out.weights[1] > out.weights[3]
+
+
+def test_product_requires_one_kind():
+    with pytest.raises(ValueError, match="same kind"):
+        product(dirac(AB, "a"), classical_measure(AB, (0.5, 0.5)))
 
 
 def test_product_with_bottom_atoms():

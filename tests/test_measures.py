@@ -11,6 +11,7 @@ from maxplusprob import (
     ClassicalMeasure,
     FiniteSpace,
     IdempotentMeasure,
+    Measure,
     TestFunction,
     classical_measure,
     dirac,
@@ -74,6 +75,14 @@ def test_function_from_mapping_requires_exact_keys():
 
 
 # -- idempotent measures -------------------------------------------------------
+
+
+def test_measure_base_is_not_a_measure_kind():
+    # Only the two kinds validate weights, so the base refuses to build.
+    with pytest.raises(TypeError):
+        Measure(AB, (0.0, "x"))
+    assert IdempotentMeasure(AB, (0.0, -1.0)).kind == "idempotent"
+    assert point_mass(AB, "a").kind == "classical"
 
 
 def test_idempotent_invariants_enforced():

@@ -7,6 +7,8 @@ from hypothesis import given
 
 from maxplusprob import (
     BOTTOM,
+    MAX_PLUS,
+    SUM_PRODUCT,
     BottomType,
     as_scalar,
     big_oplus,
@@ -122,3 +124,16 @@ def test_exp_is_monotone_on_the_segment():
     assert values[0] == 0.0
     assert values[-1] == 1.0
     assert math.isclose(mp_exp(math.log(0.3)), 0.3, abs_tol=1e-15)
+
+
+def test_semiring_instances():
+    assert MAX_PLUS.sum(()) is MAX_PLUS.zero is BOTTOM
+    assert SUM_PRODUCT.sum(()) == SUM_PRODUCT.zero == 0.0
+    assert MAX_PLUS.times(-1.0, 2.5) == 1.5 and MAX_PLUS.times(0.0, BOTTOM) is BOTTOM
+    assert SUM_PRODUCT.times(0.5, 3.0) == 1.5
+    # dot is the fold of times over aligned pairs.
+    w, v = (0.0, BOTTOM, -2.0), (1.0, 7.0, 4.0)
+    assert MAX_PLUS.dot(w, v) == MAX_PLUS.sum(map(MAX_PLUS.times, w, v)) == 2.0
+    assert MAX_PLUS.dot((BOTTOM,), (1.0,)) is BOTTOM
+    w, v = (0.25, 0.0, 0.75), (4.0, 9.0, -1.0)
+    assert SUM_PRODUCT.dot(w, v) == SUM_PRODUCT.sum(map(SUM_PRODUCT.times, w, v)) == 0.25
