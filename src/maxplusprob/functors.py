@@ -161,7 +161,7 @@ def pushforward(f: PointMap, mu: Measure) -> Measure:
         raise ValueError("space mismatch: measure does not live on the map domain")
     fold = mu.semiring.sum
     weights = tuple(fold(mu.weights[i] for i in fiber) for fiber in f._fibers)
-    return type(mu).build(f.codomain, weights)
+    return type(mu)(f.codomain, weights)
 
 
 pushforward_idempotent = pushforward_classical = pushforward
@@ -177,16 +177,16 @@ def product(mu: Measure, nu: Measure) -> Measure:
     ``m(phi (.) psi) = mu(phi) + nu(psi)`` for split functions;
     ``reconstruct_product`` checks that uniqueness constructively.
     Classical factors give ``w_x * w_y``.  Each factor sums to 1 within
-    1e-12, so the products can miss by about twice that; ``build``
-    renormalizes them within the 1e-9 input gate and keeps products that
-    already meet 1e-12 bit for bit.
+    1e-12, so the products can miss by about twice that; the
+    constructor renormalizes them within its 1e-9 gate and keeps
+    products that already meet 1e-12 bit for bit.
     """
     if type(mu) is not type(nu):
         raise ValueError("product requires two measures of the same kind")
     prod = ProductSpace.of(mu.space, nu.space)
     pairs = itertools.product(mu.weights, nu.weights)
     weights = tuple(itertools.starmap(mu.semiring.times, pairs))
-    return type(mu).build(prod.space, weights)
+    return type(mu)(prod.space, weights)
 
 
 product_idempotent = product_classical = product

@@ -93,25 +93,28 @@ def _decode_scalar(node: object, path: str) -> MaxPlusValue:
     return _expect_number(node, path)
 
 
+def _built(path: str, build, *args, prefix: str = ""):
+    # Value invariants live in the constructors; report them at ``path``.
+    try:
+        return build(*args)
+    except ValueError as err:
+        raise SchemaError(path, f"{prefix}{err}") from None
+
+
 def _decode_space(node: object, path: str) -> FiniteSpace:
     if not isinstance(node, list):
         raise SchemaError(path, f"expected a list of labels, got {type(node).__name__}")
     labels = [
         _expect_string(item, f"{path}[{i}]") for i, item in enumerate(node)
     ]
-    try:
-        return FiniteSpace(tuple(labels))
-    except ValueError as err:
-        raise SchemaError(path, str(err)) from None
+    return _built(path, FiniteSpace, tuple(labels))
 
 
-def _decode_table(node: object, path: str, space: FiniteSpace) -> dict[str, object]:
+def _decode_entries(node: object, path: str, space: FiniteSpace, decode) -> tuple:
+    # A table keyed by exactly the points of ``space``, decoded in space order.
     table = _expect_object(node, path)
-    try:
-        check_exact_keys(space, table, "entries")
-    except ValueError as err:
-        raise SchemaError(path, str(err)) from None
-    return table
+    _built(path, check_exact_keys, space, table, "entries")
+    return tuple(decode(table[p], f"{path}.{p}") for p in space.points)
 
 
 def decode_measure(doc: object) -> Measure:
@@ -120,24 +123,15 @@ def decode_measure(doc: object) -> Measure:
     _expect_keys(root, "", ("space", "kind", "weights"))
     space = _decode_space(root["space"], "space")
     kind = _expect_string(root["kind"], "kind")
-    if kind not in ("idempotent", "classical"):
-        raise SchemaError("kind", f'expected "idempotent" or "classical", got {kind!r}')
-    table = _decode_table(root["weights"], "weights", space)
+    # Looked up per call, so a wrapper installed on this module is used.
     if kind == "idempotent":
-        weights = tuple(
-            _decode_scalar(table[p], f"weights.{p}") for p in space.points
-        )
-        try:
-            return IdempotentMeasure(space, weights)
-        except ValueError as err:
-            raise SchemaError("weights", str(err)) from None
-    masses = tuple(
-        _expect_number(table[p], f"weights.{p}") for p in space.points
-    )
-    try:
-        return classical_measure(space, masses, renormalize=False)
-    except ValueError as err:
-        raise SchemaError("weights", str(err)) from None
+        decode, build = _decode_scalar, IdempotentMeasure
+    elif kind == "classical":
+        decode, build = _expect_number, classical_measure
+    else:
+        raise SchemaError("kind", f'expected "idempotent" or "classical", got {kind!r}')
+    weights = _decode_entries(root["weights"], "weights", space, decode)
+    return _built("weights", build, space, weights)
 
 
 def decode_function(doc: object) -> TestFunction:
@@ -145,12 +139,8 @@ def decode_function(doc: object) -> TestFunction:
     root = _expect_object(doc, "")
     _expect_keys(root, "", ("space", "values"))
     space = _decode_space(root["space"], "space")
-    table = _decode_table(root["values"], "values", space)
-    values = tuple(_expect_number(table[p], f"values.{p}") for p in space.points)
-    try:
-        return TestFunction(space, values)
-    except ValueError as err:
-        raise SchemaError("values", str(err)) from None
+    values = _decode_entries(root["values"], "values", space, _expect_number)
+    return _built("values", TestFunction, space, values)
 
 
 def decode_point_map(doc: object) -> PointMap:
@@ -159,14 +149,8 @@ def decode_point_map(doc: object) -> PointMap:
     _expect_keys(root, "", ("domain", "codomain", "map"))
     domain = _decode_space(root["domain"], "domain")
     codomain = _decode_space(root["codomain"], "codomain")
-    table = _decode_table(root["map"], "map", domain)
-    images = tuple(
-        _expect_string(table[p], f"map.{p}") for p in domain.points
-    )
-    try:
-        return PointMap(domain, codomain, images)
-    except ValueError as err:
-        raise SchemaError("map", str(err)) from None
+    images = _decode_entries(root["map"], "map", domain, _expect_string)
+    return _built("map", PointMap, domain, codomain, images)
 
 
 def _decode_piecewise(doc: object, cls: type, what: str):
@@ -186,10 +170,8 @@ def _decode_piecewise(doc: object, cls: type, what: str):
             )
         )
     bound = _expect_number(root["lipschitz"], "lipschitz")
-    try:
-        return cls(tuple(pairs), bound)
-    except ValueError as err:
-        raise SchemaError("breakpoints", f"not a valid {what}: {err}") from None
+    prefix = f"not a valid {what}: "
+    return _built("breakpoints", cls, tuple(pairs), bound, prefix=prefix)
 
 
 def decode_density(doc: object) -> DensityMeasure:

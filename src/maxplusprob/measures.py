@@ -18,6 +18,12 @@ Weights are stored densely, one slot per point of the space, so that a
 measure and a function on the same space always align index by index.
 Points carrying the semiring's zero (``BOTTOM``, or mass 0 on the
 classical side) simply do not belong to the support.
+
+Each kind's constructor is the only place its weights are checked.
+``normalize_idempotent`` and ``classical_measure`` only align raw
+weights given by label or in order and shift or rescale them, and
+operations such as pushforward build their results through the same
+constructors.
 """
 
 from __future__ import annotations
@@ -157,8 +163,8 @@ class Measure:
     """A probability measure of either kind on a finite space.
 
     Subclasses fix ``semiring``, the scalars the weights live in, and
-    ``kind``, the tag the JSON documents carry.  ``build`` makes a
-    measure of the same kind from computed weights.
+    ``kind``, the tag the JSON documents carry.  Each subclass's
+    ``__post_init__`` is the one place its weight invariant is checked.
 
     Attributes
     ----------
@@ -176,11 +182,6 @@ class Measure:
     def __post_init__(self) -> None:
         # Each kind validates its own weights; the base has no invariant.
         raise TypeError("build an IdempotentMeasure or a ClassicalMeasure")
-
-    @classmethod
-    def build(cls, space: FiniteSpace, weights: Sequence) -> "Measure":
-        """A measure of this kind from weights an operation computed."""
-        return cls(space, weights)
 
     def weight(self, label: str) -> MaxPlusValue:
         return self.weights[self.space.index(label)]
@@ -210,15 +211,14 @@ class IdempotentMeasure(Measure):
     kind = "idempotent"
 
     def __post_init__(self) -> None:
-        weights = tuple(as_scalar(w) for w in self.weights)
+        weights = tuple(map(as_scalar, self.weights))
         if len(weights) != len(self.space):
             raise ValueError("one weight per point of the space is required")
-        peak = big_oplus(weights)
+        peak = max([w for w in weights if w is not BOTTOM], default=BOTTOM)
         if peak is BOTTOM:
             raise ValueError("empty support: every weight is BOTTOM")
-        for w in weights:
-            if w is not BOTTOM and w > 0.0:
-                raise ValueError(f"idempotent weights must be <= 0, got {w!r}")
+        if peak > 0.0:
+            raise ValueError(f"idempotent weights must be <= 0, got {peak!r}")
         if peak != 0.0:
             raise ValueError(f"idempotent weights must have maximum 0, got {peak!r}")
         object.__setattr__(self, "weights", weights)
@@ -233,27 +233,31 @@ class ClassicalMeasure(Measure):
     space : FiniteSpace
     weights : tuple of float
         One nonnegative mass per point, summing to 1 within 1e-12.
+        Given masses may miss 1 by up to 1e-9 (rounding in a computed
+        vector); those are divided by their sum.  Masses already within
+        1e-12 are kept bit for bit, so decode(encode(m)) is exact.
     """
 
     semiring = SUM_PRODUCT
     kind = "classical"
 
     def __post_init__(self) -> None:
-        weights = tuple(float(w) for w in self.weights)
+        weights = tuple(map(float, self.weights))
         if len(weights) != len(self.space):
             raise ValueError("one weight per point of the space is required")
         for w in weights:
-            if not math.isfinite(w) or w < 0.0:
+            if not 0.0 <= w < math.inf:
                 raise ValueError(f"classical weights must be finite and >= 0, got {w!r}")
         total = math.fsum(weights)
+        if total <= 0.0:
+            raise ValueError("empty support: weights sum to 0")
+        if abs(total - 1.0) > _INPUT_SUM_TOL:
+            raise ValueError(
+                f"weights sum to {total!r}, not 1; pass renormalize=True to rescale"
+            )
         if abs(total - 1.0) > _SUM_TOL:
-            raise ValueError(f"classical weights must sum to 1, got {total!r}")
+            weights = tuple(w / total for w in weights)
         object.__setattr__(self, "weights", weights)
-
-    @classmethod
-    def build(cls, space: FiniteSpace, weights: Sequence) -> "ClassicalMeasure":
-        """Computed masses miss 1 by rounding; renormalize within the input gate."""
-        return classical_measure(space, weights)
 
 
 # -- constructors ------------------------------------------------------------
@@ -282,15 +286,14 @@ def normalize_idempotent(
     """Shift raw max-plus weights so their maximum is exactly 0.
 
     ``raw`` is either a mapping keyed by every point label or a sequence
-    aligned with the space order.  All-BOTTOM input has empty support
-    and is rejected.
+    aligned with the space order.  All-BOTTOM input stays all-BOTTOM,
+    which the constructor rejects as empty support.
     """
     values = _aligned(space, raw, as_scalar)
     peak = big_oplus(values)
-    if peak is BOTTOM:
-        raise ValueError("empty support: every weight is BOTTOM")
-    shifted = tuple(BOTTOM if v is BOTTOM else v - peak for v in values)
-    return IdempotentMeasure(space, shifted)
+    return IdempotentMeasure(
+        space, tuple(BOTTOM if v is BOTTOM else v - peak for v in values)
+    )
 
 
 def classical_measure(
@@ -298,29 +301,20 @@ def classical_measure(
     weights: Union[Mapping[str, object], Sequence[object]],
     renormalize: bool = False,
 ) -> ClassicalMeasure:
-    """Build a classical measure from nonnegative masses.
+    """Build a classical measure from masses keyed by label or in order.
 
-    Input sums further than 1e-9 from 1 are rejected unless
-    ``renormalize`` is set; silent rescaling of malformed input tends to
-    hide ingestion bugs.  Within the gate, masses are divided by their
-    sum so the stored vector meets the 1e-12 invariant; masses that
-    already meet it are kept bit for bit, which makes the constructor
-    idempotent and decode(encode(m)) exact.
+    ``ClassicalMeasure`` checks the masses: sums further than 1e-9 from 1
+    are rejected, since silent rescaling of malformed input tends to
+    hide ingestion bugs.  With ``renormalize`` set, valid masses outside
+    that gate are divided by their sum first; anything else goes to the
+    constructor as given, so its error names the value passed.
     """
     values = _aligned(space, weights, float)
-    for v in values:
-        if not math.isfinite(v) or v < 0.0:
-            raise ValueError(f"classical weights must be finite and >= 0, got {v!r}")
-    total = math.fsum(values)
-    if total <= 0.0:
-        raise ValueError("empty support: weights sum to 0")
-    if not renormalize and abs(total - 1.0) > _INPUT_SUM_TOL:
-        raise ValueError(
-            f"weights sum to {total!r}, not 1; pass renormalize=True to rescale"
-        )
-    if abs(total - 1.0) <= _SUM_TOL:
-        return ClassicalMeasure(space, values)
-    return ClassicalMeasure(space, tuple(v / total for v in values))
+    if renormalize and min(values) >= 0.0:
+        total = math.fsum(values)
+        if 0.0 < total < math.inf and abs(total - 1.0) > _INPUT_SUM_TOL:
+            values = tuple(v / total for v in values)
+    return ClassicalMeasure(space, values)
 
 
 # -- evaluation and support --------------------------------------------------
@@ -391,8 +385,9 @@ def check_exact_keys(space: FiniteSpace, mapping: Mapping, what: str) -> None:
     missing = [p for p in space.points if p not in mapping]
     if missing:
         raise ValueError(f"missing {what} for points: {missing!r}")
-    extra = [k for k in mapping if k not in space]
-    if extra:
+    # Every point is a key, so unknown keys exist only if the sizes differ.
+    if len(mapping) != len(space):
+        extra = [k for k in mapping if k not in space]
         raise ValueError(f"{what} given for unknown points: {extra!r}")
 
 
@@ -405,7 +400,7 @@ def _aligned(
     if isinstance(raw, Mapping):
         check_exact_keys(space, raw, "weights")
         return tuple(coerce(raw[p]) for p in space.points)
-    values = tuple(coerce(v) for v in raw)
+    values = tuple(map(coerce, raw))
     if len(values) != len(space):
         raise ValueError("one weight per point of the space is required")
     return values

@@ -15,6 +15,7 @@ import importlib.util
 from pathlib import Path
 
 import maxplusprob  # noqa: F401 - imports every submodule
+from maxplusprob import jsonio
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -61,3 +62,20 @@ def test_every_module_attribute_the_workloads_call_resolves():
     for module, attr in sorted(used):
         mod = importlib.import_module(f"maxplusprob.{module}")
         assert hasattr(mod, attr), f"{module}.{attr}"
+
+
+def test_decode_measure_calls_the_wrapped_classical_constructor(monkeypatch):
+    # The benchmark wraps ``jsonio.classical_measure`` after import; a
+    # decoder that captured the function at import time would bypass
+    # the wrapper and its span.
+    calls = []
+    original = jsonio.classical_measure
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(jsonio, "classical_measure", counting)
+    doc = {"space": ["a", "b"], "kind": "classical", "weights": {"a": 0.25, "b": 0.75}}
+    assert jsonio.decode_measure(doc).weights == (0.25, 0.75)
+    assert len(calls) == 1

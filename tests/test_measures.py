@@ -152,11 +152,26 @@ def test_classical_validation_gate():
         classical_measure(AB, (-0.1, 1.1))
     with pytest.raises(ValueError, match="empty support"):
         classical_measure(AB, (0.0, 0.0), renormalize=True)
+    # Rescaling is asked for, but the constructor still rejects invalid
+    # masses, naming the value that was passed rather than a quotient.
+    cases = (((-0.5, 2.0), "-0.5"), ((math.nan, 1.0), "nan"), ((math.inf, 1.0), "inf"))
+    for raw, shown in cases:
+        with pytest.raises(ValueError, match=f"finite and >= 0, got {shown}$"):
+            classical_measure(AB, raw, renormalize=True)
 
 
 def test_classical_within_gate_is_rescaled_to_invariant():
     mu = classical_measure(AB, (0.5, 0.5 + 4e-10))
     assert abs(math.fsum(mu.weights) - 1.0) <= 1e-12
+    # The constructor itself applies the same 1e-9 gate.
+    raw = (0.5 + 4e-10, 0.5)
+    direct = ClassicalMeasure(AB, raw)
+    assert abs(math.fsum(direct.weights) - 1.0) <= 1e-12
+    assert direct.weights == tuple(w / math.fsum(raw) for w in raw)
+    # Masses that already meet 1e-12 are kept bit for bit, even when
+    # rescaling is asked for.
+    kept = (0.5, 0.5 + 5e-13)
+    assert classical_measure(AB, kept, renormalize=True).weights == kept
 
 
 def test_classical_constructor_is_idempotent():

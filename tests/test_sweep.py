@@ -17,11 +17,13 @@ import pytest
 
 from maxplusprob import (
     BOTTOM,
+    ClassicalMeasure,
     FiniteSpace,
     IdempotentMeasure,
     PointMap,
     TestFunction,
     classical_measure,
+    decode_measure,
     evaluate,
     product_classical,
     product_idempotent,
@@ -112,3 +114,26 @@ def test_kernels_match_reference_loops(n):
     massive = frozenset(p for p, w in zip(space.points, nu.weights) if w > 0.0)
     assert support(to_classical(mu)) == finite
     assert support(to_idempotent(nu)) == massive
+
+
+def test_masses_off_by_half_the_gate_are_rescaled_at_scale():
+    # At n = 1e5, masses that sum to about 1 + 5e-10, inside the 1e-9
+    # input gate but outside the 1e-12 invariant, are divided by their
+    # fsum, both by the constructor and by the decoder.
+    n = SIZES[-1]
+    rng = random.Random(f"gate:{n}")
+    space = _space("x", n)
+    raw = [w * (1.0 + 5e-10) for w in _classical(rng, space).weights]
+    assert 1e-12 < abs(math.fsum(raw) - 1.0) <= 1e-9
+    massive = frozenset(p for p, w in zip(space.points, raw) if w > 0.0)
+    direct = ClassicalMeasure(space, tuple(raw))
+    doc = {
+        "space": list(space.points),
+        "kind": "classical",
+        "weights": dict(zip(space.points, raw)),
+    }
+    decoded = decode_measure(doc)
+    for mu in (direct, decoded):
+        assert mu.weights == _stored(raw)
+        assert abs(math.fsum(mu.weights) - 1.0) <= 1e-12
+        assert support(mu) == massive
