@@ -112,13 +112,10 @@ def _cmd_product(args: argparse.Namespace) -> dict:
 
 def _cmd_convert(args: argparse.Namespace) -> dict:
     mu = _load_measure(args.measure)
-    if args.to == "classical":
-        if not isinstance(mu, measures.IdempotentMeasure):
-            raise _CliError("the measure is already classical")
-        return jsonio.encode_measure(convert.to_classical(mu))
-    if not isinstance(mu, measures.ClassicalMeasure):
-        raise _CliError("the measure is already idempotent")
-    return jsonio.encode_measure(convert.to_idempotent(mu))
+    if mu.kind == args.to:
+        raise _CliError(f"the measure is already {args.to}")
+    to = convert.to_classical if args.to == "classical" else convert.to_idempotent
+    return jsonio.encode_measure(to(mu))
 
 
 def _cmd_dist(args: argparse.Namespace) -> dict:
@@ -194,11 +191,8 @@ def run(argv: Sequence[str]) -> int:
         if args.command is None:
             raise _CliError("a subcommand is required (see --help)")
         payload = _HANDLERS[args.command](args)
-    except _CliError as err:
-        print(json.dumps({"error": str(err)}, sort_keys=True))
-        return 2
-    except ValueError as err:
-        # Schema violations and value-level validation both land here.
+    except (_CliError, ValueError) as err:
+        # Bad flags, schema violations and invalid values all land here.
         print(json.dumps({"error": str(err)}, sort_keys=True))
         return 2
     except SystemExit as err:

@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .measures import (
     ClassicalMeasure,
@@ -260,28 +259,16 @@ def _fixture() -> tuple[FiniteSpace, PointMap, PointMap]:
     return domain, f, g
 
 
-def _kernel_is_trivial(rows: Sequence[Sequence[int]], unknowns: int) -> bool:
-    # Exact Gaussian elimination over the rationals: the paired image is
-    # a linear map of the mass vector, and injectivity on the simplex
-    # follows from a trivial kernel.
-    matrix = [[Fraction(v) for v in row] for row in rows]
-    rank = 0
-    for col in range(unknowns):
-        pivot = next(
-            (r for r in range(rank, len(matrix)) if matrix[r][col] != 0), None
-        )
-        if pivot is None:
-            continue
-        matrix[rank], matrix[pivot] = matrix[pivot], matrix[rank]
-        lead = matrix[rank][col]
-        for r in range(len(matrix)):
-            if r != rank and matrix[r][col] != 0:
-                scale = matrix[r][col] / lead
-                matrix[r] = [
-                    a - scale * b for a, b in zip(matrix[r], matrix[rank])
-                ]
-        rank += 1
-    return rank == unknowns
+def _full_rank(rows: Sequence[Sequence[int]]) -> bool:
+    # The paired image is the linear map of the mass vector with these
+    # integer rows; it is injective exactly when some three rows have a
+    # nonzero determinant, which integer arithmetic decides exactly.
+    return any(
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+        for a, b, c in itertools.combinations(rows, 3)
+    )
 
 
 def _paired_image(mu: ClassicalMeasure) -> tuple[float, ...]:
@@ -300,7 +287,7 @@ def verify_counterexample(
 
     The domain is ``{a, b, c}`` with maps ``f: a,c -> a, b -> b`` and
     ``g: a,b -> a, c -> c``.  Classically the paired image determines
-    the measure (checked exactly over the rationals and on randomized
+    the measure (checked by an exact integer rank test and on randomized
     plus gridded samples).  Idempotently it does not: the report carries
     two distinct measures sharing one image, and the naturality gap of
     the conversion under ``f``.
@@ -312,9 +299,9 @@ def verify_counterexample(
 
     # (i) exact reasoning: image coordinates as linear forms in the masses.
     coordinate_forms = ((1, 0, 1), (0, 1, 0), (1, 1, 0), (0, 0, 1))
-    exact_unique = _kernel_is_trivial(coordinate_forms, 3)
+    exact_unique = _full_rank(coordinate_forms)
 
-    # (i) randomized search for an implication failure.
+    # (i) sampled and gridded search for an implication failure.
     rng = random.Random(seed)
 
     def random_classical() -> ClassicalMeasure:
@@ -323,36 +310,28 @@ def verify_counterexample(
             raw[rng.randrange(3)] = 1.0
         return classical_measure(domain, raw, renormalize=True)
 
-    def gap(x: Sequence[float], y: Sequence[float]) -> float:
+    def sampled_pairs():
+        for k in range(random_pairs):
+            mu = random_classical()
+            yield mu, (mu if k % 8 == 0 else random_classical())
+
+    # The whole simplex at step 1/12, boundary included.
+    step = 12
+    grid = [
+        ClassicalMeasure(domain, (i / step, j / step, (step - i - j) / step))
+        for i in range(step + 1)
+        for j in range(step + 1 - i)
+    ]
+    grid_pairs = list(itertools.combinations_with_replacement(grid, 2))
+
+    def distance(x: Sequence[float], y: Sequence[float]) -> float:
         return max(abs(p - q) for p, q in zip(x, y))
 
+    # Every pair is checked: images within 1e-9 need measures within 1e-9.
     implication_holds = True
-    for k in range(random_pairs):
-        mu = random_classical()
-        nu = mu if k % 8 == 0 else random_classical()
-        if gap(_paired_image(mu), _paired_image(nu)) <= 1e-9:
-            if gap(mu.weights, nu.weights) > 1e-9:
-                implication_holds = False
-
-    # (i) gridded search over the whole simplex, boundary included.
-    step = 12
-    grid: list[ClassicalMeasure] = []
-    for i in range(step + 1):
-        for j in range(step + 1 - i):
-            k = step - i - j
-            grid.append(
-                classical_measure(
-                    domain, (i / step, j / step, k / step), renormalize=True
-                )
-            )
-    grid_images = [_paired_image(m) for m in grid]
-    grid_pairs = 0
-    for a in range(len(grid)):
-        for b in range(a, len(grid)):
-            grid_pairs += 1
-            if gap(grid_images[a], grid_images[b]) <= 1e-9:
-                if gap(grid[a].weights, grid[b].weights) > 1e-9:
-                    implication_holds = False
+    for mu, nu in itertools.chain(sampled_pairs(), grid_pairs):
+        if distance(_paired_image(mu), _paired_image(nu)) <= 1e-9:
+            implication_holds &= distance(mu.weights, nu.weights) <= 1e-9
 
     # (ii) the idempotent witness: distinct measures, one image.
     witness_mu = IdempotentMeasure(domain, (-1.0, 0.0, 0.0))
@@ -362,18 +341,17 @@ def verify_counterexample(
     images_equal = image_mu == image_nu and witness_mu != witness_nu
 
     # (iii) the conversion does not commute with the non-injective f.
-    probe = classical_measure(domain, (0.4, 0.2, 0.4), renormalize=True)
-    gap = naturality_gap(f, probe)
+    probe = ClassicalMeasure(domain, (0.4, 0.2, 0.4))
 
     return CounterexampleReport(
         classical_injective=exact_unique and implication_holds,
         exact_solution_unique=exact_unique,
         random_pairs_checked=random_pairs,
-        grid_pairs_checked=grid_pairs,
+        grid_pairs_checked=len(grid_pairs),
         witness_mu=witness_mu,
         witness_nu=witness_nu,
         witness_image_under_f=image_mu[0],
         witness_image_under_g=image_mu[1],
         witness_images_equal=images_equal,
-        naturality_gap=gap,
+        naturality_gap=naturality_gap(f, probe),
     )

@@ -29,8 +29,9 @@ constructors.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Mapping, Sequence, Union
+from typing import ClassVar, Union
 
 from .semiring import (
     BOTTOM,
@@ -183,9 +184,6 @@ class Measure:
         # Each kind validates its own weights; the base has no invariant.
         raise TypeError("build an IdempotentMeasure or a ClassicalMeasure")
 
-    def weight(self, label: str) -> MaxPlusValue:
-        return self.weights[self.space.index(label)]
-
     @property
     def support(self) -> frozenset[str]:
         zero = self.semiring.zero
@@ -214,7 +212,7 @@ class IdempotentMeasure(Measure):
         weights = tuple(map(as_scalar, self.weights))
         if len(weights) != len(self.space):
             raise ValueError("one weight per point of the space is required")
-        peak = max([w for w in weights if w is not BOTTOM], default=BOTTOM)
+        peak = big_oplus(weights)
         if peak is BOTTOM:
             raise ValueError("empty support: every weight is BOTTOM")
         if peak > 0.0:

@@ -95,10 +95,7 @@ def odot(a: MaxPlusValue, b: MaxPlusValue) -> MaxPlusValue:
 
 def big_oplus(values: Iterable[MaxPlusValue]) -> MaxPlusValue:
     """Fold of ``oplus`` over ``values``; the empty fold is BOTTOM."""
-    out: MaxPlusValue = BOTTOM
-    for value in values:
-        out = oplus(out, value)
-    return out
+    return max([v for v in values if v is not BOTTOM], default=BOTTOM)
 
 
 def mp_exp(value: MaxPlusValue) -> float:

@@ -220,16 +220,18 @@ def test_console_script_runs(doc, tmp_path):
 def test_only_density_sampling_loads_numpy(doc):
     # numpy costs more than the rest of a cold start; importing the package
     # and running any subcommand that samples no density must not load it.
+    # Nor may the import load fractions, and decimal with it.
     data = Path(__file__).resolve().parent / "data"
     bare = subprocess.run(
         [
             sys.executable, "-c",
             "import maxplusprob, maxplusprob.cli, sys;"
-            " assert 'numpy' not in sys.modules",
+            " print(sorted({'numpy', 'fractions', 'decimal'} & set(sys.modules)))",
         ],
         capture_output=True, text=True,
     )
     assert bare.returncode == 0, bare.stderr
+    assert bare.stdout == "[]\n"
     evaluated = subprocess.run(
         [
             sys.executable, "-X", "importtime", "-m", "maxplusprob", "eval",
@@ -353,6 +355,12 @@ def test_approx_rejects_classical_measures(doc, capsys):
     )
     assert code == 2
     assert "idempotent" in out["error"]
+    code, out = invoke(
+        capsys, "approx", "--measure", doc("m.json", IDEMPOTENT),
+        "--epsilon", "0.5", "--measure2", doc("m2.json", CLASSICAL),
+    )
+    assert code == 2
+    assert "idempotent second measure" in out["error"]
 
 
 def test_help_exits_zero():

@@ -29,7 +29,7 @@ from maxplusprob import (
     reconstruct_product,
     verify_counterexample,
 )
-from maxplusprob.functors import _fixture, _paired_image
+from maxplusprob.functors import _fixture, _full_rank, _paired_image
 
 from gen import (
     random_classical,
@@ -304,12 +304,16 @@ def test_counterexample_witness_images_agree_under_both_maps():
 def test_paired_image_forms_equal_the_pushforwards_bit_for_bit():
     domain, f, g = _fixture()
     step = 12
-    grid = [
-        classical_measure(domain, (i / step, j / step, (step - i - j) / step), renormalize=True)
+    raws = [
+        (i / step, j / step, (step - i - j) / step)
         for i in range(step + 1)
         for j in range(step + 1 - i)
     ]
+    grid = [classical_measure(domain, raw, renormalize=True) for raw in raws]
     assert len(grid) == 91
+    # The grid masses meet the input gate, so building them directly
+    # gives the same measures as asking for rescaling.
+    assert grid == [ClassicalMeasure(domain, raw) for raw in raws]
     rng = random.Random(31)
     sampled = [
         classical_measure(domain, [rng.uniform(0.0, 1.0) for _ in range(3)], renormalize=True)
@@ -318,6 +322,14 @@ def test_paired_image_forms_equal_the_pushforwards_bit_for_bit():
     for mu in grid + sampled:
         under_f, under_g = pair_map_image(f, g, mu)
         assert _paired_image(mu) == under_f.weights + under_g.weights
+
+
+def test_rank_check_separates_the_fixture_from_a_repeated_map():
+    # The pairing (f, g) has the forms (a + c, b, a + b, c): rank 3.
+    assert _full_rank(((1, 0, 1), (0, 1, 0), (1, 1, 0), (0, 0, 1)))
+    # The pairing (f, f) repeats the forms (a + c, b): rank 2, and the
+    # measures (1, 0, 0) and (0, 0, 1) share one image.
+    assert not _full_rank(((1, 0, 1), (0, 1, 0), (1, 0, 1), (0, 1, 0)))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7, 2024])

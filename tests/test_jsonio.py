@@ -153,6 +153,8 @@ def test_decode_piecewise_documents():
         decode_density({"breakpoints": [[0, 0], [1, 0, 0]], "lipschitz": 1})
     with pytest.raises(SchemaError, match="not a valid density"):
         decode_density({"breakpoints": [[0, 0], [1, 0.5]], "lipschitz": 1})
+    with pytest.raises(SchemaError, match="breakpoints: expected a list"):
+        decode_density({"breakpoints": {"0": 0}, "lipschitz": 1})
 
 
 def test_space_errors_carry_their_path():
@@ -160,6 +162,8 @@ def test_space_errors_carry_their_path():
         decode_measure({"space": ["a", 3], "kind": "idempotent", "weights": {}})
     with pytest.raises(SchemaError, match="space:"):
         decode_measure({"space": [], "kind": "idempotent", "weights": {}})
+    with pytest.raises(SchemaError, match="space: expected a list of labels, got str"):
+        decode_measure({"space": "ab", "kind": "idempotent", "weights": {}})
 
 
 # -- encoding ------------------------------------------------------------------

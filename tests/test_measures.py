@@ -63,6 +63,8 @@ def test_function_validation_and_norm():
         TestFunction(AB, (1.0,))
     with pytest.raises(ValueError):
         TestFunction(AB, (1.0, float("inf")))
+    with pytest.raises(ValueError, match="space mismatch"):
+        phi.pointwise_max(TestFunction(space_of(3), (0.0, 0.0, 0.0)))
 
 
 def test_function_from_mapping_requires_exact_keys():
@@ -95,6 +97,8 @@ def test_idempotent_invariants_enforced():
         IdempotentMeasure(AB, (BOTTOM, BOTTOM))  # empty support
     with pytest.raises(ValueError):
         IdempotentMeasure(AB, (0.0, float("-inf")))  # sentinel, not BOTTOM
+    with pytest.raises(ValueError, match="one weight per point"):
+        IdempotentMeasure(AB, (0.0,))
 
 
 def test_dirac_and_support():
@@ -103,6 +107,8 @@ def test_dirac_and_support():
     assert support(mu) == frozenset({"a"})
     with pytest.raises(ValueError, match="point not in space"):
         dirac(AB, "z")
+    with pytest.raises(TypeError, match="not a measure"):
+        support(mu.weights)
 
 
 def test_normalize_shifts_to_zero_max():
@@ -136,6 +142,8 @@ def test_evaluate_space_mismatch():
     phi = TestFunction(space_of(3), (0.0, 0.0, 0.0))
     with pytest.raises(ValueError, match="space mismatch"):
         evaluate_idempotent(mu, phi)
+    with pytest.raises(TypeError, match="not a measure"):
+        evaluate(mu.weights, phi)
 
 
 # -- classical measures --------------------------------------------------------
@@ -152,6 +160,11 @@ def test_classical_validation_gate():
         classical_measure(AB, (-0.1, 1.1))
     with pytest.raises(ValueError, match="empty support"):
         classical_measure(AB, (0.0, 0.0), renormalize=True)
+    # A length mismatch is caught by the aligner and by the constructor.
+    with pytest.raises(ValueError, match="one weight per point"):
+        classical_measure(AB, (1.0,))
+    with pytest.raises(ValueError, match="one weight per point"):
+        ClassicalMeasure(AB, (1.0,))
     # Rescaling is asked for, but the constructor still rejects invalid
     # masses, naming the value that was passed rather than a quotient.
     cases = (((-0.5, 2.0), "-0.5"), ((math.nan, 1.0), "nan"), ((math.inf, 1.0), "inf"))
@@ -217,6 +230,8 @@ def test_maxplus_combine_rejects_bad_coefficients():
         maxplus_combine(0.5, mu, 0.0, nu)
     with pytest.raises(ValueError, match="convex combination"):
         maxplus_combine(BOTTOM, mu, BOTTOM, nu)
+    with pytest.raises(ValueError, match="space mismatch"):
+        maxplus_combine(0.0, mu, 0.0, dirac(space_of(3), "a"))
 
 
 def test_combine_support_is_the_union_for_finite_coefficients():
