@@ -160,11 +160,19 @@ def approx_distance_closed_form(eps: float) -> float:
 def exactness_threshold(phi: TestFunction) -> float:
     """Mixing rates strictly below this leave ``mu(phi)`` exactly unchanged.
 
-    The threshold is ``1 / (1 + e^{2 * sup_norm(phi)})``: below it the
-    moved branch can never beat the kept branch inside the evaluation
-    maximum, so the mixed measure returns bit-identical values.
+    The threshold is ``1 / (1 + e^{2s})`` with ``s = sup_norm(phi)``:
+    below it the moved branch can never beat the kept branch inside the
+    evaluation maximum, so the mixed measure returns bit-identical
+    values.  Where ``e^{2s}`` overflows, the same quantity is computed as
+    ``e^{-2s} / (1 + e^{-2s})``, which underflows to 0.0 for large ``s``:
+    conservative, since no rate lies below 0.
     """
-    return 1.0 / (1.0 + math.exp(2.0 * phi.sup_norm))
+    s = phi.sup_norm
+    try:
+        return 1.0 / (1.0 + math.exp(2.0 * s))
+    except OverflowError:
+        tail = math.exp(-2.0 * s)
+        return tail / (1.0 + tail)
 
 
 def support_meets(mu: Measure, targets: Iterable[str]) -> bool:

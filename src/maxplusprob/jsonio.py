@@ -19,7 +19,8 @@ constructors and re-raised with the same path prefix.
 from __future__ import annotations
 
 import math
-from typing import Union
+from collections.abc import Sequence
+from typing import Optional, Union
 
 from .density import ContinuousTestFunction, ConvergenceReport, DensityMeasure
 from .functors import CounterexampleReport, PointMap
@@ -31,7 +32,7 @@ from .measures import (
     check_exact_keys,
     classical_measure,
 )
-from .semiring import BOTTOM, MaxPlusValue
+from .semiring import BOTTOM, MaxPlusValue, as_float
 
 __all__ = [
     "SchemaError",
@@ -45,6 +46,10 @@ __all__ = [
     "encode_measure",
     "encode_scalar",
 ]
+
+
+# The one wire spelling of BOTTOM.
+_BOTTOM_WIRE = "-inf"
 
 
 class SchemaError(ValueError):
@@ -79,17 +84,17 @@ def _expect_string(node: object, path: str) -> str:
 def _expect_number(node: object, path: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(node).__name__}")
-    value = float(node)
+    value = as_float(node)
     if not math.isfinite(value):
         raise SchemaError(path, "expected a finite number")
     return value
 
 
 def _decode_scalar(node: object, path: str) -> MaxPlusValue:
-    if node == "-inf":
+    if node == _BOTTOM_WIRE:
         return BOTTOM
     if isinstance(node, str):
-        raise SchemaError(path, f'expected a number or "-inf", got {node!r}')
+        raise SchemaError(path, f'expected a number or "{_BOTTOM_WIRE}", got {node!r}')
     return _expect_number(node, path)
 
 
@@ -101,18 +106,65 @@ def _built(path: str, build, *args, prefix: str = ""):
         raise SchemaError(path, f"{prefix}{err}") from None
 
 
+# Bulk forms of the element decoders: each checks a whole list in one
+# pass and returns it decoded, or None when some element may be bad.
+# Only then does the element decoder run, to name the first bad element
+# at its path.
+
+
+def _all_strings(values: list) -> Optional[list]:
+    return values if set(map(type, values)) <= {str} else None
+
+
+def _all_numbers(values: list) -> Optional[list]:
+    # ``isfinite`` of an int beyond the float range raises OverflowError.
+    try:
+        if set(map(type, values)) <= {float, int} and all(map(math.isfinite, values)):
+            return values
+    except OverflowError:
+        pass
+    return None
+
+
+def _all_scalars(values: list) -> Optional[list]:
+    weights = [BOTTOM if v == _BOTTOM_WIRE else v for v in values]
+    if _all_numbers([w for w in weights if w is not BOTTOM]) is None:
+        return None
+    return weights
+
+
 def _decode_space(node: object, path: str) -> FiniteSpace:
     if not isinstance(node, list):
         raise SchemaError(path, f"expected a list of labels, got {type(node).__name__}")
-    labels = [
-        _expect_string(item, f"{path}[{i}]") for i, item in enumerate(node)
-    ]
-    return _built(path, FiniteSpace, tuple(labels))
+    if _all_strings(node) is None:
+        for i, item in enumerate(node):
+            _expect_string(item, f"{path}[{i}]")
+    return _built(path, FiniteSpace, tuple(node))
 
 
-def _decode_entries(node: object, path: str, space: FiniteSpace, decode) -> tuple:
+def _listed(table: dict, space: FiniteSpace) -> Optional[list]:
+    # The values in space order, or None unless the keys are exactly the
+    # points.  A table written in space order needs no lookups.
+    if len(table) != len(space):
+        return None
+    if tuple(table) == space.points:
+        return list(table.values())
+    try:
+        return [table[p] for p in space.points]
+    except KeyError:
+        return None
+
+
+def _decode_entries(
+    node: object, path: str, space: FiniteSpace, decode, bulk
+) -> Sequence:
     # A table keyed by exactly the points of ``space``, decoded in space order.
     table = _expect_object(node, path)
+    listed = _listed(table, space)
+    if listed is not None:
+        values = bulk(listed)
+        if values is not None:
+            return values
     _built(path, check_exact_keys, space, table, "entries")
     return tuple(decode(table[p], f"{path}.{p}") for p in space.points)
 
@@ -122,15 +174,16 @@ def decode_measure(doc: object) -> Measure:
     root = _expect_object(doc, "")
     _expect_keys(root, "", ("space", "kind", "weights"))
     space = _decode_space(root["space"], "space")
-    kind = _expect_string(root["kind"], "kind")
+    kind = root["kind"]
     # Looked up per call, so a wrapper installed on this module is used.
     if kind == "idempotent":
-        decode, build = _decode_scalar, IdempotentMeasure
+        decode, bulk, build = _decode_scalar, _all_scalars, IdempotentMeasure
     elif kind == "classical":
-        decode, build = _expect_number, classical_measure
+        decode, bulk, build = _expect_number, _all_numbers, classical_measure
     else:
+        _expect_string(kind, "kind")
         raise SchemaError("kind", f'expected "idempotent" or "classical", got {kind!r}')
-    weights = _decode_entries(root["weights"], "weights", space, decode)
+    weights = _decode_entries(root["weights"], "weights", space, decode, bulk)
     return _built("weights", build, space, weights)
 
 
@@ -139,7 +192,9 @@ def decode_function(doc: object) -> TestFunction:
     root = _expect_object(doc, "")
     _expect_keys(root, "", ("space", "values"))
     space = _decode_space(root["space"], "space")
-    values = _decode_entries(root["values"], "values", space, _expect_number)
+    values = _decode_entries(
+        root["values"], "values", space, _expect_number, _all_numbers
+    )
     return _built("values", TestFunction, space, values)
 
 
@@ -149,7 +204,7 @@ def decode_point_map(doc: object) -> PointMap:
     _expect_keys(root, "", ("domain", "codomain", "map"))
     domain = _decode_space(root["domain"], "domain")
     codomain = _decode_space(root["codomain"], "codomain")
-    images = _decode_entries(root["map"], "map", domain, _expect_string)
+    images = _decode_entries(root["map"], "map", domain, _expect_string, _all_strings)
     return _built("map", PointMap, domain, codomain, images)
 
 
@@ -190,13 +245,16 @@ def decode_continuous_function(doc: object) -> ContinuousTestFunction:
 def encode_scalar(value: MaxPlusValue) -> Union[float, str]:
     """A finite float as itself, BOTTOM as the string ``"-inf"``."""
     if value is BOTTOM:
-        return "-inf"
+        return _BOTTOM_WIRE
     return float(value)
 
 
 def encode_measure(mu: Measure) -> dict:
     """The measure document for either kind."""
-    weights = {p: encode_scalar(w) for p, w in zip(mu.space.points, mu.weights)}
+    weights = {
+        p: _BOTTOM_WIRE if w is BOTTOM else float(w)
+        for p, w in zip(mu.space.points, mu.weights)
+    }
     return {"space": list(mu.space.points), "kind": mu.kind, "weights": weights}
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import ClassVar, Union
 
 from .semiring import (
@@ -39,6 +40,7 @@ from .semiring import (
     SUM_PRODUCT,
     MaxPlusValue,
     Semiring,
+    as_float,
     as_scalar,
     big_oplus,
     odot,
@@ -88,14 +90,19 @@ class FiniteSpace:
         object.__setattr__(self, "points", labels)
         if not labels:
             raise ValueError("a space needs at least one point")
-        lookup: dict[str, int] = {}
-        for i, label in enumerate(labels):
+        if all(map(isinstance, labels, repeat(str))):
+            lookup = dict(zip(labels, range(len(labels))))
+            if len(lookup) == len(labels) and "" not in lookup:
+                object.__setattr__(self, "_index", lookup)
+                return
+        # Some label is bad: name the first one, in order.
+        seen: set[str] = set()
+        for label in labels:
             if not isinstance(label, str) or not label:
                 raise ValueError(f"point labels must be nonempty strings: {label!r}")
-            if label in lookup:
+            if label in seen:
                 raise ValueError(f"duplicate point label: {label!r}")
-            lookup[label] = i
-        object.__setattr__(self, "_index", lookup)
+            seen.add(label)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -123,7 +130,7 @@ class TestFunction:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        values = tuple(float(v) for v in self.values)
+        values = _floats(self.values)
         if len(values) != len(self.space):
             raise ValueError("one value per point of the space is required")
         for v in values:
@@ -209,10 +216,16 @@ class IdempotentMeasure(Measure):
     kind = "idempotent"
 
     def __post_init__(self) -> None:
-        weights = tuple(map(as_scalar, self.weights))
+        weights = tuple(self.weights)
+        finite = [w for w in weights if w is not BOTTOM]
+        # Finite floats pass in bulk; anything else is coerced one by one,
+        # so ``as_scalar`` names the first weight it rejects.
+        if not (set(map(type, finite)) <= {float} and all(map(math.isfinite, finite))):
+            weights = _scalars(weights)
+            finite = [w for w in weights if w is not BOTTOM]
         if len(weights) != len(self.space):
             raise ValueError("one weight per point of the space is required")
-        peak = big_oplus(weights)
+        peak = max(finite, default=BOTTOM)
         if peak is BOTTOM:
             raise ValueError("empty support: every weight is BOTTOM")
         if peak > 0.0:
@@ -240,7 +253,7 @@ class ClassicalMeasure(Measure):
     kind = "classical"
 
     def __post_init__(self) -> None:
-        weights = tuple(map(float, self.weights))
+        weights = _floats(self.weights)
         if len(weights) != len(self.space):
             raise ValueError("one weight per point of the space is required")
         for w in weights:
@@ -287,7 +300,7 @@ def normalize_idempotent(
     aligned with the space order.  All-BOTTOM input stays all-BOTTOM,
     which the constructor rejects as empty support.
     """
-    values = _aligned(space, raw, as_scalar)
+    values = _aligned(space, raw, _scalars)
     peak = big_oplus(values)
     return IdempotentMeasure(
         space, tuple(BOTTOM if v is BOTTOM else v - peak for v in values)
@@ -307,7 +320,7 @@ def classical_measure(
     that gate are divided by their sum first; anything else goes to the
     constructor as given, so its error names the value passed.
     """
-    values = _aligned(space, weights, float)
+    values = _aligned(space, weights, _floats)
     if renormalize and min(values) >= 0.0:
         total = math.fsum(values)
         if 0.0 < total < math.inf and abs(total - 1.0) > _INPUT_SUM_TOL:
@@ -392,13 +405,27 @@ def check_exact_keys(space: FiniteSpace, mapping: Mapping, what: str) -> None:
 def _aligned(
     space: FiniteSpace,
     raw: Union[Mapping[str, object], Sequence[object]],
-    coerce: Callable[[object], MaxPlusValue],
+    coerce: Callable[[Sequence[object]], tuple],
 ) -> tuple:
-    # Raw weights keyed by label or in space order, coerced one by one.
+    # Raw weights keyed by label or in space order, coerced in order.
     if isinstance(raw, Mapping):
         check_exact_keys(space, raw, "weights")
-        return tuple(coerce(raw[p]) for p in space.points)
-    values = tuple(map(coerce, raw))
+        raw = [raw[p] for p in space.points]
+    values = coerce(raw)
     if len(values) != len(space):
         raise ValueError("one weight per point of the space is required")
     return values
+
+
+def _scalars(values: Sequence[object]) -> tuple:
+    return tuple(map(as_scalar, values))
+
+
+def _floats(values: Sequence[object]) -> tuple[float, ...]:
+    # ``float`` of each value at C speed; an int beyond the float range
+    # becomes +-inf, so the caller's finiteness check rejects it by name.
+    # A sequence, not an iterator: the overflow path reads it again.
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        return tuple(map(as_float, values))

@@ -71,10 +71,22 @@ def as_scalar(value: object) -> MaxPlusValue:
     if value is BOTTOM:
         return BOTTOM
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        out = float(value)
+        out = as_float(value)
         if math.isfinite(out):
             return out
     raise ValueError(f"not a max-plus scalar (finite number or BOTTOM): {value!r}")
+
+
+def as_float(value: object) -> float:
+    """``float(value)``, except that an int beyond the float range gives +-inf.
+
+    ``float`` raises ``OverflowError`` for such an int; as an infinity it
+    fails the caller's finiteness check and is reported like one.
+    """
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
 
 
 def oplus(a: MaxPlusValue, b: MaxPlusValue) -> MaxPlusValue:

@@ -14,6 +14,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import maxplusprob  # noqa: F401 - imports every submodule
 from maxplusprob import jsonio
 
@@ -79,3 +81,33 @@ def test_decode_measure_calls_the_wrapped_classical_constructor(monkeypatch):
     doc = {"space": ["a", "b"], "kind": "classical", "weights": {"a": 0.25, "b": 0.75}}
     assert jsonio.decode_measure(doc).weights == (0.25, 0.75)
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "weights, kind, built",
+    (
+        ({"a": 0.0, "b": "-inf"}, "idempotent", "IdempotentMeasure"),
+        ({"a": 0.25, "b": 0.75}, "classical", "ClassicalMeasure"),
+    ),
+)
+def test_decode_measure_runs_each_wrapped_constructor_once(
+    monkeypatch, weights, kind, built
+):
+    # The traced ``measures.construct`` layer sees decode's constructions
+    # only through the ``__post_init__`` wrappers ``spans.install`` puts
+    # on the classes; a decoder that built its results another way would
+    # move that time into ``jsonio.decode``.
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    measures = importlib.import_module("maxplusprob.measures")
+    for name in spans.CONSTRUCTORS:
+        cls = getattr(measures, name)
+        wrapped = tracer.wrap(cls.__post_init__, f"measures.{name}.__post_init__")
+        monkeypatch.setattr(cls, "__post_init__", wrapped)
+    doc = {"space": ["a", "b"], "kind": kind, "weights": weights}
+    for decodes in (1, 2):
+        jsonio.decode_measure(doc)
+        opened = [tracer.names[i] for i in tracer.name]
+        for name in spans.CONSTRUCTORS:
+            expected = decodes if name in ("FiniteSpace", built) else 0
+            assert opened.count(f"measures.{name}.__post_init__") == expected, name

@@ -295,6 +295,20 @@ def test_schema_violation_reports_path(doc, capsys):
     assert out["error"].startswith("weights.a:")
 
 
+def test_huge_integer_literal_is_a_schema_error(doc, tmp_path, capsys):
+    # 401 digits: beyond the float range, so ``float`` would overflow.
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"space": ["a"], "kind": "classical", "weights": {"a": 1%s}}' % ("0" * 400)
+    )
+    code, out = invoke(
+        capsys, "eval", "--measure", str(path),
+        "--function", doc("f.json", {"space": ["a"], "values": {"a": 1}}),
+    )
+    assert code == 2
+    assert out == {"error": "weights.a: expected a finite number"}
+
+
 def test_invariant_violation_exits_two(doc, capsys):
     bad = {"space": ["a", "b"], "kind": "classical", "weights": {"a": 0.5, "b": 0.6}}
     code, out = invoke(

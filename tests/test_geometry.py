@@ -196,6 +196,19 @@ def test_threshold_value_for_unit_norm():
     assert exactness_threshold(phi) == 1.0 / (1.0 + math.exp(2.0))
 
 
+def test_threshold_beyond_the_exponential_range():
+    # Up to where e^{2s} overflows the closed form is kept bit for bit.
+    assert exactness_threshold(TestFunction(AB, (354.0, 0.0))) == 1.0 / (
+        1.0 + math.exp(708.0)
+    )
+    tail = math.exp(-710.0)
+    assert exactness_threshold(TestFunction(AB, (355.0, 0.0))) == tail / (1.0 + tail)
+    assert 0.0 < tail
+    # Then e^{-2s} underflows: 0.0, below which no rate lies.
+    for s in (400.0, 1e308):
+        assert exactness_threshold(TestFunction(AB, (s, 0.0))) == 0.0
+
+
 def test_below_threshold_evaluation_is_bit_identical():
     rng = random.Random(37)
     for _ in range(200):

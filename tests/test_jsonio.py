@@ -121,6 +121,41 @@ def test_decode_rejects_non_finite_numbers():
         decode_function(doc)
 
 
+def test_decode_rejects_integers_beyond_the_float_range():
+    digits = "1" + "0" * 400
+    text = '{"space": ["a", "b"], "kind": "%s", "weights": {"a": 0.5, "b": %s}}'
+    for kind in ("idempotent", "classical"):
+        with pytest.raises(SchemaError) as info:
+            decode_measure(json.loads(text % (kind, "-" + digits)))
+        assert str(info.value) == "weights.b: expected a finite number"
+    with pytest.raises(SchemaError) as info:
+        decode_function({"space": ["a"], "values": {"a": int(digits)}})
+    assert str(info.value) == "values.a: expected a finite number"
+
+
+def test_tables_out_of_space_order_decode_alike():
+    in_order = {"space": ["a", "b", "c"], "kind": "idempotent",
+                "weights": {"a": 0.0, "b": "-inf", "c": -2}}
+    shuffled = {**in_order, "weights": {"c": -2, "a": 0.0, "b": "-inf"}}
+    assert decode_measure(shuffled) == decode_measure(in_order)
+    assert decode_measure(in_order).weights == (0.0, BOTTOM, -2.0)
+    images = {"a": "y", "b": "x", "c": "y"}
+    maps = [
+        {"domain": ["a", "b", "c"], "codomain": ["x", "y"], "map": table}
+        for table in (images, dict(reversed(images.items())))
+    ]
+    assert decode_point_map(maps[0]) == decode_point_map(maps[1])
+    with pytest.raises(SchemaError, match=r"^map\.b: expected a string, got int$"):
+        decode_point_map({**maps[0], "map": {"a": "x", "b": 1, "c": "y"}})
+
+
+def test_kind_must_be_one_of_the_two_strings():
+    with pytest.raises(SchemaError, match="^kind: expected a string, got list$"):
+        decode_measure({**IDEMPOTENT_DOC, "kind": ["idempotent"]})
+    with pytest.raises(SchemaError, match="^kind: expected \"idempotent\" or"):
+        decode_measure({**IDEMPOTENT_DOC, "kind": "Idempotent"})
+
+
 def test_decode_function():
     phi = decode_function({"space": ["a", "b"], "values": {"a": 2, "b": 4}})
     assert phi.values == (2.0, 4.0)

@@ -55,6 +55,48 @@ def test_space_lookup():
         AB.index("z")
 
 
+def test_space_names_the_first_bad_label():
+    cases = (
+        (("a", "a", ""), "duplicate point label: 'a'"),
+        (("a", "", "a"), "point labels must be nonempty strings: ''"),
+        (("a", ["b"]), r"point labels must be nonempty strings: \['b'\]"),
+        (("a", 1, "a"), "point labels must be nonempty strings: 1"),
+    )
+    for labels, message in cases:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FiniteSpace(labels)
+    assert FiniteSpace(("b", "a"))._index == {"b": 0, "a": 1}
+
+
+def test_ints_beyond_the_float_range_are_not_finite():
+    # ``float`` raises OverflowError for these; each constructor reports
+    # them as it reports an infinity.
+    huge = 10**400
+    with pytest.raises(ValueError, match="finite and >= 0, got inf$"):
+        ClassicalMeasure(AB, (1.0, huge))
+    with pytest.raises(ValueError, match="finite and >= 0, got -inf$"):
+        classical_measure(AB, (1.0, -huge), renormalize=True)
+    with pytest.raises(ValueError, match="must be finite: inf$"):
+        TestFunction(AB, (1, huge))
+    with pytest.raises(ValueError, match="not a max-plus scalar"):
+        IdempotentMeasure(AB, (0.0, -huge))
+    with pytest.raises(ValueError, match="not a max-plus scalar"):
+        normalize_idempotent(AB, {"a": 0.0, "b": huge})
+
+
+def test_idempotent_weights_are_coerced_when_not_all_floats():
+    # Ints and float subclasses take the per-weight path and are stored
+    # as plain floats; BOTTOM stays BOTTOM.
+    class Weight(float):
+        pass
+
+    mu = IdempotentMeasure(space_of(3), (0, Weight(-1.5), BOTTOM))
+    assert mu.weights == (0.0, -1.5, BOTTOM)
+    assert [type(w) for w in mu.weights[:2]] == [float, float]
+    with pytest.raises(ValueError, match="not a max-plus scalar"):
+        IdempotentMeasure(AB, (0.0, True))
+
+
 def test_function_validation_and_norm():
     phi = TestFunction(AB, (2.0, -4.0))
     assert phi("a") == 2.0

@@ -57,6 +57,13 @@ def test_as_scalar_accepts_and_rejects():
             as_scalar(bad)
 
 
+def test_as_scalar_rejects_ints_beyond_the_float_range():
+    # ``float`` raises OverflowError for these; they are non-finite scalars.
+    for bad in (10**400, -(10**400)):
+        with pytest.raises(ValueError, match="not a max-plus scalar"):
+            as_scalar(bad)
+
+
 def test_exp_and_ln_handle_bottom():
     assert mp_exp(BOTTOM) == 0.0
     assert mp_exp(0.0) == 1.0

@@ -21,6 +21,7 @@ from maxplusprob import (
     FiniteSpace,
     IdempotentMeasure,
     PointMap,
+    SchemaError,
     TestFunction,
     classical_measure,
     decode_measure,
@@ -32,6 +33,7 @@ from maxplusprob import (
     to_classical,
     to_idempotent,
 )
+from maxplusprob import jsonio
 
 SIZES = (10, 1_000, 100_000)
 
@@ -137,3 +139,134 @@ def test_masses_off_by_half_the_gate_are_rescaled_at_scale():
         assert mu.weights == _stored(raw)
         assert abs(math.fsum(mu.weights) - 1.0) <= 1e-12
         assert support(mu) == massive
+
+
+# -- decoding at scale: one bulk pass, and the element path only on failure --
+
+# Where the one bad element sits in a 1e5-point document.
+POSITIONS = (0, SIZES[-1] // 2, SIZES[-1] - 1)
+
+
+def _document(kind: str, n: int) -> dict:
+    rng = random.Random(f"decode:{kind}:{n}")
+    space = _space("x", n)
+    mu = _idempotent(rng, space) if kind == "idempotent" else _classical(rng, space)
+    weights = ["-inf" if w is BOTTOM else w for w in mu.weights]
+    return {
+        "space": list(space.points),
+        "kind": kind,
+        "weights": dict(zip(space.points, weights)),
+    }
+
+
+def _with_entry(table: dict, i: int, key: str, value: object, drop: bool) -> dict:
+    # ``table`` with ``key: value`` at dict position ``i``, in place of
+    # the entry there when ``drop`` is set.
+    items = list(table.items())
+    items[i:i + drop] = [(key, value)]
+    return dict(items)
+
+
+# Messages of the element-by-element decoder, for the bad element at
+# label ``{p}`` (position ``{i}``).  Space errors come before the weights
+# are read, so those cases use one kind.
+SPACE_CASES = {
+    "non-string label": (7, "space[{i}]: expected a string, got int"),
+    "empty label": ("", "space: point labels must be nonempty strings: ''"),
+    "duplicate label": (None, "space: duplicate point label: '{p}'"),
+}
+TABLE_CASES = {
+    "missing key": (True, "weights: missing entries for points: ['{p}']"),
+    "extra key": (False, "weights: entries given for unknown points: ['zzz']"),
+}
+WEIGHT_CASES = {
+    "bool": (True, {
+        "idempotent": "weights.{p}: expected a number, got bool",
+        "classical": "weights.{p}: expected a number, got bool",
+    }),
+    "numeric string": ("0.5", {
+        "idempotent": "weights.{p}: expected a number or \"-inf\", got '0.5'",
+        "classical": "weights.{p}: expected a number, got str",
+    }),
+    "NaN": (math.nan, {
+        "idempotent": "weights.{p}: expected a finite number",
+        "classical": "weights.{p}: expected a finite number",
+    }),
+    "Infinity": (math.inf, {
+        "idempotent": "weights.{p}: expected a finite number",
+        "classical": "weights.{p}: expected a finite number",
+    }),
+    "-Infinity": (-math.inf, {
+        "idempotent": "weights.{p}: expected a finite number",
+        "classical": "weights.{p}: expected a finite number",
+    }),
+    "huge integer": (10**400, {
+        "idempotent": "weights.{p}: expected a finite number",
+        "classical": "weights.{p}: expected a finite number",
+    }),
+}
+
+
+@pytest.fixture(scope="module")
+def documents():
+    return {kind: _document(kind, SIZES[-1]) for kind in ("idempotent", "classical")}
+
+
+def _rejects(doc: dict, message: str) -> None:
+    with pytest.raises(SchemaError) as info:
+        decode_measure(doc)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("i", POSITIONS)
+@pytest.mark.parametrize("case", sorted(SPACE_CASES))
+def test_decode_names_the_first_bad_label_at_scale(documents, case, i):
+    doc = documents["classical"]
+    labels = doc["space"]
+    bad, template = SPACE_CASES[case]
+    if bad is None:
+        # A copy of a neighbouring label.
+        bad = labels[i + 1] if i + 1 < len(labels) else labels[i - 1]
+    message = template.format(i=i, p=bad)
+    _rejects({**doc, "space": labels[:i] + [bad] + labels[i + 1:]}, message)
+
+
+@pytest.mark.parametrize("i", POSITIONS)
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_decode_names_missing_and_extra_keys_at_scale(documents, case, i):
+    doc = documents["idempotent"]
+    drop, template = TABLE_CASES[case]
+    p = doc["space"][i]
+    table = _with_entry(doc["weights"], i, "zzz", 0.0, drop)
+    _rejects({**doc, "weights": table}, template.format(p=p))
+
+
+@pytest.mark.parametrize("i", POSITIONS)
+@pytest.mark.parametrize("kind", ("idempotent", "classical"))
+@pytest.mark.parametrize("case", sorted(WEIGHT_CASES))
+def test_decode_names_the_first_bad_weight_at_scale(documents, case, kind, i):
+    doc = documents[kind]
+    bad, messages = WEIGHT_CASES[case]
+    p = doc["space"][i]
+    table = _with_entry(doc["weights"], i, p, bad, True)
+    _rejects({**doc, "weights": table}, messages[kind].format(p=p))
+
+
+@pytest.mark.parametrize("kind", ("idempotent", "classical"))
+def test_valid_documents_decode_without_the_element_path(documents, kind, monkeypatch):
+    # A valid document is checked in bulk: the element decoders, which
+    # format a path per element, are never called.
+    calls = []
+    for name in ("_expect_string", "_expect_number", "_decode_scalar"):
+        original = getattr(jsonio, name)
+
+        def counting(node, path, original=original, name=name):
+            calls.append(name)
+            return original(node, path)
+
+        monkeypatch.setattr(jsonio, name, counting)
+    doc = documents[kind]
+    mu = decode_measure(doc)
+    assert calls == []
+    expected = tuple(BOTTOM if w == "-inf" else w for w in doc["weights"].values())
+    assert mu.weights == expected
