@@ -23,7 +23,6 @@ this module's sampling needs it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .measures import (
     FiniteSpace,
@@ -32,6 +31,7 @@ from .measures import (
     evaluate_idempotent,
     normalize_idempotent,
 )
+from .record import Record
 
 __all__ = [
     "ContinuousTestFunction",
@@ -55,8 +55,7 @@ _SLOPE_TOL = 1e-9
 _SUP_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class PiecewiseLinear:
+class PiecewiseLinear(Record):
     """A piecewise-linear function on ``[0, 1]`` with a declared Lipschitz bound.
 
     Parameters
@@ -113,7 +112,6 @@ class PiecewiseLinear:
         return float(self.sample(np.array([float(x)]))[0])
 
 
-@dataclass(frozen=True)
 class DensityMeasure(PiecewiseLinear):
     """A piecewise-linear max-plus density: nonpositive with supremum 0.
 
@@ -133,7 +131,6 @@ class DensityMeasure(PiecewiseLinear):
             )
 
 
-@dataclass(frozen=True)
 class ContinuousTestFunction(PiecewiseLinear):
     """A piecewise-linear test function on ``[0, 1]``."""
 
@@ -184,8 +181,7 @@ def eval_density_measure(
     return float(np.max(d.sample(xs) + phi.sample(xs)))
 
 
-@dataclass(frozen=True)
-class ConvergenceRow:
+class ConvergenceRow(Record):
     """One grid size: the observed error and its Lipschitz bound."""
 
     n: int
@@ -193,8 +189,7 @@ class ConvergenceRow:
     bound: float
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(Record):
     """Observed discretization errors against the ``(L_phi + L_d) / n`` bound.
 
     ``within_bound`` holds when every row respects its bound;

@@ -6,6 +6,10 @@ weights and the sum for classical masses.  Products pair two measures of
 one kind on the product space, with atom weight the semiring product,
 ``w_x + w_y`` (idempotent) or ``w_x * w_y`` (classical).
 
+``PointMap.__post_init__`` checks every image and caches the fibers the
+pushforwards fold (``_fibers``); like ``FiniteSpace._index``, the cache
+takes no part in equality, hashing or the repr.
+
 ``verify_counterexample`` runs a fixed three-point scenario in which the
 pair of pushforwards under two maps separates classical measures but
 fails to separate idempotent ones, and measures how far the
@@ -16,9 +20,8 @@ non-injective pushforward.
 from __future__ import annotations
 
 import itertools
-import random
+import math
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
 
 from .measures import (
     ClassicalMeasure,
@@ -30,7 +33,8 @@ from .measures import (
     classical_measure,
     dirac,
 )
-from .semiring import MAX_PLUS, odot
+from .record import Record
+from .semiring import MAX_PLUS
 
 __all__ = [
     "CounterexampleReport",
@@ -50,8 +54,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PointMap:
+class PointMap(Record):
     """A total map between finite spaces, one image label per domain point.
 
     Parameters
@@ -64,7 +67,7 @@ class PointMap:
     domain: FiniteSpace
     codomain: FiniteSpace
     assignment: tuple[str, ...]
-    _fibers: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _fibers: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
         assignment = tuple(self.assignment)
@@ -112,8 +115,7 @@ def compose(outer: PointMap, inner: PointMap) -> PointMap:
     )
 
 
-@dataclass(frozen=True)
-class ProductSpace:
+class ProductSpace(Record):
     """The product of two finite spaces, with points labeled ``(x,y)``.
 
     ``space`` is a plain ``FiniteSpace`` over the pair labels, ordered
@@ -178,14 +180,42 @@ def product(mu: Measure, nu: Measure) -> Measure:
     Classical factors give ``w_x * w_y``.  Each factor sums to 1 within
     1e-12, so the products can miss by about twice that; the
     constructor renormalizes them within its 1e-9 gate and keeps
-    products that already meet 1e-12 bit for bit.
+    products that already meet 1e-12 bit for bit.  A pair of support
+    atoms whose weight sum overflows, or whose mass product underflows
+    to 0, raises ``ValueError`` naming the pair.
     """
     if type(mu) is not type(nu):
         raise ValueError("product requires two measures of the same kind")
     prod = ProductSpace.of(mu.space, nu.space)
-    pairs = itertools.product(mu.weights, nu.weights)
-    weights = tuple(itertools.starmap(mu.semiring.times, pairs))
-    return type(mu)(prod.space, weights)
+    return _product_measure(type(mu), prod, mu.weights, nu.weights)
+
+
+# Why a pair of support atoms would leave the product's support, per kind.
+_LOST_PAIR = {
+    "idempotent": "the weight sum {a!r} + {b!r} overflows the float range",
+    "classical": "the mass product {a!r} * {b!r} underflows to 0",
+}
+
+
+def _product_measure(
+    cls: type, prod: ProductSpace, left: Sequence, right: Sequence
+) -> Measure:
+    # Atom (x, y) weighs w_x (.) w_y.  Rounding is monotone, so some pair
+    # of support atoms leaves the support (a max-plus sum overflowing to
+    # -inf, a classical product underflowing to 0) exactly when the pair
+    # of the two smallest support atoms does; only then are pairs searched.
+    times, zero = cls.semiring.times, cls.semiring.zero
+    weights = tuple(itertools.starmap(times, itertools.product(left, right)))
+    low = times(min(w for w in left if w != zero), min(w for w in right if w != zero))
+    if low == zero or not math.isfinite(low):
+        pairs = itertools.product(left, right)
+        for label, (a, b), w in zip(prod.space.points, pairs, weights):
+            if a != zero and b != zero and (w == zero or not math.isfinite(w)):
+                raise ValueError(
+                    f"atom {label} of the product: "
+                    + _LOST_PAIR[cls.kind].format(a=a, b=b)
+                )
+    return cls(prod.space, weights)
 
 
 product_idempotent = product_classical = product
@@ -213,8 +243,7 @@ def reconstruct_product(
     prod = ProductSpace.of(mu.space, nu.space)
     left = [integral(mu, x) for x in mu.space.points]
     right = [integral(nu, y) for y in nu.space.points]
-    weights = tuple(odot(a, b) for a in left for b in right)
-    return IdempotentMeasure(prod.space, weights)
+    return _product_measure(IdempotentMeasure, prod, left, right)
 
 
 # -- the paired-pushforward probe --------------------------------------------
@@ -227,8 +256,7 @@ def pair_map_image(f: PointMap, g: PointMap, mu: Measure) -> tuple[Measure, Meas
     return (pushforward(f, mu), pushforward(g, mu))
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(Record):
     """Outcome of the paired-pushforward separation probe.
 
     ``classical_injective`` holds when the exact linear-algebra check
@@ -292,6 +320,8 @@ def verify_counterexample(
     two distinct measures sharing one image, and the naturality gap of
     the conversion under ``f``.
     """
+    import random
+
     # Imported here: the conversion module itself builds on pushforwards.
     from .convert import naturality_gap
 
@@ -305,7 +335,7 @@ def verify_counterexample(
     rng = random.Random(seed)
 
     def random_classical() -> ClassicalMeasure:
-        raw = [rng.uniform(0.0, 1.0) for _ in range(3)]
+        raw = [rng.random() for _ in range(3)]  # uniform(0, 1), bit for bit
         if max(raw) == 0.0:
             raw[rng.randrange(3)] = 1.0
         return classical_measure(domain, raw, renormalize=True)

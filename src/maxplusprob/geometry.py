@@ -32,7 +32,6 @@ for the derivation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 from .measures import (
@@ -43,6 +42,7 @@ from .measures import (
     maxplus_combine,
     support,
 )
+from .record import Record
 from .semiring import BOTTOM, MaxPlusValue, as_scalar, mp_exp, mp_ln, odot, oplus
 
 __all__ = [
@@ -58,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SegmentPoint:
+class SegmentPoint(Record):
     """A point of a max-plus segment, named by its coefficient pair.
 
     Both coefficients are at most 0 and their maximum is exactly 0,

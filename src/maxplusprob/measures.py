@@ -19,7 +19,10 @@ measure and a function on the same space always align index by index.
 Points carrying the semiring's zero (``BOTTOM``, or mass 0 on the
 classical side) simply do not belong to the support.
 
-Each kind's constructor is the only place its weights are checked.
+Every type here is a frozen ``Record``: its constructor binds the
+annotated fields and then runs ``__post_init__``, which checks them and
+may normalize them or fill a cache such as ``FiniteSpace._index``.  For
+a measure kind that is the only place its weights are checked.
 ``normalize_idempotent`` and ``classical_measure`` only align raw
 weights given by label or in order and shift or rescale them, and
 operations such as pushforward build their results through the same
@@ -30,16 +33,15 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Mapping, Sequence
-from dataclasses import dataclass, field
 from itertools import repeat
-from typing import ClassVar, Union
+from typing import Union
 
+from .record import Record
 from .semiring import (
     BOTTOM,
     MAX_PLUS,
     SUM_PRODUCT,
     MaxPlusValue,
-    Semiring,
     as_float,
     as_scalar,
     big_oplus,
@@ -71,8 +73,7 @@ _SUM_TOL = 1e-12
 _INPUT_SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class FiniteSpace:
+class FiniteSpace(Record):
     """An ordered finite set of points, each named by a distinct label.
 
     Parameters
@@ -83,7 +84,7 @@ class FiniteSpace:
     """
 
     points: tuple[str, ...]
-    _index: dict = field(init=False, repr=False, compare=False)
+    _index: dict
 
     def __post_init__(self) -> None:
         labels = tuple(self.points)
@@ -120,8 +121,7 @@ class FiniteSpace:
             raise ValueError(f"point not in space: {label!r}") from None
 
 
-@dataclass(frozen=True)
-class TestFunction:
+class TestFunction(Record):
     """A real-valued function on a finite space, one finite value per point."""
 
     __test__ = False  # keep pytest from collecting this as a test class
@@ -166,12 +166,11 @@ class TestFunction:
         )
 
 
-@dataclass(frozen=True)
-class Measure:
+class Measure(Record):
     """A probability measure of either kind on a finite space.
 
-    Subclasses fix ``semiring``, the scalars the weights live in, and
-    ``kind``, the tag the JSON documents carry.  Each subclass's
+    Subclasses set the class attributes ``semiring``, the scalars the
+    weights live in, and ``kind``, the JSON tag.  Each subclass's
     ``__post_init__`` is the one place its weight invariant is checked.
 
     Attributes
@@ -183,9 +182,6 @@ class Measure:
 
     space: FiniteSpace
     weights: tuple
-
-    semiring: ClassVar[Semiring]
-    kind: ClassVar[str]
 
     def __post_init__(self) -> None:
         # Each kind validates its own weights; the base has no invariant.
@@ -199,7 +195,6 @@ class Measure:
         )
 
 
-@dataclass(frozen=True)
 class IdempotentMeasure(Measure):
     """A max-plus probability measure on a finite space.
 
@@ -218,9 +213,19 @@ class IdempotentMeasure(Measure):
     def __post_init__(self) -> None:
         weights = tuple(self.weights)
         finite = [w for w in weights if w is not BOTTOM]
-        # Finite floats pass in bulk; anything else is coerced one by one,
-        # so ``as_scalar`` names the first weight it rejects.
-        if not (set(map(type, finite)) <= {float} and all(map(math.isfinite, finite))):
+        # Finite floats pass in bulk, and so do ints (a JSON peak written
+        # ``0``), made floats here.  Anything else, an int beyond the float
+        # range included, is coerced one by one, so ``as_scalar`` names the
+        # first weight it rejects.
+        kinds = set(map(type, finite))
+        if int in kinds and kinds <= {int, float}:
+            try:
+                weights = tuple([w if w is BOTTOM else float(w) for w in weights])
+            except OverflowError:
+                pass
+            else:
+                finite, kinds = [w for w in weights if w is not BOTTOM], {float}
+        if not (kinds <= {float} and all(map(math.isfinite, finite))):
             weights = _scalars(weights)
             finite = [w for w in weights if w is not BOTTOM]
         if len(weights) != len(self.space):
@@ -235,7 +240,6 @@ class IdempotentMeasure(Measure):
         object.__setattr__(self, "weights", weights)
 
 
-@dataclass(frozen=True)
 class ClassicalMeasure(Measure):
     """An ordinary probability measure on a finite space.
 
@@ -317,14 +321,24 @@ def classical_measure(
     ``ClassicalMeasure`` checks the masses: sums further than 1e-9 from 1
     are rejected, since silent rescaling of malformed input tends to
     hide ingestion bugs.  With ``renormalize`` set, valid masses outside
-    that gate are divided by their sum first; anything else goes to the
-    constructor as given, so its error names the value passed.
+    that gate are divided by their sum first, and a positive mass that the
+    division rounds to 0 raises ``ValueError`` naming its point; anything
+    else goes to the constructor as given, so its error names the value
+    passed.
     """
     values = _aligned(space, weights, _floats)
     if renormalize and min(values) >= 0.0:
         total = math.fsum(values)
         if 0.0 < total < math.inf and abs(total - 1.0) > _INPUT_SUM_TOL:
-            values = tuple(v / total for v in values)
+            given, values = values, tuple(v / total for v in values)
+            if values.count(0.0) != given.count(0.0):
+                label, mass = next(
+                    (p, v) for p, v, r in zip(space.points, given, values) if r == 0.0 < v
+                )
+                raise ValueError(
+                    f"mass {mass!r} of point {label!r} underflows to 0 when divided by"
+                    f" the total {total!r}; the rescale would drop it from the support"
+                )
     return ClassicalMeasure(space, values)
 
 

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
+
+from .record import Record
 
 __all__ = [
     "BOTTOM",
@@ -126,8 +127,7 @@ def mp_ln(x: float) -> MaxPlusValue:
     return math.log(x)
 
 
-@dataclass(frozen=True)
-class Semiring:
+class Semiring(Record):
     """The scalar operations a measure kind evaluates and transports with.
 
     Attributes

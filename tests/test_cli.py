@@ -220,13 +220,15 @@ def test_console_script_runs(doc, tmp_path):
 def test_only_density_sampling_loads_numpy(doc):
     # numpy costs more than the rest of a cold start; importing the package
     # and running any subcommand that samples no density must not load it.
-    # Nor may the import load fractions, and decimal with it.
+    # Nor may the import load fractions, and decimal with it, or the
+    # dataclasses machinery and the inspect module it pulls in.
     data = Path(__file__).resolve().parent / "data"
     bare = subprocess.run(
         [
             sys.executable, "-c",
             "import maxplusprob, maxplusprob.cli, sys;"
-            " print(sorted({'numpy', 'fractions', 'decimal'} & set(sys.modules)))",
+            " print(sorted({'numpy', 'fractions', 'decimal', 'dataclasses', 'inspect'}"
+            " & set(sys.modules)))",
         ],
         capture_output=True, text=True,
     )
@@ -334,6 +336,15 @@ def test_product_requires_matching_kinds(doc, capsys):
     )
     assert code == 2
     assert "same kind" in out["error"]
+
+
+def test_product_whose_weight_sum_overflows_names_the_pair(doc, capsys):
+    low = {"space": ["a", "b"], "kind": "idempotent", "weights": {"a": 0, "b": -1e308}}
+    path = doc("m.json", low)
+    code, out = invoke(capsys, "product", "--measure", path, "--measure2", path)
+    assert code == 2
+    assert out["error"].startswith("atom (b,b) of the product: the weight sum")
+    assert "overflows" in out["error"]
 
 
 def test_convert_rejects_no_op_directions(doc, capsys):

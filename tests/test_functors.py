@@ -217,6 +217,29 @@ def test_product_classical_renormalizes_within_the_input_gate():
     assert out.weights[0] > out.weights[1] > out.weights[3]
 
 
+def test_product_names_the_pair_whose_weight_sum_overflows():
+    # -1e308 + -1e308 is below the float range; no weight may become -inf.
+    mu = IdempotentMeasure(AB, (0.0, -1e308))
+    message = r"atom \(b,b\) of the product: the weight sum .* overflows"
+    for build in (product, reconstruct_product):
+        with pytest.raises(ValueError, match=message):
+            build(mu, mu)
+    # A BOTTOM atom pairs to BOTTOM, not to an overflow.
+    out = product(IdempotentMeasure(AB, (0.0, BOTTOM)), mu)
+    assert out.weights == (0.0, -1e308, BOTTOM, BOTTOM)
+
+
+def test_product_names_the_pair_whose_mass_product_underflows():
+    # 1e-200 * 1e-200 rounds to 0: (b,b) would leave the support silently.
+    mu = ClassicalMeasure(AB, (1.0, 1e-200))
+    message = r"atom \(b,b\) of the product: the mass product .* underflows to 0"
+    with pytest.raises(ValueError, match=message):
+        product(mu, mu)
+    # A massless atom pairs to mass 0, not to an underflow.
+    out = product(ClassicalMeasure(AB, (1.0, 0.0)), mu)
+    assert out.weights == (1.0, 1e-200, 0.0, 0.0)
+
+
 def test_product_requires_one_kind():
     with pytest.raises(ValueError, match="same kind"):
         product(dirac(AB, "a"), classical_measure(AB, (0.5, 0.5)))

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -9,9 +11,11 @@ from hypothesis import given
 from maxplusprob import (
     BOTTOM,
     ClassicalMeasure,
+    ConvergenceRow,
     FiniteSpace,
     IdempotentMeasure,
     Measure,
+    PointMap,
     TestFunction,
     classical_measure,
     dirac,
@@ -240,6 +244,12 @@ def test_classical_constructor_is_idempotent():
         assert classical_measure(space, mu.weights) == mu
 
 
+def test_rescale_that_rounds_a_mass_to_zero_names_the_point():
+    # 1e-300 / 1e308 underflows: the rescale would drop b from the support.
+    with pytest.raises(ValueError, match="mass 1e-300 of point 'b' underflows to 0"):
+        classical_measure(AB, (1e308, 1e-300), renormalize=True)
+
+
 def test_classical_support_and_evaluation():
     mu = classical_measure(AB, (1.0, 0.0), renormalize=True)
     assert support(mu) == frozenset({"a"})
@@ -338,3 +348,52 @@ def test_single_point_space_degenerate_cases():
     assert evaluate_idempotent(mu, phi) == 4.2
     assert support(mu) == frozenset({"a"})
     assert has_support_at_most(mu, 1)
+
+
+# -- the record contract: frozen values, compared by their fields ----------------
+
+
+def test_values_are_frozen_and_compared_by_their_fields():
+    f = PointMap(AB, AB, ("a", "a"))
+    mu = IdempotentMeasure(AB, (0.0, BOTTOM))
+    for value, name in ((AB, "points"), (mu, "weights"), (f, "assignment")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    # Built separately, and with a cache changed: caches take no part.
+    twin = IdempotentMeasure(FiniteSpace(("a", "b")), (0.0, BOTTOM))
+    object.__setattr__(twin.space, "_index", {})
+    assert twin == mu and hash(twin) == hash(mu)
+    g = PointMap(AB, AB, ("a", "a"))
+    object.__setattr__(g, "_fibers", ())
+    assert g == f and hash(g) == hash(f)
+    assert repr(AB) == "FiniteSpace(points=('a', 'b'))"
+    assert repr(mu) == (
+        "IdempotentMeasure(space=FiniteSpace(points=('a', 'b')), weights=(0.0, BOTTOM))"
+    )
+    assert "_index" not in repr(mu) and "_fibers" not in repr(f)
+
+
+def test_values_survive_pickle_and_deepcopy():
+    mu = IdempotentMeasure(AB, (0.0, BOTTOM))
+    for clone in (pickle.loads(pickle.dumps(mu)), copy.deepcopy(mu)):
+        assert clone == mu and clone is not mu
+        assert clone.weights[1] is BOTTOM
+        assert clone.space.index("b") == 1
+
+
+def test_values_bind_fields_by_position_or_keyword():
+    row = ConvergenceRow(n=10, error=0.5, bound=1.0)
+    assert row == ConvergenceRow(10, 0.5, bound=1.0) == ConvergenceRow(10, 0.5, 1.0)
+    assert (row.n, row.error, row.bound) == (10, 0.5, 1.0)
+    for args, kwargs in (
+        ((10, 0.5), {}),
+        ((), {"n": 10, "error": 0.5}),
+        ((10, 0.5, 1.0), {"n": 10}),
+        ((10,), {"n": 10, "error": 0.5}),
+        ((10, 0.5, 1.0, 2.0), {}),
+        ((10, 0.5), {"bound": 1.0, "slope": 2.0}),
+    ):
+        with pytest.raises(TypeError):
+            ConvergenceRow(*args, **kwargs)

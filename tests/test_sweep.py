@@ -33,7 +33,7 @@ from maxplusprob import (
     to_classical,
     to_idempotent,
 )
-from maxplusprob import jsonio
+from maxplusprob import jsonio, measures
 
 SIZES = (10, 1_000, 100_000)
 
@@ -269,4 +269,26 @@ def test_valid_documents_decode_without_the_element_path(documents, kind, monkey
     mu = decode_measure(doc)
     assert calls == []
     expected = tuple(BOTTOM if w == "-inf" else w for w in doc["weights"].values())
+    assert mu.weights == expected
+
+
+def test_integer_weights_decode_in_the_bulk_pass(documents, monkeypatch):
+    # JSON integers, the peak written 0 among them, become floats in the
+    # bulk pass: no weight goes through the per-weight ``as_scalar``.
+    calls = []
+    original = measures.as_scalar
+
+    def counting(value):
+        calls.append(value)
+        return original(value)
+
+    monkeypatch.setattr(measures, "as_scalar", counting)
+    doc = documents["idempotent"]
+    table = {p: int(w) if w == 0.0 else w for p, w in doc["weights"].items()}
+    table[doc["space"][1]] = -3
+    assert 0 in table.values()
+    mu = decode_measure({**doc, "weights": table})
+    assert calls == []
+    assert all(type(w) is float for w in mu.weights if w is not BOTTOM)
+    expected = tuple(BOTTOM if w == "-inf" else float(w) for w in table.values())
     assert mu.weights == expected
