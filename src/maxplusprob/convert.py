@@ -23,7 +23,7 @@ from .measures import (
     Measure,
     normalize_idempotent,
 )
-from .semiring import BOTTOM, mp_exp
+from .semiring import BOTTOM
 
 __all__ = [
     "naturality_gap",
@@ -52,17 +52,17 @@ def to_classical(mu: IdempotentMeasure) -> ClassicalMeasure:
     division by the total) would leave the support; that raises
     ``ValueError`` instead of dropping the atom.
     """
-    masses = [mp_exp(w) for w in mu.weights]
+    masses = [0.0 if w is BOTTOM else math.exp(w) for w in mu.weights]
     total = math.fsum(masses)
-    stored = []
-    for label, w, m in zip(mu.space.points, mu.weights, masses):
-        p = m / total
-        if p == 0.0 and w is not BOTTOM:
-            raise ValueError(
-                f"weight {w!r} of point {label!r} underflows to mass 0;"
-                " the conversion would drop it from the support"
-            )
-        stored.append(p)
+    stored = [m / total for m in masses]
+    # Only BOTTOM weights may give mass 0; name the first other one.
+    if stored.count(0.0) != mu.weights.count(BOTTOM):
+        for label, w, p in zip(mu.space.points, mu.weights, stored):
+            if p == 0.0 and w is not BOTTOM:
+                raise ValueError(
+                    f"weight {w!r} of point {label!r} underflows to mass 0;"
+                    " the conversion would drop it from the support"
+                )
     return ClassicalMeasure(mu.space, tuple(stored))
 
 

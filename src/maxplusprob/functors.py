@@ -7,8 +7,9 @@ one kind on the product space, with atom weight the semiring product,
 ``w_x + w_y`` (idempotent) or ``w_x * w_y`` (classical).
 
 ``PointMap.__post_init__`` checks every image and caches the fibers the
-pushforwards fold (``_fibers``); like ``FiniteSpace._index``, the cache
-takes no part in equality, hashing or the repr.
+pushforwards fold (``_fibers``).  Like ``FiniteSpace._index``, the label
+lookup built on a space's first lookup, the cache takes no part in
+equality, hashing or the repr.
 
 ``verify_counterexample`` runs a fixed three-point scenario in which the
 pair of pushforwards under two maps separates classical measures but
@@ -74,17 +75,21 @@ class PointMap(Record):
         object.__setattr__(self, "assignment", assignment)
         if len(assignment) != len(self.domain):
             raise ValueError("one image per domain point is required")
+        index = self.codomain._index
+        try:
+            images = list(map(index.__getitem__, assignment))
+        except (KeyError, TypeError):
+            # Name the first image that is not a codomain label.
+            for point, label in zip(self.domain.points, assignment):
+                if not isinstance(label, str) or label not in index:
+                    raise ValueError(
+                        f"image {label!r} of point {point!r} is not in the codomain"
+                    ) from None
+            raise
         fibers: list[list[int]] = [[] for _ in range(len(self.codomain))]
-        for i, label in enumerate(assignment):
-            try:
-                j = self.codomain.index(label)
-            except ValueError:
-                raise ValueError(
-                    f"image {label!r} of point {self.domain.points[i]!r}"
-                    " is not in the codomain"
-                ) from None
+        for i, j in enumerate(images):
             fibers[j].append(i)
-        object.__setattr__(self, "_fibers", tuple(tuple(f) for f in fibers))
+        object.__setattr__(self, "_fibers", tuple(map(tuple, fibers)))
 
     @classmethod
     def from_mapping(
@@ -160,9 +165,9 @@ def pushforward(f: PointMap, mu: Measure) -> Measure:
         raise TypeError(f"not a measure: {mu!r}")
     if mu.space != f.domain:
         raise ValueError("space mismatch: measure does not live on the map domain")
-    fold = mu.semiring.sum
-    weights = tuple(fold(mu.weights[i] for i in fiber) for fiber in f._fibers)
-    return type(mu)(f.codomain, weights)
+    fold, weight = mu.semiring.sum, mu.weights.__getitem__
+    weights = [fold(map(weight, fiber)) for fiber in f._fibers]
+    return type(mu)(f.codomain, tuple(weights))
 
 
 pushforward_idempotent = pushforward_classical = pushforward

@@ -13,13 +13,15 @@ Wire formats:
 
 Decoders validate shape first and report the offending path; value
 invariants (normalization, mass sums) are then enforced by the type
-constructors and re-raised with the same path prefix.
+constructors and re-raised with the same path prefix.  A constructor is
+also the bulk check of the elements it is given: only when it rejects
+them are the elements decoded one by one, so that the first bad element
+is named at its own path.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from typing import Optional, Union
 
 from .density import ContinuousTestFunction, ConvergenceReport, DensityMeasure
@@ -98,48 +100,32 @@ def _decode_scalar(node: object, path: str) -> MaxPlusValue:
     return _expect_number(node, path)
 
 
-def _built(path: str, build, *args, prefix: str = ""):
-    # Value invariants live in the constructors; report them at ``path``.
+def _built(path: str, build, *args, prefix: str = "", elements=None):
+    # Value invariants live in the constructors; report them at ``path``,
+    # unless ``elements``, the element decoders run on a rejection, name
+    # a bad element first.
     try:
         return build(*args)
     except ValueError as err:
+        if elements is not None:
+            elements()
         raise SchemaError(path, f"{prefix}{err}") from None
 
 
-# Bulk forms of the element decoders: each checks a whole list in one
-# pass and returns it decoded, or None when some element may be bad.
-# Only then does the element decoder run, to name the first bad element
-# at its path.
-
-
-def _all_strings(values: list) -> Optional[list]:
-    return values if set(map(type, values)) <= {str} else None
-
-
-def _all_numbers(values: list) -> Optional[list]:
-    # ``isfinite`` of an int beyond the float range raises OverflowError.
-    try:
-        if set(map(type, values)) <= {float, int} and all(map(math.isfinite, values)):
-            return values
-    except OverflowError:
-        pass
-    return None
-
-
-def _all_scalars(values: list) -> Optional[list]:
+def _idempotent_measure(space: FiniteSpace, values: list) -> IdempotentMeasure:
     weights = [BOTTOM if v == _BOTTOM_WIRE else v for v in values]
-    if _all_numbers([w for w in weights if w is not BOTTOM]) is None:
-        return None
-    return weights
+    return IdempotentMeasure(space, weights)
 
 
 def _decode_space(node: object, path: str) -> FiniteSpace:
     if not isinstance(node, list):
         raise SchemaError(path, f"expected a list of labels, got {type(node).__name__}")
-    if _all_strings(node) is None:
+
+    def elements() -> None:
         for i, item in enumerate(node):
             _expect_string(item, f"{path}[{i}]")
-    return _built(path, FiniteSpace, tuple(node))
+
+    return _built(path, FiniteSpace, tuple(node), elements=elements)
 
 
 def _listed(table: dict, space: FiniteSpace) -> Optional[list]:
@@ -155,18 +141,19 @@ def _listed(table: dict, space: FiniteSpace) -> Optional[list]:
         return None
 
 
-def _decode_entries(
-    node: object, path: str, space: FiniteSpace, decode, bulk
-) -> Sequence:
-    # A table keyed by exactly the points of ``space``, decoded in space order.
+def _decode_entries(node: object, path: str, space: FiniteSpace, decode, build, *args):
+    # ``build(*args, values)`` for a table keyed by exactly the points of
+    # ``space``, its values in space order; ``decode`` is the element decoder.
     table = _expect_object(node, path)
     listed = _listed(table, space)
-    if listed is not None:
-        values = bulk(listed)
-        if values is not None:
-            return values
-    _built(path, check_exact_keys, space, table, "entries")
-    return tuple(decode(table[p], f"{path}.{p}") for p in space.points)
+    if listed is None:
+        _built(path, check_exact_keys, space, table, "entries")
+
+    def elements() -> None:
+        for p, value in zip(space.points, listed):
+            decode(value, f"{path}.{p}")
+
+    return _built(path, build, *args, listed, elements=elements)
 
 
 def decode_measure(doc: object) -> Measure:
@@ -177,14 +164,13 @@ def decode_measure(doc: object) -> Measure:
     kind = root["kind"]
     # Looked up per call, so a wrapper installed on this module is used.
     if kind == "idempotent":
-        decode, bulk, build = _decode_scalar, _all_scalars, IdempotentMeasure
+        decode, build = _decode_scalar, _idempotent_measure
     elif kind == "classical":
-        decode, bulk, build = _expect_number, _all_numbers, classical_measure
+        decode, build = _expect_number, classical_measure
     else:
         _expect_string(kind, "kind")
         raise SchemaError("kind", f'expected "idempotent" or "classical", got {kind!r}')
-    weights = _decode_entries(root["weights"], "weights", space, decode, bulk)
-    return _built("weights", build, space, weights)
+    return _decode_entries(root["weights"], "weights", space, decode, build, space)
 
 
 def decode_function(doc: object) -> TestFunction:
@@ -192,10 +178,9 @@ def decode_function(doc: object) -> TestFunction:
     root = _expect_object(doc, "")
     _expect_keys(root, "", ("space", "values"))
     space = _decode_space(root["space"], "space")
-    values = _decode_entries(
-        root["values"], "values", space, _expect_number, _all_numbers
+    return _decode_entries(
+        root["values"], "values", space, _expect_number, TestFunction, space
     )
-    return _built("values", TestFunction, space, values)
 
 
 def decode_point_map(doc: object) -> PointMap:
@@ -204,8 +189,9 @@ def decode_point_map(doc: object) -> PointMap:
     _expect_keys(root, "", ("domain", "codomain", "map"))
     domain = _decode_space(root["domain"], "domain")
     codomain = _decode_space(root["codomain"], "codomain")
-    images = _decode_entries(root["map"], "map", domain, _expect_string, _all_strings)
-    return _built("map", PointMap, domain, codomain, images)
+    return _decode_entries(
+        root["map"], "map", domain, _expect_string, PointMap, domain, codomain
+    )
 
 
 def _decode_piecewise(doc: object, cls: type, what: str):

@@ -21,8 +21,9 @@ classical side) simply do not belong to the support.
 
 Every type here is a frozen ``Record``: its constructor binds the
 annotated fields and then runs ``__post_init__``, which checks them and
-may normalize them or fill a cache such as ``FiniteSpace._index``.  For
-a measure kind that is the only place its weights are checked.
+may normalize them.  ``FiniteSpace._index``, the label lookup, is a cache
+built on the first lookup.  For a measure kind ``__post_init__`` is the
+only place its weights are checked.
 ``normalize_idempotent`` and ``classical_measure`` only align raw
 weights given by label or in order and shift or rescale them, and
 operations such as pushforward build their results through the same
@@ -32,7 +33,8 @@ constructors.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
+from functools import cached_property
 from itertools import repeat
 from typing import Union
 
@@ -44,8 +46,6 @@ from .semiring import (
     MaxPlusValue,
     as_float,
     as_scalar,
-    big_oplus,
-    odot,
     oplus,
 )
 
@@ -84,7 +84,6 @@ class FiniteSpace(Record):
     """
 
     points: tuple[str, ...]
-    _index: dict
 
     def __post_init__(self) -> None:
         labels = tuple(self.points)
@@ -92,9 +91,8 @@ class FiniteSpace(Record):
         if not labels:
             raise ValueError("a space needs at least one point")
         if all(map(isinstance, labels, repeat(str))):
-            lookup = dict(zip(labels, range(len(labels))))
-            if len(lookup) == len(labels) and "" not in lookup:
-                object.__setattr__(self, "_index", lookup)
+            distinct = set(labels)
+            if len(distinct) == len(labels) and "" not in distinct:
                 return
         # Some label is bad: name the first one, in order.
         seen: set[str] = set()
@@ -110,6 +108,12 @@ class FiniteSpace(Record):
 
     def __iter__(self):
         return iter(self.points)
+
+    @cached_property
+    def _index(self) -> dict:
+        # Label -> position, built on the first lookup: decoding and
+        # products make 1e5-point spaces that are never looked up.
+        return dict(zip(self.points, range(len(self.points))))
 
     def __contains__(self, label: object) -> bool:
         return label in self._index
@@ -211,26 +215,9 @@ class IdempotentMeasure(Measure):
     kind = "idempotent"
 
     def __post_init__(self) -> None:
-        weights = tuple(self.weights)
-        finite = [w for w in weights if w is not BOTTOM]
-        # Finite floats pass in bulk, and so do ints (a JSON peak written
-        # ``0``), made floats here.  Anything else, an int beyond the float
-        # range included, is coerced one by one, so ``as_scalar`` names the
-        # first weight it rejects.
-        kinds = set(map(type, finite))
-        if int in kinds and kinds <= {int, float}:
-            try:
-                weights = tuple([w if w is BOTTOM else float(w) for w in weights])
-            except OverflowError:
-                pass
-            else:
-                finite, kinds = [w for w in weights if w is not BOTTOM], {float}
-        if not (kinds <= {float} and all(map(math.isfinite, finite))):
-            weights = _scalars(weights)
-            finite = [w for w in weights if w is not BOTTOM]
+        weights, peak = _scalars(self.weights)
         if len(weights) != len(self.space):
             raise ValueError("one weight per point of the space is required")
-        peak = max(finite, default=BOTTOM)
         if peak is BOTTOM:
             raise ValueError("empty support: every weight is BOTTOM")
         if peak > 0.0:
@@ -280,18 +267,16 @@ class ClassicalMeasure(Measure):
 
 def dirac(space: FiniteSpace, point: str) -> IdempotentMeasure:
     """The idempotent point measure: weight 0 at ``point``, BOTTOM elsewhere."""
-    at = space.index(point)
-    return IdempotentMeasure(
-        space, tuple(0.0 if i == at else BOTTOM for i in range(len(space)))
-    )
+    weights = [BOTTOM] * len(space)
+    weights[space.index(point)] = 0.0
+    return IdempotentMeasure(space, tuple(weights))
 
 
 def point_mass(space: FiniteSpace, point: str) -> ClassicalMeasure:
     """The classical point measure: mass 1 at ``point``, 0 elsewhere."""
-    at = space.index(point)
-    return ClassicalMeasure(
-        space, tuple(1.0 if i == at else 0.0 for i in range(len(space)))
-    )
+    weights = [0.0] * len(space)
+    weights[space.index(point)] = 1.0
+    return ClassicalMeasure(space, tuple(weights))
 
 
 def normalize_idempotent(
@@ -304,10 +289,9 @@ def normalize_idempotent(
     aligned with the space order.  All-BOTTOM input stays all-BOTTOM,
     which the constructor rejects as empty support.
     """
-    values = _aligned(space, raw, _scalars)
-    peak = big_oplus(values)
+    values, peak = _scalars(_aligned(space, raw))
     return IdempotentMeasure(
-        space, tuple(BOTTOM if v is BOTTOM else v - peak for v in values)
+        space, tuple([BOTTOM if v is BOTTOM else v - peak for v in values])
     )
 
 
@@ -326,11 +310,13 @@ def classical_measure(
     else goes to the constructor as given, so its error names the value
     passed.
     """
-    values = _aligned(space, weights, _floats)
+    values = _floats(_aligned(space, weights))
+    if len(values) != len(space):
+        raise ValueError("one weight per point of the space is required")
     if renormalize and min(values) >= 0.0:
         total = math.fsum(values)
         if 0.0 < total < math.inf and abs(total - 1.0) > _INPUT_SUM_TOL:
-            given, values = values, tuple(v / total for v in values)
+            given, values = values, tuple([v / total for v in values])
             if values.count(0.0) != given.count(0.0):
                 label, mass = next(
                     (p, v) for p, v, r in zip(space.points, given, values) if r == 0.0 < v
@@ -389,10 +375,17 @@ def maxplus_combine(
         raise ValueError(
             "not a max-plus convex combination: alpha oplus beta must equal 0"
         )
-    weights = tuple(
-        oplus(odot(alpha, w), odot(beta, v)) for w, v in zip(mu.weights, nu.weights)
-    )
-    return IdempotentMeasure(mu.space, weights)
+    # A BOTTOM coefficient makes its whole side BOTTOM.
+    bottoms = (BOTTOM,) * len(mu.space)
+    left = bottoms if alpha is BOTTOM else mu.weights
+    right = bottoms if beta is BOTTOM else nu.weights
+    weights = [
+        (BOTTOM if v is BOTTOM else v + beta) if w is BOTTOM
+        else w + alpha if v is BOTTOM
+        else a if (a := w + alpha) >= (b := v + beta) else b
+        for w, v in zip(left, right)
+    ]
+    return IdempotentMeasure(mu.space, tuple(weights))
 
 
 def has_support_at_most(mu: Measure, n: int) -> bool:
@@ -417,28 +410,49 @@ def check_exact_keys(space: FiniteSpace, mapping: Mapping, what: str) -> None:
 
 
 def _aligned(
-    space: FiniteSpace,
-    raw: Union[Mapping[str, object], Sequence[object]],
-    coerce: Callable[[Sequence[object]], tuple],
-) -> tuple:
-    # Raw weights keyed by label or in space order, coerced in order.
+    space: FiniteSpace, raw: Union[Mapping[str, object], Sequence[object]]
+) -> Sequence[object]:
+    # Raw weights keyed by label, in space order; a sequence as given.
     if isinstance(raw, Mapping):
         check_exact_keys(space, raw, "weights")
-        raw = [raw[p] for p in space.points]
-    values = coerce(raw)
-    if len(values) != len(space):
-        raise ValueError("one weight per point of the space is required")
-    return values
+        return [raw[p] for p in space.points]
+    return raw
 
 
-def _scalars(values: Sequence[object]) -> tuple:
-    return tuple(map(as_scalar, values))
+def _scalars(values: Sequence[object]) -> tuple[tuple, MaxPlusValue]:
+    # The values as max-plus scalars, and their peak (BOTTOM if all are).
+    # Finite floats pass in bulk, and so do ints (a JSON peak written
+    # ``0``), made floats here.  Anything else, an int beyond the float
+    # range included, is coerced one by one, so ``as_scalar`` names the
+    # first value it rejects.
+    values = tuple(values)
+    finite = [w for w in values if w is not BOTTOM]
+    kinds = set(map(type, finite))
+    if int in kinds and kinds <= {int, float}:
+        try:
+            values = tuple([w if w is BOTTOM else float(w) for w in values])
+        except OverflowError:
+            pass
+        else:
+            finite, kinds = [w for w in values if w is not BOTTOM], {float}
+    if not (kinds <= {float} and all(map(math.isfinite, finite))):
+        values = tuple(map(as_scalar, values))
+        finite = [w for w in values if w is not BOTTOM]
+    return values, max(finite, default=BOTTOM)
 
 
 def _floats(values: Sequence[object]) -> tuple[float, ...]:
-    # ``float`` of each value at C speed; an int beyond the float range
-    # becomes +-inf, so the caller's finiteness check rejects it by name.
-    # A sequence, not an iterator: the overflow path reads it again.
+    # Ints and floats (never bools) as floats, at C speed; anything else
+    # is named.  An int beyond the float range becomes +-inf, so the
+    # caller's finiteness check rejects it by name.
+    values = tuple(values)
+    kinds = set(map(type, values))
+    if kinds <= {float}:
+        return values
+    if not kinds <= {float, int}:
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"not a real number: {v!r}")
     try:
         return tuple(map(float, values))
     except OverflowError:

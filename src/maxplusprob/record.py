@@ -1,7 +1,8 @@
 """``Record``: the frozen base of the package's value types.
 
-Fields are the public annotated names, inherited ones first.  An
-annotated ``_name`` is a cache that ``==``, ``hash`` and the repr skip.
+Fields are the public annotated names, inherited ones first.  A ``_name``
+is a cache that ``==``, ``hash`` and the repr skip, annotated if filled in
+``__post_init__`` and a ``functools.cached_property`` if built on first use.
 """
 
 

@@ -165,7 +165,7 @@ def _max_plus_dot(
 
 
 def _sum_product_dot(weights: Sequence[float], values: Sequence[float]) -> float:
-    return math.fsum(w * v for w, v in zip(weights, values))
+    return math.fsum(map(operator.mul, weights, values))
 
 
 MAX_PLUS = Semiring(zero=BOTTOM, sum=big_oplus, times=odot, dot=_max_plus_dot)

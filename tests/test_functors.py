@@ -54,6 +54,9 @@ def test_point_map_validation():
         PointMap(ABC, AB, ("a", "b"))
     with pytest.raises(ValueError, match="not in the codomain"):
         PointMap(ABC, AB, ("a", "b", "z"))
+    # An unhashable image is named like any other label outside the codomain.
+    with pytest.raises(ValueError, match=r"^image \['b'\] of point 'b' is not in"):
+        PointMap(ABC, AB, ("a", ["b"], "z"))
 
 
 def test_point_map_from_mapping():

@@ -174,6 +174,11 @@ def test_decode_point_map():
     bad = {**doc, "map": {"a": "a", "b": "b", "c": "z"}}
     with pytest.raises(SchemaError, match="map:"):
         decode_point_map(bad)
+    # Images that are not strings are named at their path, hashable or not.
+    for image, name in ((7, "int"), (["a"], "list")):
+        bad = {**doc, "map": {"a": "a", "b": image, "c": "z"}}
+        with pytest.raises(SchemaError, match=f"^map.b: expected a string, got {name}$"):
+            decode_point_map(bad)
 
 
 def test_decode_piecewise_documents():

@@ -72,6 +72,29 @@ def test_space_names_the_first_bad_label():
     assert FiniteSpace(("b", "a"))._index == {"b": 0, "a": 1}
 
 
+def test_space_index_is_built_on_first_lookup():
+    def fresh() -> FiniteSpace:
+        return FiniteSpace(("b", "a", "c"))
+
+    assert "_index" not in vars(fresh())
+    space = fresh()
+    assert "a" in space and "z" not in space
+    assert fresh().index("c") == 2
+    with pytest.raises(ValueError, match="^point not in space: 'z'$"):
+        fresh().index("z")
+    # A built index changes nothing the value shows.
+    built, unbuilt = fresh(), fresh()
+    assert built.index("a") == 1
+    assert "_index" in vars(built) and "_index" not in vars(unbuilt)
+    assert built == unbuilt and hash(built) == hash(unbuilt)
+    assert repr(built) == repr(unbuilt) == "FiniteSpace(points=('b', 'a', 'c'))"
+    for original in (built, unbuilt):
+        for clone in (pickle.loads(pickle.dumps(original)), copy.deepcopy(original)):
+            assert clone == built and hash(clone) == hash(unbuilt)
+            assert repr(clone) == repr(original)
+            assert clone.index("c") == 2 and "z" not in clone
+
+
 def test_ints_beyond_the_float_range_are_not_finite():
     # ``float`` raises OverflowError for these; each constructor reports
     # them as it reports an infinity.
@@ -99,6 +122,29 @@ def test_idempotent_weights_are_coerced_when_not_all_floats():
     assert [type(w) for w in mu.weights[:2]] == [float, float]
     with pytest.raises(ValueError, match="not a max-plus scalar"):
         IdempotentMeasure(AB, (0.0, True))
+
+
+def test_classical_constructors_take_only_numbers():
+    # Strings, bools and None are refused by name, as ``IdempotentMeasure``
+    # refuses them, rather than converted by ``float``.
+    for raw, shown in (
+        (("0.5", "0.5"), "'0.5'"),
+        ((True, False), "True"),
+        ((None, 1.0), "None"),
+    ):
+        for build in (ClassicalMeasure, TestFunction, classical_measure):
+            with pytest.raises(ValueError, match=f"^not a real number: {shown}$"):
+                build(AB, raw)
+        with pytest.raises(ValueError, match="not a max-plus scalar"):
+            IdempotentMeasure(AB, raw)
+    # Ints and float subclasses are numbers, stored as plain floats.
+    class Mass(float):
+        pass
+
+    for build in (ClassicalMeasure, TestFunction, classical_measure):
+        field = "values" if build is TestFunction else "weights"
+        values = getattr(build(AB, (1, Mass(0.0))), field)
+        assert values == (1.0, 0.0) and {type(v) for v in values} == {float}
 
 
 def test_function_validation_and_norm():

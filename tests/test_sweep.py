@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import pytest
 
@@ -23,9 +24,14 @@ from maxplusprob import (
     PointMap,
     SchemaError,
     TestFunction,
+    approx_toward_measure,
+    approx_toward_point,
     classical_measure,
     decode_measure,
+    dirac,
     evaluate,
+    normalize_idempotent,
+    point_mass,
     product_classical,
     product_idempotent,
     pushforward,
@@ -292,3 +298,163 @@ def test_integer_weights_decode_in_the_bulk_pass(documents, monkeypatch):
     assert all(type(w) is float for w in mu.weights if w is not BOTTOM)
     expected = tuple(BOTTOM if w == "-inf" else float(w) for w in table.values())
     assert mu.weights == expected
+
+
+# -- conversion and mixing, bit for bit, signed zeros included --------------
+
+
+def _bits(values) -> list:
+    # ``==`` takes -0.0 for 0.0; the hex spelling keeps the sign bit.
+    return [v if v is BOTTOM else float.hex(v) for v in values]
+
+
+def _with_negative_zero(rng: random.Random, values: tuple) -> tuple:
+    raw = list(values)
+    raw[rng.randrange(len(raw))] = -0.0
+    return tuple(raw)
+
+
+def _softmax(weights) -> tuple:
+    masses = []
+    for w in weights:
+        masses.append(0.0 if w is BOTTOM else math.exp(w))
+    total = math.fsum(masses)
+    return _stored([m / total for m in masses])
+
+
+def _shifted_to_peak(values) -> tuple:
+    peak = None
+    for v in values:
+        if v is not BOTTOM and (peak is None or v > peak):
+            peak = v
+    return tuple(BOTTOM if v is BOTTOM else v - peak for v in values)
+
+
+def _log_ratios(masses) -> tuple:
+    return _shifted_to_peak([math.log(w) if w > 0.0 else BOTTOM for w in masses])
+
+
+def _indicator(n: int, at: int, hit, miss) -> tuple:
+    out = []
+    for i in range(n):
+        out.append(hit if i == at else miss)
+    return tuple(out)
+
+
+def _coefficients(eps: float) -> tuple:
+    # alpha = ln(1 - eps) - peak and beta = ln(eps) - peak, with ln(0) BOTTOM.
+    stay = BOTTOM if eps == 1.0 else math.log(1.0 - eps)
+    move = math.log(eps)
+    peak = move if stay is BOTTOM or move > stay else stay
+    return (BOTTOM if stay is BOTTOM else stay - peak), move - peak
+
+
+def _mix(alpha, left, beta, right) -> tuple:
+    out = []
+    for w, v in zip(left, right):
+        a = BOTTOM if alpha is BOTTOM or w is BOTTOM else alpha + w
+        b = BOTTOM if beta is BOTTOM or v is BOTTOM else beta + v
+        if a is BOTTOM:
+            out.append(b)
+        elif b is BOTTOM or a >= b:
+            out.append(a)
+        else:
+            out.append(b)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_conversion_and_mixing_match_reference_loops(n):
+    rng = random.Random(f"convert:{n}")
+    space = _space("x", n)
+    mu = IdempotentMeasure(space, _with_negative_zero(rng, _idempotent(rng, space).weights))
+    other = IdempotentMeasure(
+        space, _with_negative_zero(rng, _idempotent(rng, space).weights)
+    )
+    masses = _with_negative_zero(rng, _classical(rng, space).weights)
+    nu = classical_measure(space, masses, renormalize=True)
+    phi = TestFunction(
+        space, _with_negative_zero(rng, tuple(rng.uniform(-10.0, 10.0) for _ in space))
+    )
+    assert -0.0 in mu.weights and -0.0 in nu.weights and -0.0 in phi.values
+
+    # Evaluation with a -0.0 weight and a -0.0 function value.
+    best = None
+    for w, v in zip(mu.weights, phi.values):
+        if w is not BOTTOM and (best is None or w + v > best):
+            best = w + v
+    expected = math.fsum(w * v for w, v in zip(nu.weights, phi.values))
+    assert _bits([evaluate(mu, phi), evaluate(nu, phi)]) == _bits([best, expected])
+
+    # Conversions in both directions, and the shift to peak 0.
+    assert _bits(to_classical(mu).weights) == _bits(_softmax(mu.weights))
+    assert _bits(to_idempotent(nu).weights) == _bits(_log_ratios(nu.weights))
+    raw = [BOTTOM if w is BOTTOM else w - 2.5 for w in mu.weights]
+    raw[rng.randrange(n)] = -3
+    assert _bits(normalize_idempotent(space, raw).weights) == _bits(_shifted_to_peak(raw))
+
+    # Point measures, and mixing toward them or toward a second measure
+    # at a mid rate and at eps = 1, where ``0.0 + -0.0`` gives 0.0.
+    at = rng.randrange(n)
+    target = space.points[at]
+    point = _indicator(n, at, 0.0, BOTTOM)
+    assert _bits(dirac(space, target).weights) == _bits(point)
+    assert _bits(point_mass(space, target).weights) == _bits(_indicator(n, at, 1.0, 0.0))
+    for eps in (0.375, 1.0):
+        alpha, beta = _coefficients(eps)
+        assert _bits(approx_toward_point(mu, target, eps).weights) == _bits(
+            _mix(alpha, mu.weights, beta, point)
+        )
+        assert _bits(approx_toward_measure(other, mu, eps).weights) == _bits(
+            _mix(alpha, other.weights, beta, mu.weights)
+        )
+
+
+# -- no Python call per atom --------------------------------------------------
+
+
+def _calls(op) -> int:
+    # Python-level ``call`` events, generator resumes included; calls into
+    # C functions report ``c_call`` and are not counted.
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        count += event == "call"
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        op()
+    finally:
+        sys.setprofile(previous)
+    return count
+
+
+def test_kernels_make_no_python_call_per_atom(documents):
+    # Each op at n = 1e5 runs as a few whole-list passes, so it makes
+    # far fewer Python calls than there are atoms.  Left out: the
+    # max-plus ``product``, which multiplies each pair through ``odot``.
+    n = SIZES[-1]
+    rng = random.Random(f"calls:{n}")
+    space = _space("x", n)
+    mu, nu = _idempotent(rng, space), _classical(rng, space)
+    phi = TestFunction(space, tuple(rng.uniform(-10.0, 10.0) for _ in space))
+    codomain = _space("y", n // 10)
+    images = tuple(codomain.points[rng.randrange(n // 10)] for _ in space)
+    f = PointMap(space, codomain, images)
+    target = space.points[rng.randrange(n)]
+    ops = {
+        "evaluate idempotent": lambda: evaluate(mu, phi),
+        "evaluate classical": lambda: evaluate(nu, phi),
+        "pushforward idempotent": lambda: pushforward(f, mu),
+        "pushforward classical": lambda: pushforward(f, nu),
+        "to_classical": lambda: to_classical(mu),
+        "to_idempotent": lambda: to_idempotent(nu),
+        "approx_toward_point": lambda: approx_toward_point(mu, target, 0.375),
+        "PointMap": lambda: PointMap(space, codomain, images),
+        "decode idempotent": lambda: decode_measure(documents["idempotent"]),
+        "decode classical": lambda: decode_measure(documents["classical"]),
+    }
+    calls = {name: _calls(op) for name, op in ops.items()}
+    assert {name: c for name, c in calls.items() if c >= n // 2} == {}
