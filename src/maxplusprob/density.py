@@ -15,14 +15,24 @@ point, and the normalization shift is itself at most ``L_d / (2n)``.
 bound, using a fine-grid evaluation (default one million cells) as the
 reference value.
 
-numpy is imported inside the functions that sample, not at module
-level: it costs more to load than the rest of the package, and only
-this module's sampling needs it.
+Sampling computes each value in plain floats the way ``numpy.interp``
+does, so the outputs match it bit for bit.  The fine-grid reference
+reads few of its grid points: between consecutive breakpoints of
+``d`` and ``phi`` each sampled value is monotone in the grid index
+(rounding is monotone), so the maximum of their sum sits at the
+segment's first or last grid point, or, when the two slopes differ in
+sign, within a rounding-error window at the end the summed slope
+favours.  A segment on which the sum is flat to within rounding is
+scanned whole.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
+from collections.abc import Sequence
+from itertools import repeat
+from operator import truediv
 
 from .measures import (
     FiniteSpace,
@@ -53,6 +63,9 @@ _MIN_RESOLUTION = 10_000
 _SLOPE_TOL = 1e-9
 # A density may miss sup = 0 by this much before it is rejected.
 _SUP_TOL = 1e-9
+# Bound on the rounding error of one summed sample, per unit of the
+# magnitudes involved (a generous multiple of the 2**-53 unit roundoff).
+_ROUNDING = 16 * 2.0**-53
 
 
 class PiecewiseLinear(Record):
@@ -68,6 +81,7 @@ class PiecewiseLinear(Record):
 
     breakpoints: tuple[tuple[float, float], ...]
     lipschitz: float
+    _lines: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self) -> None:
         pairs = tuple((float(x), float(y)) for x, y in self.breakpoints)
@@ -87,29 +101,46 @@ class PiecewiseLinear(Record):
                 raise ValueError(f"breakpoint values must be finite: {y!r}")
         if not math.isfinite(self.lipschitz) or self.lipschitz < 0.0:
             raise ValueError("the Lipschitz bound must be finite and >= 0")
-        for (x0, y0), (x1, y1) in zip(pairs, pairs[1:]):
-            slope = (y1 - y0) / (x1 - x0)
+        slopes = tuple((y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(pairs, pairs[1:]))
+        for slope in slopes:
             if abs(slope) > self.lipschitz + _SLOPE_TOL:
                 raise ValueError(
                     f"segment slope {slope!r} exceeds the declared"
                     f" Lipschitz bound {self.lipschitz!r}"
                 )
+        object.__setattr__(self, "_lines", tuple((*p, s) for p, s in zip(pairs, slopes)))
 
     @property
     def peak(self) -> float:
         """The supremum over [0, 1]; attained at a breakpoint."""
         return max(y for _, y in self.breakpoints)
 
-    def sample(self, xs: np.ndarray) -> np.ndarray:
-        """Values at the given x array, by linear interpolation."""
-        import numpy as np
-        knots_x = np.array([x for x, _ in self.breakpoints])
-        knots_y = np.array([y for _, y in self.breakpoints])
-        return np.interp(xs, knots_x, knots_y)
+    def _line(self, x: float) -> tuple[float, float, float]:
+        """The segment ``(x0, y0, slope)`` that interpolates at ``0 <= x < 1``."""
+        return self._lines[bisect_right(self.breakpoints, (x, math.inf)) - 1]
+
+    def sample(self, xs: Sequence[float]) -> list[float]:
+        """A list of the values at a sequence of points, by linear interpolation.
+
+        Each value is ``numpy.interp``'s: ``y0`` at a breakpoint, else
+        ``slope * (x - x0) + y0``; the first value below 0 and the last
+        from 1 on.
+        """
+        knots = [x for x, _ in self.breakpoints]
+        first, last = self.breakpoints[0][1], self.breakpoints[-1][1]
+        # Row i serves the x with i breakpoints at or below it; a NaN x
+        # counts them all and takes the last segment, as numpy does.
+        rows = (self._lines[0], *self._lines, self._lines[-1])
+        return [
+            last if x >= 1.0 else first if x < 0.0
+            else y0 if x == x0 else slope * (x - x0) + y0
+            for x, (x0, y0, slope) in zip(
+                xs, map(rows.__getitem__, map(bisect_right, repeat(knots), xs))
+            )
+        ]
 
     def __call__(self, x: float) -> float:
-        import numpy as np
-        return float(self.sample(np.array([float(x)]))[0])
+        return self.sample([float(x)])[0]
 
 
 class DensityMeasure(PiecewiseLinear):
@@ -149,17 +180,22 @@ def grid_space(n: int) -> FiniteSpace:
 
 def discretize(d: DensityMeasure, n: int) -> IdempotentMeasure:
     """Sample a density on the ``n``-grid and renormalize the weights."""
-    import numpy as np
-    xs = np.array(grid_points(n))
-    raw = d.sample(xs)
-    return normalize_idempotent(grid_space(n), [float(v) for v in raw])
+    return normalize_idempotent(grid_space(n), d.sample(grid_points(n)))
 
 
 def sample_function(phi: ContinuousTestFunction, n: int) -> TestFunction:
     """Restrict a continuous test function to the ``n``-grid."""
-    import numpy as np
-    xs = np.array(grid_points(n))
-    return TestFunction(grid_space(n), tuple(float(v) for v in phi.sample(xs)))
+    return TestFunction(grid_space(n), tuple(phi.sample(grid_points(n))))
+
+
+def _grid_index(x: float, resolution: int) -> int:
+    """The least ``k`` with ``k / resolution >= x``, compared as floats."""
+    k = math.ceil(x * resolution)
+    while k > 0 and (k - 1) / resolution >= x:
+        k -= 1
+    while k / resolution < x:
+        k += 1
+    return k
 
 
 def eval_density_measure(
@@ -168,7 +204,10 @@ def eval_density_measure(
     """Reference value of ``sup_x (d(x) + phi(x))`` on a fine grid.
 
     ``resolution`` is the cell count; at least 10000 cells are required
-    for the reference role.
+    for the reference role.  The value is the maximum of ``d + phi``
+    sampled at every grid point ``k / resolution``, bit for bit, but
+    only the grid points that can hold it are sampled (see the module
+    docstring).
     """
     if not isinstance(resolution, int) or isinstance(resolution, bool):
         raise ValueError(f"the resolution must be an integer, got {resolution!r}")
@@ -176,9 +215,37 @@ def eval_density_measure(
         raise ValueError(
             f"the resolution must be at least {_MIN_RESOLUTION}, got {resolution}"
         )
-    import numpy as np
-    xs = np.arange(resolution + 1, dtype=np.float64) / float(resolution)
-    return float(np.max(d.sample(xs) + phi.sample(xs)))
+    best = d.breakpoints[-1][1] + phi.breakpoints[-1][1]  # the grid point x = 1
+    cuts = sorted({x for x, _ in d.breakpoints} | {x for x, _ in phi.breakpoints})
+    ends = [_grid_index(x, resolution) for x in cuts]
+    for cut, first, stop in zip(cuts, ends, ends[1:]):
+        if first == stop:
+            continue
+        xd, yd, sd = d._line(cut)
+        xp, yp, sp = phi._line(cut)
+        if sd >= 0.0 and sp >= 0.0:
+            first = stop - 1
+        elif sd <= 0.0 and sp <= 0.0:
+            stop = first + 1
+        else:
+            # Each sample is within ``err`` of its exact value, and the
+            # exact sum changes by ``slope / resolution`` per grid step,
+            # so only the ``reach / |slope|`` steps next to the better end
+            # can hold the maximum.
+            err = _ROUNDING * (abs(yd) + abs(sd) + abs(yp) + abs(sp) + 1.0)
+            reach = 2.0 * err * resolution
+            slope = sd + sp
+            if abs(slope) * (stop - first) > reach:
+                width = math.ceil(reach / abs(slope)) + 2
+                if slope > 0.0:
+                    first = max(first, stop - width)
+                else:
+                    stop = min(stop, first + width)
+        best = max(best, max([
+            (yd if x == xd else sd * (x - xd) + yd) + (yp if x == xp else sp * (x - xp) + yp)
+            for x in map(truediv, range(first, stop), repeat(resolution))
+        ]))
+    return best
 
 
 class ConvergenceRow(Record):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Mapping, Sequence
 
 from .measures import (
@@ -360,7 +361,7 @@ def verify_counterexample(
     grid_pairs = list(itertools.combinations_with_replacement(grid, 2))
 
     def distance(x: Sequence[float], y: Sequence[float]) -> float:
-        return max(abs(p - q) for p, q in zip(x, y))
+        return max(map(abs, map(operator.sub, x, y)))
 
     # Every pair is checked: images within 1e-9 need measures within 1e-9.
     implication_holds = True

@@ -245,12 +245,15 @@ class ClassicalMeasure(Measure):
 
     def __post_init__(self) -> None:
         weights = _floats(self.weights)
-        if len(weights) != len(self.space):
+        if len(weights) != len(self.space.points):
             raise ValueError("one weight per point of the space is required")
-        for w in weights:
-            if not 0.0 <= w < math.inf:
-                raise ValueError(f"classical weights must be finite and >= 0, got {w!r}")
-        total = math.fsum(weights)
+        # ``min`` skips a NaN that is not first, but the sum then is NaN;
+        # the sum runs only once no -inf can make it raise.
+        total = math.fsum(weights) if min(weights) >= 0.0 else math.nan
+        if not math.isfinite(total):
+            for w in weights:
+                if not 0.0 <= w < math.inf:
+                    raise ValueError(f"classical weights must be finite and >= 0, got {w!r}")
         if total <= 0.0:
             raise ValueError("empty support: weights sum to 0")
         if abs(total - 1.0) > _INPUT_SUM_TOL:
@@ -311,7 +314,7 @@ def classical_measure(
     passed.
     """
     values = _floats(_aligned(space, weights))
-    if len(values) != len(space):
+    if len(values) != len(space.points):
         raise ValueError("one weight per point of the space is required")
     if renormalize and min(values) >= 0.0:
         total = math.fsum(values)

@@ -257,6 +257,45 @@ def test_only_density_sampling_loads_numpy(doc):
     assert json.loads(converged.stdout)["within_bound"] is True
 
 
+def test_every_subcommand_runs_without_numpy(doc):
+    # numpy is no runtime dependency: with it unimportable, every
+    # subcommand still runs, and density-converge prints what it prints
+    # in a normal process.
+    block_numpy = (
+        "import sys; sys.modules['numpy'] = None;"
+        " from maxplusprob.cli import main; main()"
+    )
+    measure = doc("m.json", IDEMPOTENT)
+    density_args = [
+        "density-converge",
+        "--density", doc("d.json", {"breakpoints": [[0, -1], [0.3, 0], [1, -2]],
+                                    "lipschitz": 3.34}),
+        "--function", doc("phi.json", {"breakpoints": [[0, 0.5], [0.71, -0.2], [1, 1]],
+                                       "lipschitz": 4.14}),
+        "--grid", "10", "--grid", "100", "--grid", "1000",
+    ]
+    subcommands = [
+        ["eval", "--measure", measure, "--function", doc("f.json", FUNCTION)],
+        ["push", "--measure", doc("w.json", WIDE), "--map", doc("map.json", MERGE_MAP)],
+        ["product", "--measure", measure, "--measure2", measure],
+        ["convert", "--measure", measure, "--to", "classical"],
+        ["dist", "--epsilon", "0.25"],
+        ["approx", "--measure", measure, "--epsilon", "0.25", "--point", "b"],
+        ["verify-counterexample"],
+        density_args,
+    ]
+    for argv in subcommands:
+        blocked = subprocess.run(
+            [sys.executable, "-c", block_numpy, *argv], capture_output=True, text=True
+        )
+        assert blocked.returncode == 0, (argv[0], blocked.stdout, blocked.stderr)
+    normal = subprocess.run(
+        [sys.executable, "-m", "maxplusprob", *density_args], capture_output=True, text=True
+    )
+    assert normal.returncode == 0, normal.stderr
+    assert blocked.stdout == normal.stdout
+
+
 # -- error handling -------------------------------------------------------------
 
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 import math
 import random
 
-import numpy as np
 import pytest
 
 from maxplusprob import (
@@ -16,6 +15,7 @@ from maxplusprob import (
     evaluate_idempotent,
     grid_points,
     grid_space,
+    normalize_idempotent,
     sample_function,
 )
 
@@ -57,8 +57,7 @@ def test_interpolation_and_peak():
     assert f(0.25) == 1.0
     assert f(0.125) == pytest.approx(0.0, abs=1e-15)
     assert f.peak == 1.0
-    xs = np.array([0.0, 0.25, 1.0])
-    assert list(f.sample(xs)) == [-1.0, 1.0, 0.0]
+    assert f.sample([0.0, 0.25, 1.0]) == [-1.0, 1.0, 0.0]
 
 
 def test_density_must_be_nonpositive_with_zero_sup():
@@ -197,3 +196,109 @@ def test_raw_grid_peak_never_drops_when_the_grid_is_subdivided():
         d = _random_piecewise(rng, -2.0, 0.0, DensityMeasure)
         peaks = [max(d(x) for x in grid_points(n)) for n in (5, 10, 20, 40, 80)]
         assert all(a <= b for a, b in zip(peaks, peaks[1:]))
+
+
+# -- bit identity with numpy.interp ---------------------------------------------------
+
+
+def _oracle_piecewise(rng: random.Random, lo: float, hi: float, placement: str):
+    # Breakpoints on the 1/1000 grid land exactly on every fine grid whose
+    # size is a multiple of 1000; random ones fall between grid points.
+    inner = rng.randint(0, 6)
+    if placement == "on-grid":
+        cuts = [k / 1000 for k in sorted(rng.sample(range(1, 1000), inner))]
+    else:
+        cuts = sorted({rng.random() for _ in range(inner)})
+    return [(x, rng.uniform(lo, hi)) for x in [0.0, *cuts, 1.0]]
+
+
+def _steepest(pairs) -> float:
+    return max(abs((y1 - y0) / (x1 - x0)) for (x0, y0), (x1, y1) in zip(pairs, pairs[1:]))
+
+
+def _oracle_pair(rng: random.Random, kind: str):
+    """A density and a test function whose sum ``kind`` describes.
+
+    ``flat`` sums are constant; ``tilted`` ones rise or fall by 1e-14 to
+    1e-9 across [0, 1], near the rounding noise, so the maximum may sit
+    inside the window at a segment end; the others put every breakpoint
+    on or off the 1/1000 grid.
+    """
+    placement = "off-grid" if kind == "off-grid" else "on-grid"
+    d = _oracle_piecewise(rng, -3.0, 0.0, placement)
+    top = max(y for _, y in d)
+    d = [(x, y - top) for x, y in d]
+    if kind in ("flat", "tilted"):
+        c = rng.uniform(-2.0, 2.0)
+        tilt = 0.0 if kind == "flat" else rng.choice([-1, 1]) * 10 ** rng.uniform(-14, -9)
+        phi = [(x, c - y + tilt * x) for x, y in d]
+    else:
+        phi = _oracle_piecewise(rng, -2.0, 2.0, placement)
+    return (
+        DensityMeasure(tuple(d), _steepest(d)),
+        ContinuousTestFunction(tuple(phi), _steepest(phi)),
+    )
+
+
+def _interp(np, f, xs):
+    return np.interp(xs, [x for x, _ in f.breakpoints], [y for _, y in f.breakpoints])
+
+
+@pytest.mark.parametrize(
+    "resolution, cases", [(10_000, 200), (12_347, 40), (100_000, 40), (1_000_000, 12)]
+)
+def test_reference_matches_numpy_fine_grid_bit_for_bit(resolution, cases):
+    np = pytest.importorskip("numpy")
+    rng = random.Random(resolution)
+    xs = np.arange(resolution + 1, dtype=np.float64) / float(resolution)
+    for k in range(cases):
+        d, phi = _oracle_pair(rng, ("flat", "tilted", "off-grid", "on-grid")[k % 4])
+        want = float(np.max(_interp(np, d, xs) + _interp(np, phi, xs)))
+        assert eval_density_measure(d, phi, resolution).hex() == want.hex(), (d, phi)
+
+
+def test_reference_matches_numpy_when_the_peak_is_a_grid_point():
+    # ``x * resolution`` may round past the k with ``k / resolution == x``;
+    # that grid point still belongs to the segment the peak starts.
+    np = pytest.importorskip("numpy")
+    rng = random.Random(67)
+    zero = ContinuousTestFunction(((0.0, 0.0), (1.0, 0.0)), 0.0)
+    for resolution in (10_000, 100_000):
+        xs = np.arange(resolution + 1, dtype=np.float64) / float(resolution)
+        for m in range(1, 1000):
+            pairs = ((0.0, rng.uniform(-3.0, -0.1)), (m / 1000, 0.0), (1.0, rng.uniform(-3.0, -0.1)))
+            d = DensityMeasure(pairs, _steepest(pairs))
+            want = float(np.max(_interp(np, d, xs)))
+            assert eval_density_measure(d, zero, resolution).hex() == want.hex(), pairs
+
+
+def test_reference_matches_numpy_for_subnormal_slopes():
+    # A summed slope this small would make the rounding window wider
+    # than the largest float.
+    np = pytest.importorskip("numpy")
+    d = DensityMeasure(((0.0, 0.0), (1.0, -1e-320)), 1.0)
+    phi = ContinuousTestFunction(((0.0, 0.0), (0.5, 1e-320), (1.0, 5e-321)), 1.0)
+    xs = np.arange(10_001, dtype=np.float64) / 10_000.0
+    want = float(np.max(_interp(np, d, xs) + _interp(np, phi, xs)))
+    assert eval_density_measure(d, phi, 10_000).hex() == want.hex()
+
+
+def test_grid_sampling_matches_numpy_bit_for_bit():
+    np = pytest.importorskip("numpy")
+    rng = random.Random(61)
+    for n in (10, 11, 100, 999, 1000, 4099, 10_000):
+        d, phi = _oracle_pair(rng, rng.choice(["off-grid", "on-grid"]))
+        xs = np.array(grid_points(n))
+        raw = [float(v) for v in _interp(np, d, xs)]
+        want = normalize_idempotent(grid_space(n), raw).weights
+        assert [w.hex() for w in discretize(d, n).weights] == [w.hex() for w in want]
+        want = [float(v).hex() for v in _interp(np, phi, xs)]
+        assert [v.hex() for v in sample_function(phi, n).values] == want
+
+
+def test_sample_matches_numpy_off_the_unit_interval():
+    np = pytest.importorskip("numpy")
+    f = PiecewiseLinear(((0.0, -1.0), (0.25, 1.0), (0.6, 0.5), (1.0, 0.0)), 8.0)
+    xs = [-2.0, -0.0, 0.0, 0.1, 0.25, 0.5999, 0.6, 0.99, 1.0, 1.5, math.inf, -math.inf, math.nan]
+    want = [float(v).hex() for v in _interp(np, f, np.array(xs))]
+    assert [v.hex() for v in f.sample(xs)] == want

@@ -265,6 +265,24 @@ def test_classical_validation_gate():
             classical_measure(AB, raw, renormalize=True)
 
 
+def test_classical_constructor_names_the_first_bad_weight():
+    # The masses are checked in bulk by their minimum and their sum; the
+    # message still names the first bad one in order.  ``min`` passes over
+    # a NaN that is not first, which the sum must then catch.
+    cases = (
+        ((math.nan, 0.5, 0.5), "nan"),
+        ((0.5, math.nan, 0.5), "nan"),
+        ((0.5, 0.5, math.nan), "nan"),
+        ((0.5, math.inf, 0.5), "inf"),
+        ((0.5, 0.75, -0.25), "-0.25"),
+        ((0.5, math.nan, -math.inf), "nan"),
+    )
+    for raw, shown in cases:
+        with pytest.raises(ValueError) as err:
+            ClassicalMeasure(space_of(3), raw)
+        assert str(err.value) == f"classical weights must be finite and >= 0, got {shown}"
+
+
 def test_classical_within_gate_is_rescaled_to_invariant():
     mu = classical_measure(AB, (0.5, 0.5 + 4e-10))
     assert abs(math.fsum(mu.weights) - 1.0) <= 1e-12
