@@ -85,8 +85,8 @@ class PiecewiseLinear(Record):
 
     def __post_init__(self) -> None:
         pairs = tuple((float(x), float(y)) for x, y in self.breakpoints)
-        object.__setattr__(self, "breakpoints", pairs)
-        object.__setattr__(self, "lipschitz", float(self.lipschitz))
+        self.__dict__["breakpoints"] = pairs
+        self.__dict__["lipschitz"] = float(self.lipschitz)
         if len(pairs) < 2:
             raise ValueError("at least two breakpoints are required")
         xs = [x for x, _ in pairs]
@@ -108,7 +108,7 @@ class PiecewiseLinear(Record):
                     f"segment slope {slope!r} exceeds the declared"
                     f" Lipschitz bound {self.lipschitz!r}"
                 )
-        object.__setattr__(self, "_lines", tuple((*p, s) for p, s in zip(pairs, slopes)))
+        self.__dict__["_lines"] = tuple((*p, s) for p, s in zip(pairs, slopes))
 
     @property
     def peak(self) -> float:

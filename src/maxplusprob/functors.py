@@ -73,7 +73,7 @@ class PointMap(Record):
 
     def __post_init__(self) -> None:
         assignment = tuple(self.assignment)
-        object.__setattr__(self, "assignment", assignment)
+        self.__dict__["assignment"] = assignment
         if len(assignment) != len(self.domain):
             raise ValueError("one image per domain point is required")
         index = self.codomain._index
@@ -90,7 +90,7 @@ class PointMap(Record):
         fibers: list[list[int]] = [[] for _ in range(len(self.codomain))]
         for i, j in enumerate(images):
             fibers[j].append(i)
-        object.__setattr__(self, "_fibers", tuple(map(tuple, fibers)))
+        self.__dict__["_fibers"] = tuple(map(tuple, fibers))
 
     @classmethod
     def from_mapping(
@@ -126,7 +126,9 @@ class ProductSpace(Record):
 
     ``space`` is a plain ``FiniteSpace`` over the pair labels, ordered
     left-major, so product measures live on an ordinary space and
-    serialize like any other measure.
+    serialize like any other measure.  Inside ``x`` and ``y`` each of
+    ``\\``, ``,``, ``(`` and ``)`` is escaped by a backslash, so distinct
+    pairs get distinct labels; a label with none of them is kept as is.
     """
 
     left: FiniteSpace
@@ -135,14 +137,34 @@ class ProductSpace(Record):
 
     @classmethod
     def of(cls, left: FiniteSpace, right: FiniteSpace) -> "ProductSpace":
-        labels = tuple(f"({x},{y})" for x in left.points for y in right.points)
+        labels = _pair_labels(left.points, right.points)
         return cls(left, right, FiniteSpace(labels))
 
     def pair_label(self, x: str, y: str) -> str:
-        return f"({x},{y})"
+        return _pair_labels((x,), (y,))[0]
 
     def pair_index(self, i: int, j: int) -> int:
         return i * len(self.right) + j
+
+
+# The characters that structure a pair label, and their escapes.
+_PAIR_SYNTAX = frozenset("\\,()")
+_ESCAPES = str.maketrans({c: "\\" + c for c in _PAIR_SYNTAX})
+
+
+def _escaped(labels: Sequence[str]) -> Sequence[str]:
+    # The labels as they appear inside pair labels.  One scan over all of
+    # them decides whether any needs escaping; most never do.
+    if _PAIR_SYNTAX.isdisjoint("".join(labels)):
+        return labels
+    return [label.translate(_ESCAPES) for label in labels]
+
+
+def _pair_labels(xs: Sequence[str], ys: Sequence[str]) -> tuple[str, ...]:
+    # "(x,y)" for every pair, left-major.
+    heads = [f"({x}," for x in _escaped(xs)]
+    tails = [f"{y})" for y in _escaped(ys)]
+    return tuple([head + tail for head in heads for tail in tails])
 
 
 def product_function(phi: TestFunction, psi: TestFunction) -> TestFunction:
@@ -339,12 +361,15 @@ def verify_counterexample(
 
     # (i) sampled and gridded search for an implication failure.
     rng = random.Random(seed)
+    draw = rng.random
 
-    def random_classical() -> ClassicalMeasure:
-        raw = [rng.random() for _ in range(3)]  # uniform(0, 1), bit for bit
+    # Each measure travels with its paired image, computed once.
+    def random_classical() -> tuple[ClassicalMeasure, tuple[float, ...]]:
+        raw = [draw(), draw(), draw()]  # uniform(0, 1), bit for bit
         if max(raw) == 0.0:
             raw[rng.randrange(3)] = 1.0
-        return classical_measure(domain, raw, renormalize=True)
+        mu = classical_measure(domain, raw, renormalize=True)
+        return mu, _paired_image(mu)
 
     def sampled_pairs():
         for k in range(random_pairs):
@@ -353,11 +378,12 @@ def verify_counterexample(
 
     # The whole simplex at step 1/12, boundary included.
     step = 12
-    grid = [
+    simplex = [
         ClassicalMeasure(domain, (i / step, j / step, (step - i - j) / step))
         for i in range(step + 1)
         for j in range(step + 1 - i)
     ]
+    grid = [(mu, _paired_image(mu)) for mu in simplex]
     grid_pairs = list(itertools.combinations_with_replacement(grid, 2))
 
     def distance(x: Sequence[float], y: Sequence[float]) -> float:
@@ -365,8 +391,8 @@ def verify_counterexample(
 
     # Every pair is checked: images within 1e-9 need measures within 1e-9.
     implication_holds = True
-    for mu, nu in itertools.chain(sampled_pairs(), grid_pairs):
-        if distance(_paired_image(mu), _paired_image(nu)) <= 1e-9:
+    for (mu, mu_image), (nu, nu_image) in itertools.chain(sampled_pairs(), grid_pairs):
+        if distance(mu_image, nu_image) <= 1e-9:
             implication_holds &= distance(mu.weights, nu.weights) <= 1e-9
 
     # (ii) the idempotent witness: distinct measures, one image.

@@ -71,8 +71,8 @@ class SegmentPoint(Record):
     def __post_init__(self) -> None:
         alpha = as_scalar(self.alpha)
         beta = as_scalar(self.beta)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
+        self.__dict__["alpha"] = alpha
+        self.__dict__["beta"] = beta
         for c in (alpha, beta):
             if c is not BOTTOM and c > 0.0:
                 raise ValueError(f"segment coefficients must be <= 0, got {c!r}")

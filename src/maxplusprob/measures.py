@@ -71,6 +71,8 @@ __all__ = [
 _SUM_TOL = 1e-12
 # Looser gate for raw input: beyond this the caller must ask for rescaling.
 _INPUT_SUM_TOL = 1e-9
+# ``_FLOAT.issuperset(map(type, v))``: every value is a float, in one C pass.
+_FLOAT = frozenset((float,))
 
 
 class FiniteSpace(Record):
@@ -87,7 +89,7 @@ class FiniteSpace(Record):
 
     def __post_init__(self) -> None:
         labels = tuple(self.points)
-        object.__setattr__(self, "points", labels)
+        self.__dict__["points"] = labels
         if not labels:
             raise ValueError("a space needs at least one point")
         if all(map(isinstance, labels, repeat(str))):
@@ -137,10 +139,10 @@ class TestFunction(Record):
         values = _floats(self.values)
         if len(values) != len(self.space):
             raise ValueError("one value per point of the space is required")
-        for v in values:
-            if not math.isfinite(v):
-                raise ValueError(f"test function values must be finite: {v!r}")
-        object.__setattr__(self, "values", values)
+        if not all(map(math.isfinite, values)):
+            bad = next(v for v in values if not math.isfinite(v))
+            raise ValueError(f"test function values must be finite: {bad!r}")
+        self.__dict__["values"] = values
 
     @classmethod
     def from_mapping(cls, space: FiniteSpace, values: Mapping[str, float]) -> "TestFunction":
@@ -187,6 +189,13 @@ class Measure(Record):
     space: FiniteSpace
     weights: tuple
 
+    def __init__(self, space: FiniteSpace, weights: tuple) -> None:
+        # Half the cost of ``Record.__init__``, in verify_counterexample's loop.
+        fields = self.__dict__
+        fields["space"] = space
+        fields["weights"] = weights
+        self.__post_init__()
+
     def __post_init__(self) -> None:
         # Each kind validates its own weights; the base has no invariant.
         raise TypeError("build an IdempotentMeasure or a ClassicalMeasure")
@@ -224,7 +233,7 @@ class IdempotentMeasure(Measure):
             raise ValueError(f"idempotent weights must be <= 0, got {peak!r}")
         if peak != 0.0:
             raise ValueError(f"idempotent weights must have maximum 0, got {peak!r}")
-        object.__setattr__(self, "weights", weights)
+        self.__dict__["weights"] = weights
 
 
 class ClassicalMeasure(Measure):
@@ -250,6 +259,9 @@ class ClassicalMeasure(Measure):
         # ``min`` skips a NaN that is not first, but the sum then is NaN;
         # the sum runs only once no -inf can make it raise.
         total = math.fsum(weights) if min(weights) >= 0.0 else math.nan
+        if abs(total - 1.0) <= _SUM_TOL:  # the common case; False for a NaN
+            self.__dict__["weights"] = weights
+            return
         if not math.isfinite(total):
             for w in weights:
                 if not 0.0 <= w < math.inf:
@@ -260,9 +272,7 @@ class ClassicalMeasure(Measure):
             raise ValueError(
                 f"weights sum to {total!r}, not 1; pass renormalize=True to rescale"
             )
-        if abs(total - 1.0) > _SUM_TOL:
-            weights = tuple(w / total for w in weights)
-        object.__setattr__(self, "weights", weights)
+        self.__dict__["weights"] = tuple(w / total for w in weights)
 
 
 # -- constructors ------------------------------------------------------------
@@ -416,7 +426,8 @@ def _aligned(
     space: FiniteSpace, raw: Union[Mapping[str, object], Sequence[object]]
 ) -> Sequence[object]:
     # Raw weights keyed by label, in space order; a sequence as given.
-    if isinstance(raw, Mapping):
+    # A list or tuple skips the ``Mapping`` ABC check, the slow part.
+    if type(raw) not in (list, tuple) and isinstance(raw, Mapping):
         check_exact_keys(space, raw, "weights")
         return [raw[p] for p in space.points]
     return raw
@@ -449,10 +460,9 @@ def _floats(values: Sequence[object]) -> tuple[float, ...]:
     # is named.  An int beyond the float range becomes +-inf, so the
     # caller's finiteness check rejects it by name.
     values = tuple(values)
-    kinds = set(map(type, values))
-    if kinds <= {float}:
+    if _FLOAT.issuperset(map(type, values)):
         return values
-    if not kinds <= {float, int}:
+    if not {float, int}.issuperset(map(type, values)):
         for v in values:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError(f"not a real number: {v!r}")

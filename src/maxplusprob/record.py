@@ -3,6 +3,9 @@
 Fields are the public annotated names, inherited ones first.  A ``_name``
 is a cache that ``==``, ``hash`` and the repr skip, annotated if filled in
 ``__post_init__`` and a ``functools.cached_property`` if built on first use.
+
+``__init__`` binds the fields by position or keyword, then calls
+``self.__post_init__()``; ``Measure`` binds its two fields in its own.
 """
 
 
@@ -23,7 +26,7 @@ class Record:
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        """Check the fields, normalizing them through ``object.__setattr__``."""
+        """Check the fields, normalizing them through ``self.__dict__``."""
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"{type(self).__name__} is frozen: {name!r} is read-only")

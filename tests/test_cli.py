@@ -386,6 +386,20 @@ def test_product_whose_weight_sum_overflows_names_the_pair(doc, capsys):
     assert "overflows" in out["error"]
 
 
+def test_product_of_labels_that_spell_the_pair_syntax(doc, capsys):
+    left = {"space": ["a,b", "a"], "kind": "idempotent", "weights": {"a,b": 0, "a": -1}}
+    right = {"space": ["c", "b,c"], "kind": "idempotent", "weights": {"c": -2, "b,c": 0}}
+    code, out = invoke(
+        capsys, "product", "--measure", doc("l.json", left), "--measure2", doc("r.json", right)
+    )
+    assert code == 0
+    assert out == {
+        "space": ["(a\\,b,c)", "(a\\,b,b\\,c)", "(a,c)", "(a,b\\,c)"],
+        "kind": "idempotent",
+        "weights": {"(a\\,b,c)": -2, "(a\\,b,b\\,c)": 0, "(a,c)": -3, "(a,b\\,c)": -1},
+    }
+
+
 def test_convert_rejects_no_op_directions(doc, capsys):
     code, out = invoke(
         capsys, "convert", "--measure", doc("m.json", CLASSICAL), "--to", "classical"

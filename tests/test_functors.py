@@ -196,6 +196,56 @@ def test_product_space_layout():
     assert prod.pair_index(1, 2) == prod.space.index("(b,c)")
 
 
+# Labels that spell the pair syntax: unescaped, ("a,b", "c") and ("a", "b,c")
+# would both be labeled "(a,b,c)".
+COMMA_LEFT = FiniteSpace(("a,b", "a"))
+COMMA_RIGHT = FiniteSpace(("c", "b,c"))
+COMMA_PAIRS = ("(a\\,b,c)", "(a\\,b,b\\,c)", "(a,c)", "(a,b\\,c)")
+
+
+def test_pair_labels_escape_the_pair_syntax():
+    prod = ProductSpace.of(COMMA_LEFT, COMMA_RIGHT)
+    assert prod.space.points == COMMA_PAIRS
+    assert prod.pair_label("a,b", "c") == "(a\\,b,c)"
+    assert prod.pair_label("a", "b,c") == "(a,b\\,c)"
+    assert prod.pair_label("a", "b") == "(a,b)"
+    # Each of the four characters is escaped, the backslash included, so
+    # no two pairs of these labels share one.
+    odd = FiniteSpace(("\\", ",", "(", ")", "\\,", "x"))
+    points = ProductSpace.of(odd, odd).space.points
+    assert len(set(points)) == 36
+    assert ProductSpace.of(odd, odd).pair_label("\\,", "(") == "(\\\\\\,,\\()"
+    assert ProductSpace.of(odd, AB).pair_label("x", "a") == "(x,a)"
+
+
+def test_products_of_colliding_labels_are_built():
+    mu = IdempotentMeasure(COMMA_LEFT, (0.0, -1.0))
+    nu = IdempotentMeasure(COMMA_RIGHT, (-2.0, 0.0))
+    out = product(mu, nu)
+    assert out.space.points == COMMA_PAIRS
+    assert out.weights == (-2.0, 0.0, -3.0, -1.0)
+    assert reconstruct_product(mu, nu) == out
+    c = ClassicalMeasure(COMMA_LEFT, (0.25, 0.75))
+    d = ClassicalMeasure(COMMA_RIGHT, (0.5, 0.5))
+    assert product(c, d) == ClassicalMeasure(out.space, (0.125, 0.125, 0.375, 0.375))
+    phi = TestFunction(COMMA_LEFT, (1.0, 2.0))
+    psi = TestFunction(COMMA_RIGHT, (10.0, 20.0))
+    assert product_function(phi, psi) == TestFunction(out.space, (11.0, 21.0, 12.0, 22.0))
+
+
+def test_product_of_products_escapes_the_inner_labels():
+    inner = product(dirac(AB, "a"), IdempotentMeasure(AB, (-1.0, 0.0)))
+    outer = product(inner, dirac(AB, "b"))
+    assert outer.space.points[:2] == ("(\\(a\\,a\\),a)", "(\\(a\\,a\\),b)")
+    assert len(set(outer.space.points)) == 8
+    assert outer.weights[:2] == (BOTTOM, -1.0)
+    assert reconstruct_product(inner, dirac(AB, "b")) == outer
+    assert outer.support == {"(\\(a\\,a\\),b)", "(\\(a\\,b\\),b)"}
+    # Nested on the right, the same triple gets its own label.
+    right_nested = product(dirac(AB, "a"), product(dirac(AB, "a"), dirac(AB, "b")))
+    assert right_nested.support == {"(a,\\(a\\,b\\))"}
+
+
 def test_product_idempotent_adds_weights():
     mu = IdempotentMeasure(AB, (0.0, -1.0))
     nu = IdempotentMeasure(AB, (-2.0, 0.0))
@@ -363,6 +413,24 @@ def test_counterexample_holds_for_other_seeds(seed):
     report = verify_counterexample(random_pairs=500, seed=seed)
     assert report.grid_pairs_checked == 4186
     assert report.classical_injective
+
+
+def test_counterexample_validates_every_classical_construction(monkeypatch):
+    # Counted at class level, where the benchmark's spans wrap it: no
+    # construction is batched away or built without its check.
+    validate = ClassicalMeasure.__post_init__
+    calls = []
+
+    def counted(self):
+        calls.append(None)
+        validate(self)
+
+    monkeypatch.setattr(ClassicalMeasure, "__post_init__", counted)
+    report = verify_counterexample()
+    # 10,000 + 8,750 sampled measures (every eighth pair is a self-pair),
+    # 91 grid measures, the conversion probe and its pushforward.
+    assert len(calls) == 18_843
+    assert report.grid_pairs_checked == 4186 and report.classical_injective
 
 
 def test_counterexample_is_seeded_and_reproducible():

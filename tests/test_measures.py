@@ -4,6 +4,8 @@ import copy
 import math
 import pickle
 import random
+from array import array
+from collections import UserList
 
 import pytest
 from hypothesis import given
@@ -461,3 +463,68 @@ def test_values_bind_fields_by_position_or_keyword():
     ):
         with pytest.raises(TypeError):
             ConvergenceRow(*args, **kwargs)
+
+
+# -- the measure constructors' own field binding and fast paths ------------------
+
+
+def test_measures_bind_their_fields_by_position_or_keyword():
+    for cls, weights in ((ClassicalMeasure, (0.25, 0.75)), (IdempotentMeasure, (0.0, BOTTOM))):
+        mu = cls(AB, weights)
+        assert mu == cls(AB, weights=weights) == cls(space=AB, weights=weights)
+        assert mu == cls(weights=weights, space=AB)
+        assert (mu.space, mu.weights) == (AB, weights)
+        for args, kwargs in (
+            ((AB,), {}),
+            ((), {"weights": weights}),
+            ((AB, weights), {"space": AB}),
+            ((AB,), {"space": AB, "weights": weights}),
+            ((AB, weights, weights), {}),
+            ((AB, weights), {"masses": weights}),
+            ((), {"space": AB, "masses": weights}),
+        ):
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
+
+
+def test_measures_survive_pickle_and_deepcopy():
+    for mu in (ClassicalMeasure(AB, (0.25, 0.75)), IdempotentMeasure(AB, (0.0, BOTTOM))):
+        for clone in (pickle.loads(pickle.dumps(mu)), copy.deepcopy(mu)):
+            assert type(clone) is type(mu) and clone is not mu
+            assert clone == mu and hash(clone) == hash(mu) and repr(clone) == repr(mu)
+            assert clone.support == mu.support
+
+
+def test_classical_measure_reads_every_container_alike():
+    # Lists and tuples skip the ``Mapping`` check; a label mapping and any
+    # other sequence take it.  All four give one result or one error.
+    abc = space_of(3)
+
+    def outcome(raw, renormalize):
+        try:
+            mu = classical_measure(abc, raw, renormalize=renormalize)
+        except ValueError as error:
+            return str(error)
+        return tuple(map(repr, mu.weights))  # keeps -0.0 apart from 0.0
+
+    cases = (
+        ((1, 0, 0), ("1.0", "0.0", "0.0"), ("1.0", "0.0", "0.0")),
+        ((1, 1, 2), "weights sum to 4.0, not 1; pass renormalize=True to rescale",
+         ("0.25", "0.25", "0.5")),
+        ((True, 0.0, 0.0), "not a real number: True", "not a real number: True"),
+        ((0.5, None, 0.5), "not a real number: None", "not a real number: None"),
+        ((0.5, math.nan, 0.5), "classical weights must be finite and >= 0, got nan",
+         "classical weights must be finite and >= 0, got nan"),
+        ((-0.0, 0.5, 0.5), ("-0.0", "0.5", "0.5"), ("-0.0", "0.5", "0.5")),
+        ((-0.0, 1.0, 1.0), "weights sum to 2.0, not 1; pass renormalize=True to rescale",
+         ("-0.0", "0.5", "0.5")),
+        ((5e-324, 1.0, 1.0), "weights sum to 2.0, not 1; pass renormalize=True to rescale",
+         "mass 5e-324 of point 'a' underflows to 0 when divided by the total 2.0;"
+         " the rescale would drop it from the support"),
+    )
+    for values, plain, rescaled in cases:
+        forms = [list(values), tuple(values), dict(zip(abc.points, values)), UserList(values)]
+        if not any(isinstance(v, bool) or v is None for v in values):
+            forms.append(array("d", values))
+        for renormalize, expected in ((False, plain), (True, rescaled)):
+            assert [outcome(raw, renormalize) for raw in forms] == [expected] * len(forms)
