@@ -12,18 +12,19 @@ at most ``(L_phi + L_d) / n`` where the ``L`` are the declared
 Lipschitz bounds: the true argmax lies within ``1/(2n)`` of a grid
 point, and the normalization shift is itself at most ``L_d / (2n)``.
 ``convergence_report`` tabulates the observed errors against that
-bound, using a fine-grid evaluation (default one million cells) as the
-reference value.
+bound.  Its reference is the supremum itself: ``d + phi`` is linear
+between consecutive breakpoints of the two, so the supremum is the
+largest sum at a breakpoint of either.  ``eval_density_measure``, the
+maximum over a grid of ``resolution`` cells, equals it when every
+breakpoint is a grid point and may fall short of it by
+``(L_d + L_phi) / (2 * resolution)`` otherwise.
 
 Sampling computes each value in plain floats the way ``numpy.interp``
-does, so the outputs match it bit for bit.  The fine-grid reference
-reads few of its grid points: between consecutive breakpoints of
-``d`` and ``phi`` each sampled value is monotone in the grid index
-(rounding is monotone), so the maximum of their sum sits at the
-segment's first or last grid point, or, when the two slopes differ in
-sign, within a rounding-error window at the end the summed slope
-favours.  A segment on which the sum is flat to within rounding is
-scanned whole.
+does, so the outputs match it bit for bit.  Between consecutive
+breakpoints each sampled value is monotone in the grid index (rounding
+is monotone), so when both slopes share a sign the fine-grid maximum
+sits at the segment's first or last grid point; a segment whose slopes
+differ in sign is scanned whole.
 """
 
 from __future__ import annotations
@@ -32,12 +33,13 @@ import math
 from bisect import bisect_right
 from collections.abc import Sequence
 from itertools import repeat
-from operator import truediv
+from operator import add, truediv
 
 from .measures import (
     FiniteSpace,
     IdempotentMeasure,
     TestFunction,
+    _floats,
     evaluate_idempotent,
     normalize_idempotent,
 )
@@ -63,9 +65,6 @@ _MIN_RESOLUTION = 10_000
 _SLOPE_TOL = 1e-9
 # A density may miss sup = 0 by this much before it is rejected.
 _SUP_TOL = 1e-9
-# Bound on the rounding error of one summed sample, per unit of the
-# magnitudes involved (a generous multiple of the 2**-53 unit roundoff).
-_ROUNDING = 16 * 2.0**-53
 
 
 class PiecewiseLinear(Record):
@@ -84,13 +83,13 @@ class PiecewiseLinear(Record):
     _lines: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self) -> None:
-        pairs = tuple((float(x), float(y)) for x, y in self.breakpoints)
-        self.__dict__["breakpoints"] = pairs
-        self.__dict__["lipschitz"] = float(self.lipschitz)
+        given = tuple(self.breakpoints)
+        xs = _floats([x for x, _ in given])
+        ys = _floats([y for _, y in given])
+        self.__dict__["breakpoints"] = pairs = tuple(zip(xs, ys))
+        (self.__dict__["lipschitz"],) = _floats((self.lipschitz,))
         if len(pairs) < 2:
             raise ValueError("at least two breakpoints are required")
-        xs = [x for x, _ in pairs]
-        ys = [y for _, y in pairs]
         if xs[0] != 0.0 or xs[-1] != 1.0:
             raise ValueError("breakpoints must start at x=0 and end at x=1")
         for a, b in zip(xs, xs[1:]):
@@ -201,13 +200,11 @@ def _grid_index(x: float, resolution: int) -> int:
 def eval_density_measure(
     d: DensityMeasure, phi: ContinuousTestFunction, resolution: int
 ) -> float:
-    """Reference value of ``sup_x (d(x) + phi(x))`` on a fine grid.
+    """The maximum of ``d + phi`` over the grid points ``k / resolution``.
 
-    ``resolution`` is the cell count; at least 10000 cells are required
-    for the reference role.  The value is the maximum of ``d + phi``
-    sampled at every grid point ``k / resolution``, bit for bit, but
-    only the grid points that can hold it are sampled (see the module
-    docstring).
+    ``resolution`` is the cell count, at least 10000.  The value is the
+    full scan's bit for bit, but a segment on which both slopes share a
+    sign is read at one end only (see the module docstring).
     """
     if not isinstance(resolution, int) or isinstance(resolution, bool):
         raise ValueError(f"the resolution must be an integer, got {resolution!r}")
@@ -227,20 +224,6 @@ def eval_density_measure(
             first = stop - 1
         elif sd <= 0.0 and sp <= 0.0:
             stop = first + 1
-        else:
-            # Each sample is within ``err`` of its exact value, and the
-            # exact sum changes by ``slope / resolution`` per grid step,
-            # so only the ``reach / |slope|`` steps next to the better end
-            # can hold the maximum.
-            err = _ROUNDING * (abs(yd) + abs(sd) + abs(yp) + abs(sp) + 1.0)
-            reach = 2.0 * err * resolution
-            slope = sd + sp
-            if abs(slope) * (stop - first) > reach:
-                width = math.ceil(reach / abs(slope)) + 2
-                if slope > 0.0:
-                    first = max(first, stop - width)
-                else:
-                    stop = min(stop, first + width)
         best = max(best, max([
             (yd if x == xd else sd * (x - xd) + yd) + (yp if x == xp else sp * (x - xp) + yp)
             for x in map(truediv, range(first, stop), repeat(resolution))
@@ -271,24 +254,24 @@ class ConvergenceReport(Record):
 
 
 def convergence_report(
-    d: DensityMeasure,
-    phi: ContinuousTestFunction,
-    ns: list[int],
-    resolution: int = 1_000_000,
+    d: DensityMeasure, phi: ContinuousTestFunction, ns: list[int]
 ) -> ConvergenceReport:
     """Tabulate discretization errors for the given grid sizes.
 
     Grid sizes are deduplicated and sorted; each row compares the
-    discretized evaluation with the fine-grid reference value.
+    discretized evaluation with the reference ``sup_x (d(x) + phi(x))``,
+    the largest sum at a breakpoint of ``d`` or ``phi``.
     """
     sizes = sorted(set(ns))
     if not sizes:
         raise ValueError("at least one grid size is required")
-    reference = eval_density_measure(d, phi, resolution)
+    cuts = sorted({x for x, _ in d.breakpoints} | {x for x, _ in phi.breakpoints})
+    reference = max(map(add, d.sample(cuts), phi.sample(cuts)))
     rows = []
     for n in sizes:
-        value = evaluate_idempotent(discretize(d, n), sample_function(phi, n))
-        error = abs(value - reference)
+        mu = discretize(d, n)
+        values = TestFunction(mu.space, tuple(phi.sample(grid_points(n))))
+        error = abs(evaluate_idempotent(mu, values) - reference)
         bound = (phi.lipschitz + d.lipschitz) / n
         rows.append(ConvergenceRow(n=n, error=error, bound=bound))
     within = all(r.error <= r.bound for r in rows)

@@ -147,7 +147,7 @@ class TestFunction(Record):
     @classmethod
     def from_mapping(cls, space: FiniteSpace, values: Mapping[str, float]) -> "TestFunction":
         check_exact_keys(space, values, "function values")
-        return cls(space, tuple(float(values[p]) for p in space.points))
+        return cls(space, tuple([values[p] for p in space.points]))
 
     def __call__(self, label: str) -> float:
         return self.values[self.space.index(label)]
@@ -257,8 +257,12 @@ class ClassicalMeasure(Measure):
         if len(weights) != len(self.space.points):
             raise ValueError("one weight per point of the space is required")
         # ``min`` skips a NaN that is not first, but the sum then is NaN;
-        # the sum runs only once no -inf can make it raise.
-        total = math.fsum(weights) if min(weights) >= 0.0 else math.nan
+        # the sum runs only once no -inf can make it raise, and counts as
+        # infinite when finite masses overflow it.
+        try:
+            total = math.fsum(weights) if min(weights) >= 0.0 else math.nan
+        except OverflowError:
+            total = math.inf
         if abs(total - 1.0) <= _SUM_TOL:  # the common case; False for a NaN
             self.__dict__["weights"] = weights
             return
@@ -318,7 +322,8 @@ def classical_measure(
     ``ClassicalMeasure`` checks the masses: sums further than 1e-9 from 1
     are rejected, since silent rescaling of malformed input tends to
     hide ingestion bugs.  With ``renormalize`` set, valid masses outside
-    that gate are divided by their sum first, and a positive mass that the
+    that gate are divided by their sum first (by the largest mass before
+    that, when the sum overflows), and a positive mass that the
     division rounds to 0 raises ``ValueError`` naming its point; anything
     else goes to the constructor as given, so its error names the value
     passed.
@@ -327,17 +332,23 @@ def classical_measure(
     if len(values) != len(space.points):
         raise ValueError("one weight per point of the space is required")
     if renormalize and min(values) >= 0.0:
-        total = math.fsum(values)
+        given, top = values, 1.0
+        try:
+            total = math.fsum(values)
+        except OverflowError:  # finite masses summing beyond the float range
+            top = max(values)
+            values = tuple([v / top for v in values])
+            total = math.fsum(values)
         if 0.0 < total < math.inf and abs(total - 1.0) > _INPUT_SUM_TOL:
-            given, values = values, tuple([v / total for v in values])
-            if values.count(0.0) != given.count(0.0):
-                label, mass = next(
-                    (p, v) for p, v, r in zip(space.points, given, values) if r == 0.0 < v
-                )
-                raise ValueError(
-                    f"mass {mass!r} of point {label!r} underflows to 0 when divided by"
-                    f" the total {total!r}; the rescale would drop it from the support"
-                )
+            values = tuple([v / total for v in values])
+        if values is not given and values.count(0.0) != given.count(0.0):
+            label, mass = next(
+                (p, v) for p, v, r in zip(space.points, given, values) if r == 0.0 < v
+            )
+            raise ValueError(
+                f"mass {mass!r} of point {label!r} underflows to 0 when divided by"
+                f" the total {top * total!r}; the rescale would drop it from the support"
+            )
     return ClassicalMeasure(space, values)
 
 

@@ -360,6 +360,20 @@ def test_invariant_violation_exits_two(doc, capsys):
     assert "renormalize" in out["error"]
 
 
+def test_classical_masses_summing_beyond_the_float_range_exit_two(doc, capsys):
+    # fsum of these masses overflows; the constructor reads that as an
+    # infinite sum instead of letting an internal error escape.
+    huge = {"space": ["a", "b"], "kind": "classical", "weights": {"a": 1e308, "b": 1e308}}
+    code, out = invoke(
+        capsys, "eval", "--measure", doc("huge.json", huge),
+        "--function", doc("f.json", FUNCTION),
+    )
+    assert code == 2
+    assert out == {
+        "error": "weights: weights sum to inf, not 1; pass renormalize=True to rescale"
+    }
+
+
 def test_bad_epsilon_exits_two(capsys):
     code, out = invoke(capsys, "dist", "--epsilon", "0")
     assert code == 2

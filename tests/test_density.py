@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from maxplusprob import density
 from maxplusprob import (
     ContinuousTestFunction,
     DensityMeasure,
@@ -68,6 +69,23 @@ def test_density_must_be_nonpositive_with_zero_sup():
         DensityMeasure(((0.0, -0.5), (1.0, -1.0)), 1.0)
 
 
+def test_breakpoints_and_bound_must_be_real_numbers():
+    with pytest.raises(ValueError, match="not a real number: '0'"):
+        PiecewiseLinear(((0, "0"), (1, True)), "1")
+    with pytest.raises(ValueError, match="not a real number: True"):
+        PiecewiseLinear(((0, 0.0), (1, True)), 1.0)
+    with pytest.raises(ValueError, match="not a real number: '1'"):
+        ContinuousTestFunction(((0.0, 0.0), (1.0, 0.0)), "1")
+    with pytest.raises(ValueError, match="must be finite: inf"):
+        PiecewiseLinear(((0, 0.0), (1, 10**400)), 1.0)
+    with pytest.raises(ValueError, match="Lipschitz bound must be finite"):
+        DensityMeasure(((0.0, 0.0), (1.0, 0.0)), 10**400)
+    f = PiecewiseLinear(((0, 0), (1, 1)), 1)
+    assert f.breakpoints == ((0.0, 0.0), (1.0, 1.0)) and f.lipschitz == 1.0
+    assert all(type(v) is float for pair in f.breakpoints for v in pair)
+    assert type(f.lipschitz) is float
+
+
 def test_continuous_functions_may_change_sign():
     ContinuousTestFunction(((0.0, -3.0), (0.5, 2.0), (1.0, -1.0)), 10.0)
 
@@ -113,7 +131,7 @@ def test_reference_evaluator_validates_resolution():
 
 
 def test_flat_density_with_ramp_function_is_exact_on_every_grid():
-    report = convergence_report(FLAT, RAMP, [1, 10, 100], resolution=10_000)
+    report = convergence_report(FLAT, RAMP, [1, 10, 100])
     assert all(row.error == 0.0 for row in report.rows)
     assert report.reference == 1.0
     assert report.within_bound
@@ -122,7 +140,7 @@ def test_flat_density_with_ramp_function_is_exact_on_every_grid():
 
 def test_constant_function_has_zero_bound_and_zero_error():
     constant = ContinuousTestFunction(((0.0, 2.5), (1.0, 2.5)), 0.0)
-    report = convergence_report(FLAT, constant, [10, 100], resolution=10_000)
+    report = convergence_report(FLAT, constant, [10, 100])
     assert all(row.bound == 0.0 for row in report.rows)
     assert all(row.error == 0.0 for row in report.rows)
     assert report.within_bound
@@ -140,16 +158,37 @@ def test_off_grid_peak_errors_shrink_with_refinement():
 def test_grid_aligned_peak_gives_zero_error():
     spike = DensityMeasure(((0.0, 0.0), (0.5, -1.0), (1.0, 0.0)), 2.0)
     tent = ContinuousTestFunction(((0.0, -1.0), (0.5, 1.0), (1.0, -1.0)), 4.0)
-    report = convergence_report(spike, tent, [2, 10, 100], resolution=10_000)
+    report = convergence_report(spike, tent, [2, 10, 100])
     assert all(row.error == 0.0 for row in report.rows)
     assert report.within_bound
 
 
 def test_rows_are_sorted_and_deduplicated():
-    report = convergence_report(FLAT, RAMP, [100, 10, 10, 1000], resolution=10_000)
+    report = convergence_report(FLAT, RAMP, [100, 10, 10, 1000])
     assert [row.n for row in report.rows] == [10, 100, 1000]
     with pytest.raises(ValueError, match="at least one grid size"):
-        convergence_report(FLAT, RAMP, [], resolution=10_000)
+        convergence_report(FLAT, RAMP, [])
+
+
+def test_off_grid_reference_is_the_supremum_above_the_fine_grid():
+    # The peak at 1/3 lies on no decimal grid: the reference is the
+    # value there, which the 1e6-cell grid misses by at most half a cell
+    # times the summed Lipschitz bounds.
+    report = convergence_report(TENT, SLOPE_HALF, [10])
+    assert report.reference.hex() == "0x1.5555555555556p-3"
+    grid = eval_density_measure(TENT, SLOPE_HALF, 1_000_000)
+    assert grid <= report.reference <= grid + (TENT.lipschitz + SLOPE_HALF.lipschitz) / 2e6
+
+
+def test_report_never_evaluates_the_fine_grid(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the report must not scan a fine grid")
+
+    monkeypatch.setattr(density, "eval_density_measure", refuse)
+    flat = ContinuousTestFunction(tuple((x, 1.5 - y) for x, y in TENT.breakpoints), 3.001)
+    for d, phi in ((FLAT, RAMP), (TENT, SLOPE_HALF), (TENT, flat)):
+        report = convergence_report(d, phi, [10, 100, 1000])
+        assert report.within_bound
 
 
 def _random_piecewise(rng: random.Random, lo: float, hi: float, cls):
@@ -171,7 +210,7 @@ def test_error_bound_holds_on_random_instances():
     for _ in range(30):
         d = _random_piecewise(rng, -2.0, 0.0, DensityMeasure)
         phi = _random_piecewise(rng, -3.0, 3.0, ContinuousTestFunction)
-        report = convergence_report(d, phi, [5, 16, 50, 160], resolution=100_000)
+        report = convergence_report(d, phi, [5, 16, 50, 160])
         assert report.within_bound, report
 
 
@@ -238,6 +277,20 @@ def _oracle_pair(rng: random.Random, kind: str):
         DensityMeasure(tuple(d), _steepest(d)),
         ContinuousTestFunction(tuple(phi), _steepest(phi)),
     )
+
+
+def test_reference_is_the_largest_sum_at_the_union_breakpoints():
+    rng = random.Random(71)
+    for k in range(24):
+        on_grid = k % 4 == 0
+        d, phi = _oracle_pair(rng, "on-grid" if on_grid else "off-grid")
+        cuts = sorted({x for x, _ in d.breakpoints} | {x for x, _ in phi.breakpoints})
+        want = max(d(x) + phi(x) for x in cuts)
+        reference = convergence_report(d, phi, [10, 100]).reference
+        assert reference.hex() == want.hex(), (d, phi)
+        if on_grid:
+            # Every breakpoint is a point of the 1e6-cell grid.
+            assert reference.hex() == eval_density_measure(d, phi, 1_000_000).hex()
 
 
 def _interp(np, f, xs):

@@ -246,7 +246,7 @@ def test_convergence_report_document_shape():
     d = DensityMeasure(((0.0, 0.0), (1.0, 0.0)), 0.0)
     phi = ContinuousTestFunction(((0.0, 0.0), (1.0, 1.0)), 1.0)
     doc = encode_convergence_report(
-        convergence_report(d, phi, [10, 100], resolution=10_000)
+        convergence_report(d, phi, [10, 100])
     )
     assert set(doc) == {"rows", "reference", "within_bound", "non_increasing"}
     assert [row["n"] for row in doc["rows"]] == [10, 100]

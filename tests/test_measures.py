@@ -170,6 +170,18 @@ def test_function_from_mapping_requires_exact_keys():
         TestFunction.from_mapping(AB, {"a": 1.0, "b": 2.0, "c": 3.0})
 
 
+
+def test_function_from_mapping_checks_numbers_like_the_constructor():
+    with pytest.raises(ValueError, match="not a real number: '1.5'"):
+        TestFunction.from_mapping(AB, {"a": "1.5", "b": True})
+    with pytest.raises(ValueError, match="not a real number: True"):
+        TestFunction.from_mapping(AB, {"a": 1.5, "b": True})
+    with pytest.raises(ValueError, match="must be finite: inf"):
+        TestFunction.from_mapping(AB, {"a": 10**400, "b": 0.0})
+    phi = TestFunction.from_mapping(AB, {"a": 1, "b": 2.5})
+    assert phi.values == (1.0, 2.5)
+    assert all(type(v) is float for v in phi.values)
+
 # -- idempotent measures -------------------------------------------------------
 
 
@@ -315,6 +327,33 @@ def test_rescale_that_rounds_a_mass_to_zero_names_the_point():
     with pytest.raises(ValueError, match="mass 1e-300 of point 'b' underflows to 0"):
         classical_measure(AB, (1e308, 1e-300), renormalize=True)
 
+
+def test_masses_summing_beyond_the_float_range():
+    # fsum overflows on these finite masses: the sum counts as infinite,
+    # so the constructor rejects it by its gate instead of OverflowError.
+    with pytest.raises(ValueError, match="weights sum to inf, not 1; pass renormalize"):
+        ClassicalMeasure(AB, (1e308, 1e308))
+    with pytest.raises(ValueError, match="weights sum to inf, not 1; pass renormalize"):
+        classical_measure(AB, (1e308, 1e308))
+    assert classical_measure(AB, (1e308, 1e308), renormalize=True).weights == (0.5, 0.5)
+    abc = space_of(3)
+    mu = classical_measure(abc, (1.7e308, 1.7e308, 3.0), renormalize=True)
+    assert mu.weights[:2] == (0.5, 0.5) and 0.0 < mu.weights[2] < 1e-307
+    with pytest.raises(ValueError, match="mass 5e-324 of point .* underflows to 0"):
+        classical_measure(abc, (1e308, 1e308, 5e-324), renormalize=True)
+
+
+def test_rescale_of_a_sum_within_the_float_range_divides_by_fsum():
+    rng = random.Random(83)
+    for _ in range(200):
+        space = random_space(rng)
+        scale = 10.0 ** rng.randint(-300, 300)
+        raw = [rng.uniform(0.0, 10.0) * scale for _ in space.points]
+        total = math.fsum(raw)
+        want = tuple(v / total for v in raw)
+        if abs(math.fsum(want) - 1.0) > 1e-12:
+            want = tuple(v / math.fsum(want) for v in want)
+        assert classical_measure(space, raw, renormalize=True).weights == want
 
 def test_classical_support_and_evaluation():
     mu = classical_measure(AB, (1.0, 0.0), renormalize=True)
