@@ -122,7 +122,7 @@ def _cmd_dist(args: argparse.Namespace) -> dict:
     origin = geometry.SegmentPoint(0.0, BOTTOM)
     mixed = geometry.approx_coefficients(args.epsilon)
     return {
-        "epsilon": float(args.epsilon),
+        "epsilon": args.epsilon,
         "measured": geometry.segment_distance(origin, mixed),
         "closed_form": geometry.approx_distance_closed_form(args.epsilon),
     }

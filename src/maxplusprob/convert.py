@@ -66,7 +66,7 @@ def to_classical(mu: IdempotentMeasure) -> ClassicalMeasure:
     return ClassicalMeasure(mu.space, tuple(stored))
 
 
-def _weight_gap(a: IdempotentMeasure, b: IdempotentMeasure) -> float:
+def _weight_gap(a: Measure, b: Measure) -> float:
     if a.space != b.space:
         raise ValueError("space mismatch between measures")
     gap = 0.0
@@ -86,8 +86,7 @@ def roundtrip_gap(mu: Measure) -> float:
     Point measures of either kind round-trip with gap exactly 0.
     """
     if isinstance(mu, ClassicalMeasure):
-        back = to_classical(to_idempotent(mu))
-        return max(abs(x - y) for x, y in zip(mu.weights, back.weights))
+        return _weight_gap(mu, to_classical(to_idempotent(mu)))
     if isinstance(mu, IdempotentMeasure):
         return _weight_gap(mu, to_idempotent(to_classical(mu)))
     raise TypeError(f"not a measure: {mu!r}")

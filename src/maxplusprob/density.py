@@ -39,11 +39,11 @@ from .measures import (
     FiniteSpace,
     IdempotentMeasure,
     TestFunction,
-    _floats,
     evaluate_idempotent,
     normalize_idempotent,
 )
 from .record import Record
+from .semiring import _count, _floats
 
 __all__ = [
     "ContinuousTestFunction",
@@ -125,6 +125,7 @@ class PiecewiseLinear(Record):
         ``slope * (x - x0) + y0``; the first value below 0 and the last
         from 1 on.
         """
+        xs = _floats(xs)
         knots = [x for x, _ in self.breakpoints]
         first, last = self.breakpoints[0][1], self.breakpoints[-1][1]
         # Row i serves the x with i breakpoints at or below it; a NaN x
@@ -139,7 +140,7 @@ class PiecewiseLinear(Record):
         ]
 
     def __call__(self, x: float) -> float:
-        return self.sample([float(x)])[0]
+        return self.sample([x])[0]
 
 
 class DensityMeasure(PiecewiseLinear):
@@ -167,8 +168,7 @@ class ContinuousTestFunction(PiecewiseLinear):
 
 def grid_points(n: int) -> list[float]:
     """The uniform grid ``k / n`` for ``k = 0..n`` (n + 1 points)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"the grid size must be a positive integer, got {n!r}")
+    _count(n, "the grid size")
     return [k / n for k in range(n + 1)]
 
 
@@ -206,12 +206,7 @@ def eval_density_measure(
     full scan's bit for bit, but a segment on which both slopes share a
     sign is read at one end only (see the module docstring).
     """
-    if not isinstance(resolution, int) or isinstance(resolution, bool):
-        raise ValueError(f"the resolution must be an integer, got {resolution!r}")
-    if resolution < _MIN_RESOLUTION:
-        raise ValueError(
-            f"the resolution must be at least {_MIN_RESOLUTION}, got {resolution}"
-        )
+    _count(resolution, "the resolution", least=_MIN_RESOLUTION)
     best = d.breakpoints[-1][1] + phi.breakpoints[-1][1]  # the grid point x = 1
     cuts = sorted({x for x, _ in d.breakpoints} | {x for x, _ in phi.breakpoints})
     ends = [_grid_index(x, resolution) for x in cuts]
@@ -262,7 +257,7 @@ def convergence_report(
     discretized evaluation with the reference ``sup_x (d(x) + phi(x))``,
     the largest sum at a breakpoint of ``d`` or ``phi``.
     """
-    sizes = sorted(set(ns))
+    sizes = sorted({_count(n, "the grid size") for n in ns})
     if not sizes:
         raise ValueError("at least one grid size is required")
     cuts = sorted({x for x, _ in d.breakpoints} | {x for x, _ in phi.breakpoints})

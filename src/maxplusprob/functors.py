@@ -36,7 +36,7 @@ from .measures import (
     dirac,
 )
 from .record import Record
-from .semiring import MAX_PLUS
+from .semiring import MAX_PLUS, _count
 
 __all__ = [
     "CounterexampleReport",
@@ -348,6 +348,7 @@ def verify_counterexample(
     two distinct measures sharing one image, and the naturality gap of
     the conversion under ``f``.
     """
+    _count(random_pairs, "the number of random pairs", least=0)
     import random
 
     # Imported here: the conversion module itself builds on pushforwards.

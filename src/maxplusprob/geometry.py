@@ -43,7 +43,7 @@ from .measures import (
     support,
 )
 from .record import Record
-from .semiring import BOTTOM, MaxPlusValue, as_scalar, mp_exp, mp_ln, odot, oplus
+from .semiring import BOTTOM, MaxPlusValue, _floats, as_scalar, mp_exp, mp_ln, odot, oplus
 
 __all__ = [
     "SegmentPoint",
@@ -98,7 +98,7 @@ def segment_distance(p: SegmentPoint, q: SegmentPoint) -> float:
 
 
 def _check_eps(eps: float) -> float:
-    eps = float(eps)
+    (eps,) = _floats((eps,))
     if not math.isfinite(eps) or not 0.0 < eps <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {eps!r}")
     return eps

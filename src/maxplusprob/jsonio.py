@@ -34,7 +34,7 @@ from .measures import (
     check_exact_keys,
     classical_measure,
 )
-from .semiring import BOTTOM, MaxPlusValue, as_float
+from .semiring import BOTTOM, MaxPlusValue, _floats
 
 __all__ = [
     "SchemaError",
@@ -84,9 +84,10 @@ def _expect_string(node: object, path: str) -> str:
 
 
 def _expect_number(node: object, path: str) -> float:
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
-        raise SchemaError(path, f"expected a number, got {type(node).__name__}")
-    value = as_float(node)
+    try:
+        (value,) = _floats((node,))
+    except ValueError:
+        raise SchemaError(path, f"expected a number, got {type(node).__name__}") from None
     if not math.isfinite(value):
         raise SchemaError(path, "expected a finite number")
     return value

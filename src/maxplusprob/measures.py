@@ -23,7 +23,7 @@ Every type here is a frozen ``Record``: its constructor binds the
 annotated fields and then runs ``__post_init__``, which checks them and
 may normalize them.  ``FiniteSpace._index``, the label lookup, is a cache
 built on the first lookup.  For a measure kind ``__post_init__`` is the
-only place its weights are checked.
+only place its weights are checked, by the number rules of ``semiring``.
 ``normalize_idempotent`` and ``classical_measure`` only align raw
 weights given by label or in order and shift or rescale them, and
 operations such as pushforward build their results through the same
@@ -44,7 +44,8 @@ from .semiring import (
     MAX_PLUS,
     SUM_PRODUCT,
     MaxPlusValue,
-    as_float,
+    _count,
+    _floats,
     as_scalar,
     oplus,
 )
@@ -71,8 +72,6 @@ __all__ = [
 _SUM_TOL = 1e-12
 # Looser gate for raw input: beyond this the caller must ask for rescaling.
 _INPUT_SUM_TOL = 1e-9
-# ``_FLOAT.issuperset(map(type, v))``: every value is a float, in one C pass.
-_FLOAT = frozenset((float,))
 
 
 class FiniteSpace(Record):
@@ -159,7 +158,7 @@ class TestFunction(Record):
 
     def shift(self, constant: float) -> "TestFunction":
         """Max-plus scaling: add ``constant`` to every value."""
-        c = float(constant)
+        (c,) = _floats((constant,))
         return TestFunction(self.space, tuple(v + c for v in self.values))
 
     def pointwise_max(self, other: "TestFunction") -> "TestFunction":
@@ -414,9 +413,7 @@ def maxplus_combine(
 
 def has_support_at_most(mu: Measure, n: int) -> bool:
     """Whether the support of ``mu`` has at most ``n`` atoms (n >= 1)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"the atom budget must be a positive integer, got {n!r}")
-    return len(support(mu)) <= n
+    return len(support(mu)) <= _count(n, "the atom budget")
 
 
 # -- helpers -----------------------------------------------------------------
@@ -465,19 +462,3 @@ def _scalars(values: Sequence[object]) -> tuple[tuple, MaxPlusValue]:
         finite = [w for w in values if w is not BOTTOM]
     return values, max(finite, default=BOTTOM)
 
-
-def _floats(values: Sequence[object]) -> tuple[float, ...]:
-    # Ints and floats (never bools) as floats, at C speed; anything else
-    # is named.  An int beyond the float range becomes +-inf, so the
-    # caller's finiteness check rejects it by name.
-    values = tuple(values)
-    if _FLOAT.issuperset(map(type, values)):
-        return values
-    if not {float, int}.issuperset(map(type, values)):
-        for v in values:
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValueError(f"not a real number: {v!r}")
-    try:
-        return tuple(map(float, values))
-    except OverflowError:
-        return tuple(map(as_float, values))

@@ -10,6 +10,9 @@ surprises under exponentiation) can leak into results.
 A ``Semiring`` record bundles what a measure kind computes with, so
 each measure operation is written once: ``MAX_PLUS`` for idempotent
 measures and ``SUM_PRODUCT`` for classical ones.
+
+Every number a caller passes in is checked here, by ``as_scalar``,
+``_floats`` or ``_count``; each raises ``ValueError`` naming what it rejects.
 """
 
 from __future__ import annotations
@@ -88,6 +91,33 @@ def as_float(value: object) -> float:
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+# ``_FLOAT.issuperset(map(type, v))``: every value is a float, in one C pass.
+_FLOAT = frozenset((float,))
+
+
+def _floats(values: Sequence[object]) -> tuple[float, ...]:
+    # Ints and floats (never bools) as floats, at C speed; anything else
+    # is named.  An int beyond the float range becomes +-inf, so the
+    # caller's finiteness check rejects it by name.
+    values = tuple(values)
+    if _FLOAT.issuperset(map(type, values)):
+        return values
+    if not {float, int}.issuperset(map(type, values)):
+        for v in values:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"not a real number: {v!r}")
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        return tuple(map(as_float, values))
+
+
+def _count(value: object, what: str, least: int = 1) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{what} must be an integer of at least {least}, got {value!r}")
+    return value
 
 
 def oplus(a: MaxPlusValue, b: MaxPlusValue) -> MaxPlusValue:

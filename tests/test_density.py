@@ -170,6 +170,14 @@ def test_rows_are_sorted_and_deduplicated():
         convergence_report(FLAT, RAMP, [])
 
 
+def test_every_grid_size_is_checked_before_sorting():
+    # A size that is not a count would otherwise reach ``sorted`` next to
+    # the ints and raise TypeError there.
+    for bad in ("a", None, 2.5, True, 0):
+        with pytest.raises(ValueError, match=f"the grid size must be an integer.*{bad!r}"):
+            convergence_report(FLAT, RAMP, [10, bad])
+
+
 def test_off_grid_reference_is_the_supremum_above_the_fine_grid():
     # The peak at 1/3 lies on no decimal grid: the reference is the
     # value there, which the 1e6-cell grid misses by at most half a cell

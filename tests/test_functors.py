@@ -366,6 +366,15 @@ def test_counterexample_report_verdicts():
     assert report.naturality_gap == pytest.approx(math.log(2.0), abs=1e-12)
 
 
+def test_counterexample_pair_count_must_be_a_count():
+    for bad in (-5, True, 2.5, "10", None):
+        with pytest.raises(ValueError, match="random pairs must be an integer of at least 0"):
+            verify_counterexample(random_pairs=bad)
+    report = verify_counterexample(random_pairs=0)
+    assert report.random_pairs_checked == 0
+    assert report.classical_injective
+
+
 def test_counterexample_witness_images_agree_under_both_maps():
     report = verify_counterexample(random_pairs=100)
     domain = report.witness_mu.space

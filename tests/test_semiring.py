@@ -1,22 +1,46 @@
 from __future__ import annotations
 
+import ast
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 
+import maxplusprob
 from maxplusprob import (
     BOTTOM,
     MAX_PLUS,
     SUM_PRODUCT,
     BottomType,
+    ClassicalMeasure,
+    ContinuousTestFunction,
+    DensityMeasure,
+    FiniteSpace,
+    IdempotentMeasure,
+    PiecewiseLinear,
+    SegmentPoint,
+    TestFunction,
+    approx_coefficients,
+    approx_distance_closed_form,
+    approx_toward_point,
     as_scalar,
     big_oplus,
+    classical_measure,
+    convergence_report,
+    decode_measure,
+    eval_density_measure,
+    grid_points,
+    has_support_at_most,
     is_bottom,
+    maxplus_combine,
     mp_exp,
     mp_ln,
+    normalize_idempotent,
     odot,
     oplus,
+    scalar_distance,
+    verify_counterexample,
 )
 
 from gen import finite_values, scalars
@@ -144,3 +168,132 @@ def test_semiring_instances():
     assert MAX_PLUS.dot((BOTTOM,), (1.0,)) is BOTTOM
     w, v = (0.25, 0.0, 0.75), (4.0, 9.0, -1.0)
     assert SUM_PRODUCT.dot(w, v) == SUM_PRODUCT.sum(map(SUM_PRODUCT.times, w, v)) == 0.25
+
+
+# -- the number rule -------------------------------------------------------------
+
+AB = FiniteSpace(("a", "b"))
+MU = IdempotentMeasure(AB, (0.0, -1.0))
+PHI = TestFunction(AB, (1.0, 2.0))
+LINE = ContinuousTestFunction(((0.0, 0.0), (1.0, 1.0)), 1.0)
+DENSITY = DensityMeasure(((0.0, 0.0), (1.0, -1.0)), 1.0)
+
+NOT_REALS = ("0.5", True, None, 10**400, -(10**400), math.nan, math.inf, -math.inf)
+# A huge positive count would be honoured (a grid of that many points, or
+# that many sampled pairs), so none is passed.
+NOT_COUNTS = ("0.5", True, None, -(10**400), math.nan, math.inf, 2.5, -1)
+
+ENTRY_POINTS = {
+    "TestFunction": (lambda v: TestFunction(AB, (0.0, v)), NOT_REALS),
+    "TestFunction.shift": (PHI.shift, NOT_REALS),
+    "IdempotentMeasure": (lambda v: IdempotentMeasure(AB, (0.0, v)), NOT_REALS),
+    "ClassicalMeasure": (lambda v: ClassicalMeasure(AB, (1.0, v)), NOT_REALS),
+    "classical_measure": (
+        lambda v: classical_measure(AB, {"a": v, "b": 1.0}, renormalize=True),
+        NOT_REALS,
+    ),
+    "normalize_idempotent": (lambda v: normalize_idempotent(AB, [v, 0.0]), NOT_REALS),
+    "as_scalar": (as_scalar, NOT_REALS),
+    "SegmentPoint": (lambda v: SegmentPoint(0.0, v), NOT_REALS),
+    "scalar_distance": (lambda v: scalar_distance(v, 0.0), NOT_REALS),
+    "maxplus_combine": (lambda v: maxplus_combine(0.0, MU, v, MU), NOT_REALS),
+    "approx_coefficients": (approx_coefficients, NOT_REALS),
+    "approx_toward_point": (lambda v: approx_toward_point(MU, "b", v), NOT_REALS),
+    "approx_distance_closed_form": (approx_distance_closed_form, NOT_REALS),
+    "PiecewiseLinear": (
+        lambda v: PiecewiseLinear(((0.0, 0.0), (1.0, v)), 1.0), NOT_REALS
+    ),
+    "PiecewiseLinear.lipschitz": (
+        lambda v: PiecewiseLinear(((0.0, 0.0), (1.0, 0.0)), v), NOT_REALS
+    ),
+    "PiecewiseLinear.sample": (lambda v: LINE.sample([0.5, v]), NOT_REALS),
+    "PiecewiseLinear.__call__": (LINE, NOT_REALS),
+    "decode_measure idempotent": (
+        lambda v: decode_measure(
+            {"space": ["a", "b"], "kind": "idempotent", "weights": {"a": 0.0, "b": v}}
+        ),
+        NOT_REALS,
+    ),
+    "decode_measure classical": (
+        lambda v: decode_measure(
+            {"space": ["a", "b"], "kind": "classical", "weights": {"a": 1.0, "b": v}}
+        ),
+        NOT_REALS,
+    ),
+    "grid_points": (grid_points, NOT_COUNTS),
+    "has_support_at_most": (lambda v: has_support_at_most(MU, v), NOT_COUNTS),
+    "convergence_report": (
+        lambda v: convergence_report(DENSITY, LINE, [10, v]), NOT_COUNTS
+    ),
+    "eval_density_measure": (
+        lambda v: eval_density_measure(DENSITY, LINE, v), NOT_COUNTS
+    ),
+    "verify_counterexample": (
+        lambda v: verify_counterexample(random_pairs=v), NOT_COUNTS
+    ),
+}
+# Sampling reads a non-finite real as numpy.interp does (+-inf, NaN).
+READS_NON_FINITE = {"PiecewiseLinear.sample", "PiecewiseLinear.__call__"}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_every_number_entry_point_answers_a_bad_value_with_value_error(name):
+    call, bad_values = ENTRY_POINTS[name]
+    for bad in bad_values:
+        try:
+            call(bad)
+        except ValueError:
+            continue
+        except Exception as err:  # TypeError or OverflowError break the rule
+            pytest.fail(f"{name}({bad!r}) raised {err!r}")
+        assert name in READS_NON_FINITE and type(bad) in (int, float), (name, bad)
+
+
+SRC = Path(maxplusprob.__file__).resolve().parent
+# Outside ``semiring``, only these call ``float``: the encoders and the CLI
+# printer convert the package's own values, and ``measures._scalars`` the
+# ints its bulk check has already passed.
+OWN_FLOATS = {
+    "cli._present",
+    "jsonio.encode_scalar",
+    "jsonio.encode_measure",
+    "measures._scalars",
+}
+# The number rules, each defined in ``semiring`` only.
+RULES = ("as_float", "_floats", "_count")
+
+
+def _float_calls(node: ast.AST, scope: str):
+    # The qualified name of the innermost definition around each ``float(...)``.
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _float_calls(child, f"{scope}.{child.name}")
+            continue
+        if (
+            isinstance(child, ast.Call)
+            and isinstance(child.func, ast.Name)
+            and child.func.id == "float"
+        ):
+            yield scope
+        yield from _float_calls(child, scope)
+
+
+def test_only_semiring_decides_what_a_number_is():
+    calls, rules, private = set(), [], []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "semiring":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls.update(_float_calls(tree, path.stem))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in RULES:
+                rules.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ImportFrom) and node.level and node.module != "semiring":
+                private += [
+                    f"{path.stem}: {node.module}.{a.name}"
+                    for a in node.names
+                    if a.name.startswith("_")
+                ]
+    assert calls <= OWN_FLOATS, sorted(calls - OWN_FLOATS)
+    assert not rules, rules
+    assert not private, private

@@ -458,3 +458,26 @@ def test_kernels_make_no_python_call_per_atom(documents):
     }
     calls = {name: _calls(op) for name, op in ops.items()}
     assert {name: c for name, c in calls.items() if c >= n // 2} == {}
+
+
+# -- an oracle for max-plus evaluation from Maslov dequantization -------------
+
+
+@pytest.mark.parametrize("h", (1.0, 1e-3))
+@pytest.mark.parametrize("n", SIZES)
+def test_evaluate_lies_within_the_dequantization_bounds(n, h):
+    # Litvinov, "Maslov dequantization, idempotent and tropical
+    # mathematics" (2007): for the k sums s = w + v over finite weights,
+    # with m their maximum, m <= m + h*ln(sum exp((s - m) / h)) <= m + h*ln(k).
+    # The soft maximum uses ``fsum`` and no max-plus kernel.  An ``evaluate``
+    # below the true maximum makes a term exceed 1, and one above it makes
+    # every term fall below 1; at h = 1e-3 either breaks a bound.
+    rng = random.Random(f"dequantize:{n}:{h}")
+    space = _space("x", n)
+    mu = _idempotent(rng, space)
+    phi = TestFunction(space, tuple(rng.uniform(-10.0, 10.0) for _ in space))
+    m = evaluate(mu, phi)
+    sums = [w + v for w, v in zip(mu.weights, phi.values) if w is not BOTTOM]
+    soft = m + h * math.log(math.fsum(math.exp((s - m) / h) for s in sums))
+    slack = 1e-12  # rounding in the soft maximum
+    assert m - slack <= soft <= m + h * math.log(len(sums)) + slack
