@@ -60,6 +60,7 @@ __all__ = [
 ]
 
 _MIN_RESOLUTION = 10_000
+_MAX_GRID = 10**6  # the largest grid size, the fine-grid evaluator's scale
 # Slack for the declared-Lipschitz check: breakpoint slopes are computed
 # in floats, so an exact bound like 3 may come out a few ulps high.
 _SLOPE_TOL = 1e-9
@@ -166,9 +167,15 @@ class ContinuousTestFunction(PiecewiseLinear):
     """A piecewise-linear test function on ``[0, 1]``."""
 
 
+def _grid_size(n: object) -> int:
+    if _count(n, "the grid size") > _MAX_GRID:
+        raise ValueError(f"the grid size must be at most {_MAX_GRID}, got {n!r}")
+    return n
+
+
 def grid_points(n: int) -> list[float]:
-    """The uniform grid ``k / n`` for ``k = 0..n`` (n + 1 points)."""
-    _count(n, "the grid size")
+    """The uniform grid ``k / n`` for ``k = 0..n`` (n + 1 points), ``n <= 10**6``."""
+    _grid_size(n)
     return [k / n for k in range(n + 1)]
 
 
@@ -257,7 +264,7 @@ def convergence_report(
     discretized evaluation with the reference ``sup_x (d(x) + phi(x))``,
     the largest sum at a breakpoint of ``d`` or ``phi``.
     """
-    sizes = sorted({_count(n, "the grid size") for n in ns})
+    sizes = sorted({_grid_size(n) for n in ns})
     if not sizes:
         raise ValueError("at least one grid size is required")
     cuts = sorted({x for x, _ in d.breakpoints} | {x for x, _ in phi.breakpoints})

@@ -31,9 +31,9 @@ from .measures import (
     IdempotentMeasure,
     Measure,
     TestFunction,
-    check_exact_keys,
     classical_measure,
     dirac,
+    in_space_order,
 )
 from .record import Record
 from .semiring import MAX_PLUS, _count
@@ -99,8 +99,7 @@ class PointMap(Record):
         codomain: FiniteSpace,
         mapping: Mapping[str, str],
     ) -> "PointMap":
-        check_exact_keys(domain, mapping, "images")
-        return cls(domain, codomain, tuple(mapping[p] for p in domain.points))
+        return cls(domain, codomain, in_space_order(domain, mapping, "images"))
 
     @classmethod
     def identity(cls, space: FiniteSpace) -> "PointMap":
@@ -349,6 +348,7 @@ def verify_counterexample(
     the conversion under ``f``.
     """
     _count(random_pairs, "the number of random pairs", least=0)
+    _count(seed, "the seed", least=0)
     import random
 
     # Imported here: the conversion module itself builds on pushforwards.

@@ -92,16 +92,14 @@ def scalar_distance(x: MaxPlusValue, y: MaxPlusValue) -> float:
 
 def segment_distance(p: SegmentPoint, q: SegmentPoint) -> float:
     """Coefficientwise metric on a common segment (see the module notes)."""
-    return abs(mp_exp(q.alpha) - mp_exp(p.alpha)) + abs(
-        mp_exp(q.beta) - mp_exp(p.beta)
-    )
+    return scalar_distance(p.alpha, q.alpha) + scalar_distance(p.beta, q.beta)
 
 
 def _check_eps(eps: float) -> float:
-    (eps,) = _floats((eps,))
-    if not math.isfinite(eps) or not 0.0 < eps <= 1.0:
+    (value,) = _floats((eps,))
+    if not math.isfinite(value) or not 0.0 < value <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {eps!r}")
-    return eps
+    return value
 
 
 def approx_coefficients(eps: float) -> SegmentPoint:

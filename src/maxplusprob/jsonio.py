@@ -11,18 +11,18 @@ Wire formats:
 * piecewise-linear density or function:
   ``{"breakpoints": [[x, y], ...], "lipschitz": number}``
 
-Decoders validate shape first and report the offending path; value
-invariants (normalization, mass sums) are then enforced by the type
-constructors and re-raised with the same path prefix.  A constructor is
-also the bulk check of the elements it is given: only when it rejects
-them are the elements decoded one by one, so that the first bad element
-is named at its own path.
+Decoders validate shape first and report the offending path.  A table's
+keys may come in any order (``measures.in_space_order`` aligns them).
+Value invariants (normalization, mass sums) are then enforced by the
+type constructors and re-raised with the same path prefix.  A
+constructor is also the bulk check of its elements: only on a rejection
+are they decoded one by one, to name the first bad one at its own path.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Union
+from typing import Union
 
 from .density import ContinuousTestFunction, ConvergenceReport, DensityMeasure
 from .functors import CounterexampleReport, PointMap
@@ -31,8 +31,8 @@ from .measures import (
     IdempotentMeasure,
     Measure,
     TestFunction,
-    check_exact_keys,
     classical_measure,
+    in_space_order,
 )
 from .semiring import BOTTOM, MaxPlusValue, _floats
 
@@ -129,26 +129,10 @@ def _decode_space(node: object, path: str) -> FiniteSpace:
     return _built(path, FiniteSpace, tuple(node), elements=elements)
 
 
-def _listed(table: dict, space: FiniteSpace) -> Optional[list]:
-    # The values in space order, or None unless the keys are exactly the
-    # points.  A table written in space order needs no lookups.
-    if len(table) != len(space):
-        return None
-    if tuple(table) == space.points:
-        return list(table.values())
-    try:
-        return [table[p] for p in space.points]
-    except KeyError:
-        return None
-
-
 def _decode_entries(node: object, path: str, space: FiniteSpace, decode, build, *args):
-    # ``build(*args, values)`` for a table keyed by exactly the points of
-    # ``space``, its values in space order; ``decode`` is the element decoder.
+    # ``build(*args, values)``, the values in space order; ``decode`` checks one.
     table = _expect_object(node, path)
-    listed = _listed(table, space)
-    if listed is None:
-        _built(path, check_exact_keys, space, table, "entries")
+    listed = _built(path, in_space_order, space, table, "entries")
 
     def elements() -> None:
         for p, value in zip(space.points, listed):

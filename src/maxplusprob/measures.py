@@ -25,9 +25,9 @@ may normalize them.  ``FiniteSpace._index``, the label lookup, is a cache
 built on the first lookup.  For a measure kind ``__post_init__`` is the
 only place its weights are checked, by the number rules of ``semiring``.
 ``normalize_idempotent`` and ``classical_measure`` only align raw
-weights given by label or in order and shift or rescale them, and
-operations such as pushforward build their results through the same
-constructors.
+weights (a table keyed by label through ``in_space_order``, the one
+reader of such tables) and shift or rescale them; other operations
+build their results through the same constructors.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import math
 from collections.abc import Mapping, Sequence
 from functools import cached_property
 from itertools import repeat
+from operator import is_
 from typing import Union
 
 from .record import Record
@@ -145,8 +146,7 @@ class TestFunction(Record):
 
     @classmethod
     def from_mapping(cls, space: FiniteSpace, values: Mapping[str, float]) -> "TestFunction":
-        check_exact_keys(space, values, "function values")
-        return cls(space, tuple([values[p] for p in space.points]))
+        return cls(space, in_space_order(space, values, "function values"))
 
     def __call__(self, label: str) -> float:
         return self.values[self.space.index(label)]
@@ -159,6 +159,8 @@ class TestFunction(Record):
     def shift(self, constant: float) -> "TestFunction":
         """Max-plus scaling: add ``constant`` to every value."""
         (c,) = _floats((constant,))
+        if not math.isfinite(c):
+            raise ValueError(f"the shift must be finite, got {constant!r}")
         return TestFunction(self.space, tuple(v + c for v in self.values))
 
     def pointwise_max(self, other: "TestFunction") -> "TestFunction":
@@ -328,9 +330,7 @@ def classical_measure(
     passed.
     """
     values = _floats(_aligned(space, weights))
-    if len(values) != len(space.points):
-        raise ValueError("one weight per point of the space is required")
-    if renormalize and min(values) >= 0.0:
+    if renormalize and len(values) == len(space.points) and min(values) >= 0.0:
         given, top = values, 1.0
         try:
             total = math.fsum(values)
@@ -419,15 +419,27 @@ def has_support_at_most(mu: Measure, n: int) -> bool:
 # -- helpers -----------------------------------------------------------------
 
 
-def check_exact_keys(space: FiniteSpace, mapping: Mapping, what: str) -> None:
-    """Require ``mapping`` to be keyed by exactly the points of ``space``."""
-    missing = [p for p in space.points if p not in mapping]
+_ABSENT = object()  # what ``in_space_order`` reads for a missing point
+
+
+def in_space_order(space: FiniteSpace, table: Mapping, what: str) -> list:
+    """The values of a table keyed by exactly the points of ``space``, in order.
+
+    An in-order table is read without lookups, any other by ``get``,
+    which never inserts a key; missing or unknown keys raise ``ValueError``.
+    """
+    points = space.points
+    if len(table) == len(points):
+        if tuple(table) == points:
+            return list(table.values())
+        values = list(map(table.get, points, repeat(_ABSENT)))
+        if not any(map(is_, values, repeat(_ABSENT))):
+            return values
+    missing = [p for p in points if p not in table]
     if missing:
         raise ValueError(f"missing {what} for points: {missing!r}")
-    # Every point is a key, so unknown keys exist only if the sizes differ.
-    if len(mapping) != len(space):
-        extra = [k for k in mapping if k not in space]
-        raise ValueError(f"{what} given for unknown points: {extra!r}")
+    extra = [k for k in table if k not in space]
+    raise ValueError(f"{what} given for unknown points: {extra!r}")
 
 
 def _aligned(
@@ -436,8 +448,7 @@ def _aligned(
     # Raw weights keyed by label, in space order; a sequence as given.
     # A list or tuple skips the ``Mapping`` ABC check, the slow part.
     if type(raw) not in (list, tuple) and isinstance(raw, Mapping):
-        check_exact_keys(space, raw, "weights")
-        return [raw[p] for p in space.points]
+        return in_space_order(space, raw, "weights")
     return raw
 
 

@@ -76,6 +76,15 @@ finite_values = st.floats(
 )
 scalars = st.one_of(st.just(BOTTOM), finite_values)
 spaces = st.integers(min_value=1, max_value=6).map(space_of)
+# Labels made of pair syntax, a backslash, quotes, a space and non-ASCII
+# text: what a label table, a JSON document or a product label could garble.
+awkward_labels = st.text(st.sampled_from("(),\\'\" aé€中😀"), min_size=1, max_size=4)
+
+
+def awkward_spaces(max_size: int = 5):
+    return st.lists(awkward_labels, min_size=1, max_size=max_size, unique=True).map(
+        lambda labels: FiniteSpace(tuple(labels))
+    )
 
 
 @st.composite

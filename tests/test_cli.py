@@ -139,6 +139,17 @@ def test_approx_toward_second_measure(doc, capsys):
     assert out["weights"] == {"a": "-inf", "b": 0}
 
 
+def test_density_converge_refuses_a_grid_above_one_million(doc, capsys):
+    code, out = invoke(
+        capsys, "density-converge",
+        "--density", doc("d.json", FLAT_DENSITY),
+        "--function", doc("phi.json", RAMP),
+        "--grid", "10", "--grid", "1000001",
+    )
+    assert code == 2
+    assert out == {"error": "the grid size must be at most 1000000, got 1000001"}
+
+
 def test_verify_counterexample_document(capsys):
     code, out = invoke(capsys, "verify-counterexample")
     assert code == 0

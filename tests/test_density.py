@@ -178,6 +178,22 @@ def test_every_grid_size_is_checked_before_sorting():
             convergence_report(FLAT, RAMP, [10, bad])
 
 
+def test_grid_sizes_stop_at_one_million(monkeypatch):
+    # Checked before anything is built: no grid above 10**6 is ever made.
+    too_big = 10**6 + 1
+    message = f"^the grid size must be at most 1000000, got {too_big}$"
+    for build in (grid_points, grid_space, lambda n: discretize(TENT, n)):
+        with pytest.raises(ValueError, match=message):
+            build(too_big)
+
+    def no_rows(*args):
+        raise AssertionError("a row was computed before the sizes were checked")
+
+    monkeypatch.setattr(density, "discretize", no_rows)
+    with pytest.raises(ValueError, match=message):
+        convergence_report(FLAT, RAMP, [10, too_big])
+
+
 def test_off_grid_reference_is_the_supremum_above_the_fine_grid():
     # The peak at 1/3 lies on no decimal grid: the reference is the
     # value there, which the 1e6-cell grid misses by at most half a cell

@@ -375,6 +375,15 @@ def test_counterexample_pair_count_must_be_a_count():
     assert report.classical_injective
 
 
+def test_counterexample_seed_must_be_a_count():
+    # ``random.Random`` raised TypeError for a list and took 2.5, "x" and
+    # True; a negative seed draws what its absolute value draws.
+    for bad in ([1], 2.5, "x", True, None, -5):
+        with pytest.raises(ValueError, match=r"^the seed must be an integer of at least 0, got "):
+            verify_counterexample(random_pairs=0, seed=bad)
+    assert verify_counterexample(random_pairs=8, seed=5).classical_injective
+
+
 def test_counterexample_witness_images_agree_under_both_maps():
     report = verify_counterexample(random_pairs=100)
     domain = report.witness_mu.space

@@ -114,6 +114,15 @@ def test_rate_validation():
             approx_coefficients(bad)
 
 
+def test_a_rejected_rate_is_named_as_given():
+    # An int beyond the float range reads as inf; the message names the int.
+    for bad in (10**400, -(10**400), 2):
+        for check in (approx_coefficients, approx_distance_closed_form):
+            with pytest.raises(ValueError) as err:
+                check(bad)
+            assert str(err.value) == f"epsilon must lie in (0, 1], got {bad!r}"
+
+
 # -- the mixing maps ---------------------------------------------------------------
 
 

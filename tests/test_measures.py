@@ -1,14 +1,18 @@
 from __future__ import annotations
 
 import copy
+import itertools
+import json
 import math
 import pickle
 import random
+import re
 from array import array
-from collections import UserList
+from collections import UserList, defaultdict
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from maxplusprob import (
     BOTTOM,
@@ -18,9 +22,14 @@ from maxplusprob import (
     IdempotentMeasure,
     Measure,
     PointMap,
+    ProductSpace,
     TestFunction,
     classical_measure,
+    decode_function,
+    decode_measure,
+    decode_point_map,
     dirac,
+    encode_measure,
     evaluate,
     evaluate_classical,
     evaluate_idempotent,
@@ -32,6 +41,7 @@ from maxplusprob import (
 )
 
 from gen import (
+    awkward_spaces,
     measure_function_scalar,
     random_function,
     random_idempotent,
@@ -181,6 +191,113 @@ def test_function_from_mapping_checks_numbers_like_the_constructor():
     phi = TestFunction.from_mapping(AB, {"a": 1, "b": 2.5})
     assert phi.values == (1.0, 2.5)
     assert all(type(v) is float for v in phi.values)
+
+def test_a_rejected_shift_is_named_as_given():
+    # An int beyond the float range reads as inf; the message names the int.
+    phi = TestFunction(AB, (1.0, 2.0))
+    for bad in (10**400, -(10**400), math.inf, math.nan):
+        with pytest.raises(ValueError) as err:
+            phi.shift(bad)
+        assert str(err.value) == f"the shift must be finite, got {bad!r}"
+    # A finite shift whose sums overflow is named by the constructor.
+    with pytest.raises(ValueError, match="must be finite: inf$"):
+        TestFunction(AB, (1e308, 0.0)).shift(1e308)
+
+
+# -- tables keyed by label --------------------------------------------------------
+
+XY = FiniteSpace(("x", "y"))
+
+
+def test_a_table_in_space_order_is_read_without_lookups():
+    lookups = []
+
+    class Table(dict):
+        def __getitem__(self, key):
+            lookups.append(key)
+            return super().__getitem__(key)
+
+    abc = space_of(3)
+    mu = normalize_idempotent(abc, Table(a=0.0, b=-1.0, c=BOTTOM))
+    nu = classical_measure(abc, Table(a=0.5, b=0.25, c=0.25))
+    phi = TestFunction.from_mapping(abc, Table(a=1.0, b=2.0, c=3.0))
+    f = PointMap.from_mapping(abc, XY, Table(a="x", b="y", c="x"))
+    assert mu.weights == (0.0, -1.0, BOTTOM) and nu.weights == (0.5, 0.25, 0.25)
+    assert phi.values == (1.0, 2.0, 3.0) and f.assignment == ("x", "y", "x")
+    assert lookups == []
+
+
+def test_a_defaultdict_with_wrong_keys_is_rejected_and_left_alone():
+    # A lookup by ``[]`` would insert the missing point into the caller's table.
+    abc = space_of(3)
+    calls = (
+        (lambda t: normalize_idempotent(abc, t), "weights", float, (0.0, -1.0)),
+        (lambda t: classical_measure(abc, t), "weights", float, (0.5, 0.5)),
+        (lambda t: TestFunction.from_mapping(abc, t), "function values", float, (1.0, 2.0)),
+        (lambda t: PointMap.from_mapping(abc, XY, t), "images", lambda: "x", ("x", "y")),
+    )
+    for call, what, default, (u, v) in calls:
+        for given_table, message in (
+            ({"a": u, "b": v}, f"missing {what} for points: ['c']"),
+            ({"b": v, "z": u, "a": u}, f"missing {what} for points: ['c']"),
+            ({"a": u, "b": v, "c": u, "z": v}, f"{what} given for unknown points: ['z']"),
+        ):
+            table = defaultdict(default, given_table)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(table)
+            assert list(table.items()) == list(given_table.items())
+
+
+def _unpair(label: str) -> tuple:
+    # The (x, y) a product label names: split at its one unescaped comma.
+    assert label[0] == "(" and label[-1] == ")", label
+    parts, part, chars = [], "", iter(label[1:-1])
+    for c in chars:
+        if c == "\\":
+            part += next(chars)
+        elif c == ",":
+            parts.append(part)
+            part = ""
+        else:
+            assert c not in "()", label
+            part += c
+    return (*parts, part)
+
+
+@given(awkward_spaces(), awkward_spaces(max_size=3), st.data())
+def test_awkward_labels_align_round_trip_and_pair_apart(space, other, data):
+    points = space.points
+    order = data.draw(st.permutations(points))
+
+    def shuffled(table: dict) -> dict:
+        return {p: table[p] for p in order}
+
+    weights = dict(zip(points, [0.0, *(-k / 2 for k in range(1, len(points)))]))
+    masses = dict.fromkeys(points, 1.0 / len(points))
+    images = dict(zip(points, itertools.cycle(other.points)))
+    mu = normalize_idempotent(space, shuffled(weights))
+    nu = classical_measure(space, shuffled(masses))
+    phi = TestFunction.from_mapping(space, shuffled(weights))
+    f = PointMap.from_mapping(space, other, shuffled(images))
+    assert mu.weights == phi.values == tuple(weights.values())
+    assert nu.weights == tuple(masses.values())
+    assert f.assignment == tuple(images.values())
+    for m in (mu, nu):
+        doc = json.loads(json.dumps(encode_measure(m)))
+        assert decode_measure(doc) == m
+        doc["weights"] = shuffled(doc["weights"])
+        assert decode_measure(json.loads(json.dumps(doc))) == m
+    docs = (
+        {"space": list(points), "values": shuffled(weights)},
+        {"domain": list(points), "codomain": list(other.points), "map": shuffled(images)},
+    )
+    assert decode_function(json.loads(json.dumps(docs[0]))) == phi
+    assert decode_point_map(json.loads(json.dumps(docs[1]))) == f
+    prod = ProductSpace.of(space, other)
+    pairs = [(x, y) for x in points for y in other.points]
+    assert [_unpair(label) for label in prod.space.points] == pairs
+    assert [prod.pair_label(x, y) for x, y in pairs] == list(prod.space.points)
+
 
 # -- idempotent measures -------------------------------------------------------
 

@@ -231,6 +231,9 @@ ENTRY_POINTS = {
     "verify_counterexample": (
         lambda v: verify_counterexample(random_pairs=v), NOT_COUNTS
     ),
+    "verify_counterexample seed": (
+        lambda v: verify_counterexample(random_pairs=0, seed=v), NOT_COUNTS
+    ),
 }
 # Sampling reads a non-finite real as numpy.interp does (+-inf, NaN).
 READS_NON_FINITE = {"PiecewiseLinear.sample", "PiecewiseLinear.__call__"}
@@ -297,3 +300,37 @@ def test_only_semiring_decides_what_a_number_is():
     assert calls <= OWN_FLOATS, sorted(calls - OWN_FLOATS)
     assert not rules, rules
     assert not private, private
+
+
+def _table_reads(node: ast.AST, scope: str):
+    # ``scope`` of each list or generator comprehension over ``<expr>.points``
+    # that subscripts something by its loop variable: ``[t[p] for p in s.points]``.
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _table_reads(child, f"{scope}.{child.name}")
+            continue
+        if isinstance(child, (ast.ListComp, ast.GeneratorExp)):
+            loops = {
+                gen.target.id
+                for gen in child.generators
+                if isinstance(gen.iter, ast.Attribute)
+                and gen.iter.attr == "points"
+                and isinstance(gen.target, ast.Name)
+            }
+            if any(
+                isinstance(sub, ast.Subscript)
+                and isinstance(sub.slice, ast.Name)
+                and sub.slice.id in loops
+                for sub in ast.walk(child)
+            ):
+                yield scope
+        yield from _table_reads(child, scope)
+
+
+def test_only_in_space_order_puts_a_table_in_space_order():
+    reads = [
+        site
+        for path in sorted(SRC.glob("*.py"))
+        for site in _table_reads(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    ]
+    assert set(reads) <= {"measures.in_space_order"}, reads
