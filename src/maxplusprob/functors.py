@@ -31,7 +31,7 @@ from .measures import (
     IdempotentMeasure,
     Measure,
     TestFunction,
-    classical_measure,
+    classical_measure,  # not called here; bench/spans.py wraps functors.classical_measure
     dirac,
     in_space_order,
 )
@@ -99,6 +99,8 @@ class PointMap(Record):
         codomain: FiniteSpace,
         mapping: Mapping[str, str],
     ) -> "PointMap":
+        if not isinstance(mapping, Mapping):
+            raise TypeError(f"images must be a mapping, got {type(mapping).__name__}")
         return cls(domain, codomain, in_space_order(domain, mapping, "images"))
 
     @classmethod
@@ -343,9 +345,10 @@ def verify_counterexample(
     The domain is ``{a, b, c}`` with maps ``f: a,c -> a, b -> b`` and
     ``g: a,b -> a, c -> c``.  Classically the paired image determines
     the measure (checked by an exact integer rank test and on randomized
-    plus gridded samples).  Idempotently it does not: the report carries
-    two distinct measures sharing one image, and the naturality gap of
-    the conversion under ``f``.
+    plus gridded samples; each random measure is a uniform point of the
+    simplex, cut from two sorted draws).  Idempotently it does not: the
+    report carries two distinct measures sharing one image, and the
+    naturality gap of the conversion under ``f``.
     """
     _count(random_pairs, "the number of random pairs", least=0)
     _count(seed, "the seed", least=0)
@@ -364,12 +367,15 @@ def verify_counterexample(
     rng = random.Random(seed)
     draw = rng.random
 
-    # Each measure travels with its paired image, computed once.
+    # A uniform point of the simplex: the spacings of two sorted draws.
+    # Each draw is a multiple of 2**-53 in [0, 1), so the three masses
+    # are exact and sum to exactly 1, and the constructor keeps them bit
+    # for bit.  Each measure travels with its paired image, computed once.
     def random_classical() -> tuple[ClassicalMeasure, tuple[float, ...]]:
-        raw = [draw(), draw(), draw()]  # uniform(0, 1), bit for bit
-        if max(raw) == 0.0:
-            raw[rng.randrange(3)] = 1.0
-        mu = classical_measure(domain, raw, renormalize=True)
+        u, v = draw(), draw()
+        if u > v:
+            u, v = v, u
+        mu = ClassicalMeasure(domain, (u, v - u, 1.0 - v))
         return mu, _paired_image(mu)
 
     def sampled_pairs():
@@ -391,9 +397,11 @@ def verify_counterexample(
         return max(map(abs, map(operator.sub, x, y)))
 
     # Every pair is checked: images within 1e-9 need measures within 1e-9.
+    # The max-norm is within 1e-9 only if each coordinate is, so one
+    # subtraction turns away almost every pair before the full distance.
     implication_holds = True
     for (mu, mu_image), (nu, nu_image) in itertools.chain(sampled_pairs(), grid_pairs):
-        if distance(mu_image, nu_image) <= 1e-9:
+        if -1e-9 <= mu_image[1] - nu_image[1] <= 1e-9 and distance(mu_image, nu_image) <= 1e-9:
             implication_holds &= distance(mu.weights, nu.weights) <= 1e-9
 
     # (ii) the idempotent witness: distinct measures, one image.

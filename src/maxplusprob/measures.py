@@ -146,6 +146,8 @@ class TestFunction(Record):
 
     @classmethod
     def from_mapping(cls, space: FiniteSpace, values: Mapping[str, float]) -> "TestFunction":
+        if not isinstance(values, Mapping):
+            raise TypeError(f"function values must be a mapping, got {type(values).__name__}")
         return cls(space, in_space_order(space, values, "function values"))
 
     def __call__(self, label: str) -> float:
@@ -408,7 +410,18 @@ def maxplus_combine(
         else a if (a := w + alpha) >= (b := v + beta) else b
         for w, v in zip(left, right)
     ]
-    return IdempotentMeasure(mu.space, tuple(weights))
+    try:
+        return IdempotentMeasure(mu.space, tuple(weights))
+    except ValueError:
+        # A finite weight plus its coefficient overflowed to -inf: name it.
+        for label, out, w, v in zip(mu.space.points, weights, left, right):
+            if out == -math.inf:
+                a, b = (w, alpha) if w is not BOTTOM and w + alpha == out else (v, beta)
+                raise ValueError(
+                    f"point {label!r} of the combination: the weight sum"
+                    f" {a!r} + {b!r} overflows the float range"
+                ) from None
+        raise
 
 
 def has_support_at_most(mu: Measure, n: int) -> bool:

@@ -195,7 +195,24 @@ def _max_plus_dot(
 
 
 def _sum_product_dot(weights: Sequence[float], values: Sequence[float]) -> float:
-    return math.fsum(map(operator.mul, weights, values))
+    # The sum overflows when its partial sums pass the float maximum; a
+    # product does when a mass over 1 (within the 1e-12 gate) meets it.
+    try:
+        total = math.fsum(map(operator.mul, weights, values))
+    except OverflowError:
+        total = math.inf
+    return total if math.isfinite(total) else _halved_dot(weights, values)
+
+
+def _halved_dot(weights: Sequence[float], values: Sequence[float]) -> float:
+    # Halving is exact above the subnormals, and the products of the
+    # halved values sum to about half the float maximum at most, so
+    # doubling their fold undoes the scaling.  An expectation lies
+    # between the least and the greatest value on the support, which the
+    # doubled fold may pass only by its rounding.
+    total = 2.0 * math.fsum([w * (v * 0.5) for w, v in zip(weights, values)])
+    on_support = [v for w, v in zip(weights, values) if w != 0.0]
+    return min(max(total, min(on_support)), max(on_support))
 
 
 MAX_PLUS = Semiring(zero=BOTTOM, sum=big_oplus, times=odot, dot=_max_plus_dot)

@@ -63,6 +63,21 @@ def test_eval_classical(doc, capsys):
     assert out == {"value": 3}
 
 
+@pytest.mark.parametrize(
+    "masses", ({"a": 0.1577549464810931, "b": 0.842245053518907}, {"a": 0.5, "b": 0.5000000000005})
+)
+def test_eval_classical_at_the_float_maximum(doc, capsys, masses):
+    # The expectation's sum passed the float maximum and exited 1.
+    top = 1.7976931348623157e308
+    code, out = invoke(
+        capsys, "eval",
+        "--measure", doc("m.json", {"space": ["a", "b"], "kind": "classical", "weights": masses}),
+        "--function", doc("f.json", {"space": ["a", "b"], "values": {"a": top, "b": top}}),
+    )
+    assert code == 0
+    assert out == {"value": 1.79769313486e308}
+
+
 def test_push_takes_fiber_maxima(doc, capsys):
     code, out = invoke(
         capsys, "push", "--measure", doc("m.json", WIDE),

@@ -29,6 +29,7 @@ from maxplusprob import (
     reconstruct_product,
     verify_counterexample,
 )
+from maxplusprob import functors
 from maxplusprob.functors import _fixture, _full_rank, _paired_image
 
 from gen import (
@@ -66,6 +67,13 @@ def test_point_map_from_mapping():
         PointMap.from_mapping(AB, ABC, {"a": "c"})
     with pytest.raises(ValueError, match="unknown"):
         PointMap.from_mapping(AB, ABC, {"a": "c", "b": "c", "z": "a"})
+
+
+def test_point_map_from_mapping_names_a_non_mapping():
+    for table in (["c", "c"], ("c", "c"), "cc", None):
+        message = rf"^images must be a mapping, got {type(table).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            PointMap.from_mapping(AB, ABC, table)
 
 
 def test_identity_and_compose():
@@ -449,6 +457,66 @@ def test_counterexample_validates_every_classical_construction(monkeypatch):
     # 91 grid measures, the conversion probe and its pushforward.
     assert len(calls) == 18_843
     assert report.grid_pairs_checked == 4186 and report.classical_injective
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_counterexample_samples_exact_points_of_the_simplex(monkeypatch, seed):
+    # Each sample is the spacings of two sorted draws: three exact masses
+    # summing to exactly 1, which the constructor stores bit for bit.
+    validate = ClassicalMeasure.__post_init__
+    built = []
+
+    def recorded(self):
+        given = self.weights
+        validate(self)
+        built.append((given, self.weights))
+
+    monkeypatch.setattr(ClassicalMeasure, "__post_init__", recorded)
+    report = verify_counterexample(random_pairs=500, seed=seed)
+    assert report.classical_injective
+    step = 12
+    grid = {
+        (i / step, j / step, (step - i - j) / step)
+        for i in range(step + 1)
+        for j in range(step + 1 - i)
+    }
+    sampled = [
+        (given, stored)
+        for given, stored in built
+        if len(given) == 3 and given not in grid and given != (0.4, 0.2, 0.4)
+    ]
+    # 500 pairs, every eighth a self-pair: 500 + 437 sampled measures.
+    assert len(sampled) == 937
+    for given, stored in sampled:
+        assert min(given) >= 0.0 and math.fsum(given) == 1.0
+        assert list(map(float.hex, stored)) == list(map(float.hex, given))
+    # Each spacing of a uniform point of the simplex has mean 1/3.
+    for masses in zip(*(given for given, _ in sampled)):
+        assert abs(math.fsum(masses) / len(masses) - 1 / 3) < 0.03
+
+
+def test_counterexample_checks_every_colliding_grid_pair(monkeypatch):
+    # With the pairing (f, f), whose forms (a + c, b) repeat, distinct
+    # grid measures such as (1, 0, 0) and (0, 0, 1) share one image.
+    def repeated(mu):
+        a, b, c = mu.weights
+        return (a + c, b, a + c, b)
+
+    # The same forms in units of the grid step are integers: two grid
+    # images then agree bit for bit or differ by at least 1, so only the
+    # exact collisions can show that the pairing is not injective.
+    def repeated_in_steps(mu):
+        a, b, c = mu.weights
+        image = (round(12 * (a + c)), round(12 * b))
+        return image + image
+
+    for forms in (repeated, repeated_in_steps):
+        monkeypatch.setattr(functors, "_paired_image", forms)
+        for pairs in (0, 500):
+            report = verify_counterexample(random_pairs=pairs)
+            assert report.exact_solution_unique
+            assert report.classical_injective is False
+            assert report.grid_pairs_checked == 4186
 
 
 def test_counterexample_is_seeded_and_reproducible():

@@ -180,6 +180,12 @@ def test_function_from_mapping_requires_exact_keys():
         TestFunction.from_mapping(AB, {"a": 1.0, "b": 2.0, "c": 3.0})
 
 
+def test_function_from_mapping_names_a_non_mapping():
+    for table in ([1.0, 2.0], (1.0, 2.0), "ab", None):
+        message = rf"^function values must be a mapping, got {type(table).__name__}$"
+        with pytest.raises(TypeError, match=message):
+            TestFunction.from_mapping(AB, table)
+
 
 def test_function_from_mapping_checks_numbers_like_the_constructor():
     with pytest.raises(ValueError, match="not a real number: '1.5'"):
@@ -191,6 +197,7 @@ def test_function_from_mapping_checks_numbers_like_the_constructor():
     phi = TestFunction.from_mapping(AB, {"a": 1, "b": 2.5})
     assert phi.values == (1.0, 2.5)
     assert all(type(v) is float for v in phi.values)
+
 
 def test_a_rejected_shift_is_named_as_given():
     # An int beyond the float range reads as inf; the message names the int.
@@ -481,6 +488,43 @@ def test_classical_support_and_evaluation():
     assert evaluate_classical(half, phi) == pytest.approx(3.0, abs=1e-12)
 
 
+MAX = 1.7976931348623157e308
+
+
+def test_classical_evaluate_at_the_float_maximum_stays_within_the_values():
+    # fsum overflowed on these: masses summing to exactly 1, and masses
+    # within the 1e-12 gate that are kept bit for bit.
+    top = TestFunction(AB, (MAX, MAX))
+    for masses in ((0.1577549464810931, 0.842245053518907), (0.5, 0.5000000000005)):
+        mu = ClassicalMeasure(AB, masses)
+        assert evaluate(mu, top) == MAX
+        assert evaluate(mu, TestFunction(AB, (-MAX, -MAX))) == -MAX
+        assert -MAX < evaluate(mu, TestFunction(AB, (MAX, -MAX))) < MAX
+    # A mass just over 1 times the maximum overflows the product itself.
+    one = space_of(1)
+    heavy = ClassicalMeasure(one, (1.0000000000005,))
+    assert heavy.weights == (1.0000000000005,)
+    assert evaluate(heavy, TestFunction(one, (MAX,))) == MAX
+    assert evaluate(heavy, TestFunction(one, (-MAX,))) == -MAX
+
+
+def test_classical_evaluate_never_overflows_on_random_masses():
+    # One in about fifteen of these overflowed fsum on the constant MAX.
+    rng = random.Random(1)
+    for _ in range(2_000):
+        space = space_of(rng.randint(2, 6))
+        raw = [rng.random() for _ in space.points]
+        mu = classical_measure(space, raw, renormalize=True)
+        constant = evaluate(mu, TestFunction(space, (MAX,) * len(space)))
+        assert constant <= MAX and constant == pytest.approx(MAX, rel=1e-12)
+        values = tuple(rng.choice((MAX, -MAX, MAX / 3, 1.0)) for _ in space.points)
+        # Masses summing to 1 within 1e-12 move the bounds by as much.
+        on_support = [v for w, v in zip(mu.weights, values) if w != 0.0]
+        slack = 1e-12 * max(map(abs, on_support))
+        value = evaluate(mu, TestFunction(space, values))
+        assert min(on_support) - slack <= value <= max(on_support) + slack
+
+
 # -- combination and the atom-count family --------------------------------------
 
 
@@ -506,6 +550,25 @@ def test_maxplus_combine_rejects_bad_coefficients():
         maxplus_combine(BOTTOM, mu, BOTTOM, nu)
     with pytest.raises(ValueError, match="space mismatch"):
         maxplus_combine(0.0, mu, 0.0, dirac(space_of(3), "a"))
+
+
+def test_maxplus_combine_names_the_point_whose_weight_sum_overflows():
+    mu = IdempotentMeasure(AB, (0.0, -MAX))
+    with pytest.raises(
+        ValueError,
+        match=r"^point 'b' of the combination: the weight sum "
+        r"-1\.7976931348623157e\+308 \+ -1\.7976931348623157e\+308 overflows the float range$",
+    ):
+        maxplus_combine(-MAX, mu, 0.0, dirac(AB, "a"))
+    # The other side's sum is named when it is the one that overflows.
+    with pytest.raises(
+        ValueError,
+        match=r"^point 'b' of the combination: the weight sum "
+        r"-1\.7976931348623157e\+308 \+ -8\.988465674311579e\+307 overflows",
+    ):
+        maxplus_combine(0.0, dirac(AB, "a"), -MAX / 2, mu)
+    # Where the other side is finite the larger weight is kept.
+    assert maxplus_combine(-MAX, mu, 0.0, dirac(AB, "b")).weights == (-MAX, 0.0)
 
 
 def test_combine_support_is_the_union_for_finite_coefficients():

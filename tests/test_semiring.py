@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import ast
 import math
+import random
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 
 import maxplusprob
+from maxplusprob import semiring
 from maxplusprob import (
     BOTTOM,
     MAX_PLUS,
@@ -168,6 +170,21 @@ def test_semiring_instances():
     assert MAX_PLUS.dot((BOTTOM,), (1.0,)) is BOTTOM
     w, v = (0.25, 0.0, 0.75), (4.0, 9.0, -1.0)
     assert SUM_PRODUCT.dot(w, v) == SUM_PRODUCT.sum(map(SUM_PRODUCT.times, w, v)) == 0.25
+
+
+def test_halved_fold_undoes_its_scaling():
+    # The overflow fallback of the classical evaluation kernel: where fsum
+    # does not overflow, the halved fold gives the same bits whenever
+    # they lie between the values (every mass here is positive).
+    rng = random.Random(5)
+    for _ in range(2_000):
+        n = rng.randint(1, 6)
+        raw = [rng.random() for _ in range(n)]
+        masses = classical_measure(FiniteSpace(tuple("abcdef"[:n])), raw, renormalize=True)
+        values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-290, 300) for _ in range(n)]
+        fast = semiring._sum_product_dot(masses.weights, values)
+        if min(values) <= fast <= max(values):
+            assert semiring._halved_dot(masses.weights, values) == fast
 
 
 # -- the number rule -------------------------------------------------------------
