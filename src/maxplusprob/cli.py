@@ -5,6 +5,9 @@ files, schema violations, invalid values), 1 on an internal error.
 Errors are reported as ``{"error": message}`` on stdout.  Numbers are
 printed with 12 significant digits and object keys are sorted, so a
 given invocation is byte-stable.
+
+Each subcommand is one row of ``_COMMANDS``; ``run`` alone parses, loads
+and decodes its JSON files, runs its step and prints the result.
 """
 
 from __future__ import annotations
@@ -29,53 +32,6 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="maxplusprob", description=__doc__)
-    commands = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    sub = commands.add_parser("eval", help="evaluate a test function under a measure")
-    sub.add_argument("--measure", required=True)
-    sub.add_argument("--function", required=True)
-
-    sub = commands.add_parser("push", help="push a measure forward along a point map")
-    sub.add_argument("--measure", required=True)
-    sub.add_argument("--map", required=True)
-
-    sub = commands.add_parser("product", help="product of two measures of one kind")
-    sub.add_argument("--measure", required=True)
-    sub.add_argument("--measure2", required=True)
-
-    sub = commands.add_parser("convert", help="convert between measure kinds")
-    sub.add_argument("--measure", required=True)
-    sub.add_argument("--to", required=True, choices=("idempotent", "classical"))
-
-    sub = commands.add_parser(
-        "dist", help="measured and tabulated mixing-path distance for a rate"
-    )
-    sub.add_argument("--epsilon", required=True, type=float)
-
-    sub = commands.add_parser(
-        "approx", help="mix a measure toward a point or a second measure"
-    )
-    sub.add_argument("--measure", required=True)
-    sub.add_argument("--epsilon", required=True, type=float)
-    sub.add_argument("--point")
-    sub.add_argument("--measure2")
-
-    commands.add_parser(
-        "verify-counterexample", help="run the paired-pushforward separation probe"
-    )
-
-    sub = commands.add_parser(
-        "density-converge", help="discretization error table for a density"
-    )
-    sub.add_argument("--density", required=True)
-    sub.add_argument("--function", required=True)
-    sub.add_argument("--grid", required=True, type=int, action="append")
-
-    return parser
-
-
 def _load_json(path: str) -> object:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -84,52 +40,28 @@ def _load_json(path: str) -> object:
         raise _CliError(f"cannot read {path}: {err.strerror or err}") from None
     try:
         return json.loads(text)
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # malformed, or an int literal past the digit limit
         raise _CliError(f"{path} is not valid JSON: {err}") from None
 
 
-def _load_measure(path: str) -> measures.Measure:
-    return jsonio.decode_measure(_load_json(path))
-
-
-def _cmd_eval(args: argparse.Namespace) -> dict:
-    mu = _load_measure(args.measure)
-    phi = jsonio.decode_function(_load_json(args.function))
-    return {"value": measures.evaluate(mu, phi)}
-
-
-def _cmd_push(args: argparse.Namespace) -> dict:
-    mu = _load_measure(args.measure)
-    mapping = jsonio.decode_point_map(_load_json(args.map))
-    return jsonio.encode_measure(functors.pushforward(mapping, mu))
-
-
-def _cmd_product(args: argparse.Namespace) -> dict:
-    mu = _load_measure(args.measure)
-    nu = _load_measure(args.measure2)
-    return jsonio.encode_measure(functors.product(mu, nu))
-
-
-def _cmd_convert(args: argparse.Namespace) -> dict:
-    mu = _load_measure(args.measure)
-    if mu.kind == args.to:
+def _convert(args: argparse.Namespace) -> dict:
+    if args.measure.kind == args.to:
         raise _CliError(f"the measure is already {args.to}")
     to = convert.to_classical if args.to == "classical" else convert.to_idempotent
-    return jsonio.encode_measure(to(mu))
+    return jsonio.encode_measure(to(args.measure))
 
 
-def _cmd_dist(args: argparse.Namespace) -> dict:
-    origin = geometry.SegmentPoint(0.0, BOTTOM)
+def _dist(args: argparse.Namespace) -> dict:
     mixed = geometry.approx_coefficients(args.epsilon)
     return {
         "epsilon": args.epsilon,
-        "measured": geometry.segment_distance(origin, mixed),
+        "measured": geometry.segment_distance(geometry.SegmentPoint(0.0, BOTTOM), mixed),
         "closed_form": geometry.approx_distance_closed_form(args.epsilon),
     }
 
 
-def _cmd_approx(args: argparse.Namespace) -> dict:
-    mu = _load_measure(args.measure)
+def _approx(args: argparse.Namespace) -> dict:
+    mu = args.measure
     if not isinstance(mu, measures.IdempotentMeasure):
         raise _CliError("approx requires an idempotent measure")
     if (args.point is None) == (args.measure2 is None):
@@ -137,34 +69,83 @@ def _cmd_approx(args: argparse.Namespace) -> dict:
     if args.point is not None:
         out = geometry.approx_toward_point(mu, args.point, args.epsilon)
     else:
-        nu = _load_measure(args.measure2)
+        nu = jsonio.decode_measure(_load_json(args.measure2))
         if not isinstance(nu, measures.IdempotentMeasure):
             raise _CliError("approx requires an idempotent second measure")
         out = geometry.approx_toward_measure(mu, nu, args.epsilon)
     return jsonio.encode_measure(out)
 
 
-def _cmd_verify(args: argparse.Namespace) -> dict:
-    return jsonio.encode_counterexample_report(functors.verify_counterexample())
-
-
-def _cmd_density_converge(args: argparse.Namespace) -> dict:
-    d = jsonio.decode_density(_load_json(args.density))
-    phi = jsonio.decode_continuous_function(_load_json(args.function))
-    report = density.convergence_report(d, phi, args.grid)
-    return jsonio.encode_convergence_report(report)
-
-
-_HANDLERS = {
-    "eval": _cmd_eval,
-    "push": _cmd_push,
-    "product": _cmd_product,
-    "convert": _cmd_convert,
-    "dist": _cmd_dist,
-    "approx": _cmd_approx,
-    "verify-counterexample": _cmd_verify,
-    "density-converge": _cmd_density_converge,
+# Subcommand -> (help, flags, step).  A flag whose spec names a ``jsonio``
+# decoder is a JSON file that ``run`` loads and decodes, in row order,
+# before the step; any other spec is ``add_argument`` keywords, required
+# unless they say otherwise.  Steps look kernels and encoders up on their
+# modules when called, so wrappers installed after import see each call.
+_COMMANDS = {
+    "eval": (
+        "evaluate a test function under a measure",
+        {"measure": "decode_measure", "function": "decode_function"},
+        lambda a: {"value": measures.evaluate(a.measure, a.function)},
+    ),
+    "push": (
+        "push a measure forward along a point map",
+        {"measure": "decode_measure", "map": "decode_point_map"},
+        lambda a: jsonio.encode_measure(functors.pushforward(a.map, a.measure)),
+    ),
+    "product": (
+        "product of two measures of one kind",
+        {"measure": "decode_measure", "measure2": "decode_measure"},
+        lambda a: jsonio.encode_measure(functors.product(a.measure, a.measure2)),
+    ),
+    "convert": (
+        "convert between measure kinds",
+        {"measure": "decode_measure", "to": {"choices": ("idempotent", "classical")}},
+        _convert,
+    ),
+    "dist": (
+        "measured and tabulated mixing-path distance for a rate",
+        {"epsilon": {"type": float}},
+        _dist,
+    ),
+    "approx": (
+        "mix a measure toward a point or a second measure",
+        {
+            "measure": "decode_measure",
+            "epsilon": {"type": float},
+            "point": {"required": False},
+            "measure2": {"required": False},
+        },
+        _approx,
+    ),
+    "verify-counterexample": (
+        "run the paired-pushforward separation probe",
+        {},
+        lambda a: jsonio.encode_counterexample_report(functors.verify_counterexample()),
+    ),
+    "density-converge": (
+        "discretization error table for a density",
+        {
+            "density": "decode_density",
+            "function": "decode_continuous_function",
+            "grid": {"type": int, "action": "append"},
+        },
+        lambda a: jsonio.encode_convergence_report(
+            density.convergence_report(a.density, a.function, a.grid)
+        ),
+    ),
 }
+
+
+def _build_parser() -> _Parser:
+    # --help shows the docstring's user-facing part, not its last paragraph.
+    parser = _Parser(prog="maxplusprob", description=__doc__.rsplit("\n\n", 1)[0])
+    commands = parser.add_subparsers(dest="command", parser_class=_Parser)
+    for name, (help_text, flags, _) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=help_text)
+        for flag, spec in flags.items():
+            keywords = {} if isinstance(spec, str) else spec
+            sub.add_argument(f"--{flag}", **{"required": True, **keywords})
+    return parser
 
 
 def _present(node: object) -> object:
@@ -190,7 +171,12 @@ def run(argv: Sequence[str]) -> int:
         args = parser.parse_args(list(argv))
         if args.command is None:
             raise _CliError("a subcommand is required (see --help)")
-        payload = _HANDLERS[args.command](args)
+        _, flags, step = _COMMANDS[args.command]
+        for flag, spec in flags.items():
+            if isinstance(spec, str):
+                document = _load_json(getattr(args, flag))
+                setattr(args, flag, getattr(jsonio, spec)(document))
+        payload = step(args)
     except (_CliError, ValueError) as err:
         # Bad flags, schema violations and invalid values all land here.
         print(json.dumps({"error": str(err)}, sort_keys=True))

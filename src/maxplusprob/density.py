@@ -43,7 +43,7 @@ from .measures import (
     normalize_idempotent,
 )
 from .record import Record
-from .semiring import _count, _floats
+from .semiring import _count, _floats, _shown
 
 __all__ = [
     "ContinuousTestFunction",
@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 _MIN_RESOLUTION = 10_000
-_MAX_GRID = 10**6  # the largest grid size, the fine-grid evaluator's scale
+_MAX_GRID = 10**6  # the largest grid size and fine-grid resolution
 # Slack for the declared-Lipschitz check: breakpoint slopes are computed
 # in floats, so an exact bound like 3 may come out a few ulps high.
 _SLOPE_TOL = 1e-9
@@ -167,9 +167,9 @@ class ContinuousTestFunction(PiecewiseLinear):
     """A piecewise-linear test function on ``[0, 1]``."""
 
 
-def _grid_size(n: object) -> int:
-    if _count(n, "the grid size") > _MAX_GRID:
-        raise ValueError(f"the grid size must be at most {_MAX_GRID}, got {n!r}")
+def _grid_size(n: object, what: str = "the grid size", least: int = 1) -> int:
+    if _count(n, what, least) > _MAX_GRID:
+        raise ValueError(f"{what} must be at most {_MAX_GRID}, got {_shown(n)}")
     return n
 
 
@@ -209,11 +209,11 @@ def eval_density_measure(
 ) -> float:
     """The maximum of ``d + phi`` over the grid points ``k / resolution``.
 
-    ``resolution`` is the cell count, at least 10000.  The value is the
+    ``resolution`` is the cell count, from 10000 to 10**6.  The value is the
     full scan's bit for bit, but a segment on which both slopes share a
     sign is read at one end only (see the module docstring).
     """
-    _count(resolution, "the resolution", least=_MIN_RESOLUTION)
+    _grid_size(resolution, "the resolution", _MIN_RESOLUTION)
     best = d.breakpoints[-1][1] + phi.breakpoints[-1][1]  # the grid point x = 1
     cuts = sorted({x for x, _ in d.breakpoints} | {x for x, _ in phi.breakpoints})
     ends = [_grid_index(x, resolution) for x in cuts]

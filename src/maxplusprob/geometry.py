@@ -43,7 +43,9 @@ from .measures import (
     support,
 )
 from .record import Record
-from .semiring import BOTTOM, MaxPlusValue, _floats, as_scalar, mp_exp, mp_ln, odot, oplus
+from .semiring import (
+    BOTTOM, MaxPlusValue, _floats, _shown, as_scalar, mp_exp, mp_ln, odot, oplus
+)
 
 __all__ = [
     "SegmentPoint",
@@ -98,7 +100,7 @@ def segment_distance(p: SegmentPoint, q: SegmentPoint) -> float:
 def _check_eps(eps: float) -> float:
     (value,) = _floats((eps,))
     if not math.isfinite(value) or not 0.0 < value <= 1.0:
-        raise ValueError(f"epsilon must lie in (0, 1], got {eps!r}")
+        raise ValueError(f"epsilon must lie in (0, 1], got {_shown(eps)}")
     return value
 
 

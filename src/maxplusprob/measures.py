@@ -47,6 +47,7 @@ from .semiring import (
     MaxPlusValue,
     _count,
     _floats,
+    _shown,
     as_scalar,
     oplus,
 )
@@ -162,7 +163,7 @@ class TestFunction(Record):
         """Max-plus scaling: add ``constant`` to every value."""
         (c,) = _floats((constant,))
         if not math.isfinite(c):
-            raise ValueError(f"the shift must be finite, got {constant!r}")
+            raise ValueError(f"the shift must be finite, got {_shown(constant)}")
         return TestFunction(self.space, tuple(v + c for v in self.values))
 
     def pointwise_max(self, other: "TestFunction") -> "TestFunction":

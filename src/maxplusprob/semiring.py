@@ -12,7 +12,8 @@ each measure operation is written once: ``MAX_PLUS`` for idempotent
 measures and ``SUM_PRODUCT`` for classical ones.
 
 Every number a caller passes in is checked here, by ``as_scalar``,
-``_floats`` or ``_count``; each raises ``ValueError`` naming what it rejects.
+``_floats`` or ``_count``; each raises ``ValueError`` naming what it
+rejects.  ``_shown`` formats a rejected value, so no int is too long to name.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def as_scalar(value: object) -> MaxPlusValue:
         out = as_float(value)
         if math.isfinite(out):
             return out
-    raise ValueError(f"not a max-plus scalar (finite number or BOTTOM): {value!r}")
+    raise ValueError(f"not a max-plus scalar (finite number or BOTTOM): {_shown(value)}")
 
 
 def as_float(value: object) -> float:
@@ -116,8 +117,26 @@ def _floats(values: Sequence[object]) -> tuple[float, ...]:
 
 def _count(value: object, what: str, least: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ValueError(f"{what} must be an integer of at least {least}, got {value!r}")
+        raise ValueError(
+            f"{what} must be an integer of at least {least}, got {_shown(value)}"
+        )
     return value
+
+
+def _shown(value: object) -> str:
+    """``repr(value)``, or an int too long for it as its sign, lead and length.
+
+    Python refuses the repr of an int past 4,300 digits (its int-to-string
+    limit) with a message that names neither the check nor the value.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        size = abs(value)
+    digits = int(math.log10(size)) + 1
+    digits += (size >= 10**digits) - (size < 10 ** (digits - 1))
+    sign = "-" if value < 0 else ""
+    return f"{sign}{size // 10 ** (digits - 12)}... ({digits} digits)"
 
 
 def oplus(a: MaxPlusValue, b: MaxPlusValue) -> MaxPlusValue:

@@ -137,3 +137,69 @@ def measure_function_scalar(draw):
     psi = draw(functions_on(space))
     lam = draw(st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))
     return space, mu, phi, psi, lam
+
+
+# -- extreme-float strategies: JSON documents at the edges of the float range -
+
+FLOAT_MAX = 1.7976931348623157e308
+LEAST_SUBNORMAL = 5e-324
+LEAST_NORMAL = 2.2250738585072014e-308
+
+# Idempotent weights at the float maximum (either sign), near where
+# ``exp`` underflows, and BOTTOM as JSON writes it.
+extreme_weights = st.one_of(
+    st.sampled_from((0.0, -FLOAT_MAX, FLOAT_MAX, -745.0, -745.2, "-inf")),
+    st.floats(max_value=0.0, allow_nan=False, allow_infinity=False),
+)
+subnormal_masses = st.one_of(
+    st.just(LEAST_SUBNORMAL), st.floats(min_value=0.0, max_value=LEAST_NORMAL)
+)
+extreme_values = st.one_of(
+    st.sampled_from((FLOAT_MAX, -FLOAT_MAX)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+extreme_epsilons = st.one_of(
+    st.sampled_from((LEAST_SUBNORMAL, 1e-320, LEAST_NORMAL, 1.0)),
+    st.floats(min_value=LEAST_SUBNORMAL, max_value=1.0),
+)
+extreme_spaces = st.integers(min_value=1, max_value=3).map(lambda n: list(_LABELS[:n]))
+
+
+def _table(draw, labels: list[str], values) -> dict:
+    n = len(labels)
+    return dict(zip(labels, draw(st.lists(values, min_size=n, max_size=n))))
+
+
+@st.composite
+def extreme_measure_docs(draw, labels: list[str]) -> dict:
+    """A measure document at the float's edges, usually but not always valid."""
+    if draw(st.booleans()):
+        weights = _table(draw, labels, extreme_weights)
+        if draw(st.integers(0, 3)):
+            weights[draw(st.sampled_from(labels))] = 0.0
+        return {"space": labels, "kind": "idempotent", "weights": weights}
+    # Subnormal masses beside one mass at or within the 1e-12 gate of 1.
+    masses = _table(draw, labels, subnormal_masses)
+    masses[draw(st.sampled_from(labels))] = draw(st.sampled_from((1.0, 1.0 + 1e-12, 0.5)))
+    return {"space": labels, "kind": "classical", "weights": masses}
+
+
+@st.composite
+def extreme_function_docs(draw, labels: list[str]) -> dict:
+    """A test function document with values up to the float maximum."""
+    return {"space": labels, "values": _table(draw, labels, extreme_values)}
+
+
+@st.composite
+def extreme_line_docs(draw, density: bool) -> dict:
+    """A density (sup 0) or continuous function document on [0, 1]."""
+    xs = sorted(draw(st.lists(st.floats(0.0, 1.0), max_size=2, unique=True)))
+    points = [0.0, *(x for x in xs if 0.0 < x < 1.0), 1.0]
+    ys = draw(st.lists(
+        extreme_weights.filter(lambda y: y != "-inf") if density else extreme_values,
+        min_size=len(points), max_size=len(points),
+    ))
+    if density and draw(st.integers(0, 3)):
+        ys[draw(st.integers(0, len(ys) - 1))] = 0.0
+    lipschitz = draw(st.sampled_from((FLOAT_MAX, 0.0, 1.0)))
+    return {"breakpoints": [list(p) for p in zip(points, ys)], "lipschitz": lipschitz}

@@ -12,12 +12,13 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
 import maxplusprob  # noqa: F401 - imports every submodule
-from maxplusprob import jsonio
+from maxplusprob import cli, jsonio
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -111,3 +112,73 @@ def test_decode_measure_runs_each_wrapped_constructor_once(
         for name in spans.CONSTRUCTORS:
             expected = decodes if name in ("FiniteSpace", built) else 0
             assert opened.count(f"measures.{name}.__post_init__") == expected, name
+
+
+MEASURE = {"space": ["a", "b"], "kind": "idempotent", "weights": {"a": 0, "b": -1}}
+DOCUMENTS = {
+    "m.json": MEASURE,
+    "f.json": {"space": ["a", "b"], "values": {"a": 2, "b": 4}},
+    "map.json": {"domain": ["a", "b"], "codomain": ["x"], "map": {"a": "x", "b": "x"}},
+    "d.json": {"breakpoints": [[0, 0], [1, 0]], "lipschitz": 0},
+    "phi.json": {"breakpoints": [[0, 0], [1, 1]], "lipschitz": 1},
+}
+# Each subcommand's argv (file names relative to a fresh directory) and the
+# decoder, kernel and encoder spans it must open.  ``spans`` wraps only the
+# aliases of ``functors.product``, so ``product`` opens no kernel span.
+TRACED_RUNS = {
+    "eval": (
+        ["--measure", "m.json", "--function", "f.json"],
+        {"jsonio.decode_measure", "jsonio.decode_function", "measures.evaluate"},
+    ),
+    "push": (
+        ["--measure", "m.json", "--map", "map.json"],
+        {"jsonio.decode_measure", "jsonio.decode_point_map", "functors.pushforward",
+         "jsonio.encode_measure"},
+    ),
+    "product": (
+        ["--measure", "m.json", "--measure2", "m.json"],
+        {"jsonio.decode_measure", "jsonio.encode_measure"},
+    ),
+    "convert": (
+        ["--measure", "m.json", "--to", "classical"],
+        {"jsonio.decode_measure", "convert.to_classical", "jsonio.encode_measure"},
+    ),
+    "dist": (
+        ["--epsilon", "0.25"],
+        {"geometry.approx_coefficients", "geometry.segment_distance",
+         "geometry.approx_distance_closed_form"},
+    ),
+    "approx": (
+        ["--measure", "m.json", "--epsilon", "0.25", "--measure2", "m.json"],
+        {"jsonio.decode_measure", "geometry.approx_toward_measure",
+         "jsonio.encode_measure"},
+    ),
+    "verify-counterexample": (
+        [],
+        {"functors.verify_counterexample", "jsonio.encode_counterexample_report"},
+    ),
+    "density-converge": (
+        ["--density", "d.json", "--function", "phi.json", "--grid", "10"],
+        {"jsonio.decode_density", "jsonio.decode_continuous_function",
+         "density.convergence_report", "jsonio.encode_convergence_report"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(TRACED_RUNS))
+def test_every_subcommand_opens_its_layer_spans(monkeypatch, tmp_path, capsys, command):
+    # The benchmark wraps module attributes after the CLI is imported; a
+    # subcommand that bound a decoder, kernel or encoder at import time
+    # would bypass the wrapper, and its layer would read 0.
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    for module, attr, _ in spans.FUNCTIONS:
+        mod = importlib.import_module(f"maxplusprob.{module}")
+        monkeypatch.setattr(mod, attr, tracer.wrap(getattr(mod, attr), f"{module}.{attr}"))
+    for name, payload in DOCUMENTS.items():
+        (tmp_path / name).write_text(json.dumps(payload))
+    monkeypatch.chdir(tmp_path)
+    argv, expected = TRACED_RUNS[command]
+    assert cli.run([command, *argv]) == 0, capsys.readouterr().out
+    opened = {tracer.names[i] for i in tracer.name}
+    assert expected | {"cli.run"} <= opened, sorted(expected - opened)

@@ -1,13 +1,26 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxplusprob.cli import run
+
+from gen import (
+    extreme_epsilons,
+    extreme_function_docs,
+    extreme_line_docs,
+    extreme_measure_docs,
+    extreme_spaces,
+)
 
 IDEMPOTENT = {"space": ["a", "b"], "kind": "idempotent", "weights": {"a": 0, "b": -1}}
 CLASSICAL = {"space": ["a", "b"], "kind": "classical", "weights": {"a": 0.5, "b": 0.5}}
@@ -362,6 +375,21 @@ def test_schema_violation_reports_path(doc, capsys):
     assert out["error"].startswith("weights.a:")
 
 
+def test_integer_literal_past_the_digit_limit_names_the_file(doc, tmp_path, capsys):
+    # 5,001 digits: ``json.loads`` raises a plain ValueError, no JSONDecodeError.
+    path = tmp_path / "huge.json"
+    path.write_text(
+        '{"space": ["a"], "kind": "classical", "weights": {"a": 1%s}}' % ("0" * 5000)
+    )
+    code, out = invoke(
+        capsys, "eval", "--measure", str(path),
+        "--function", doc("f.json", {"space": ["a"], "values": {"a": 1}}),
+    )
+    assert code == 2
+    assert out["error"].startswith(f"{path} is not valid JSON: ")
+    assert "4300" in out["error"]
+
+
 def test_huge_integer_literal_is_a_schema_error(doc, tmp_path, capsys):
     # 401 digits: beyond the float range, so ``float`` would overflow.
     path = tmp_path / "huge.json"
@@ -481,5 +509,101 @@ def test_approx_rejects_classical_measures(doc, capsys):
     assert "idempotent second measure" in out["error"]
 
 
+def test_a_bad_measure_is_reported_before_a_missing_function(doc, tmp_path, capsys):
+    # Files are loaded and decoded in flag order, each before the next is read.
+    bad = {"space": ["a"], "kind": "idempotent", "weights": {"a": "zero"}}
+    code, out = invoke(
+        capsys, "eval", "--measure", doc("bad.json", bad),
+        "--function", str(tmp_path / "nope.json"),
+    )
+    assert code == 2
+    assert out["error"].startswith("weights.a:")
+
+
+def test_approx_checks_the_kind_before_reading_the_second_measure(doc, tmp_path, capsys):
+    code, out = invoke(
+        capsys, "approx", "--measure", doc("m.json", CLASSICAL), "--epsilon", "0.5",
+        "--measure2", str(tmp_path / "nope.json"),
+    )
+    assert code == 2
+    assert out == {"error": "approx requires an idempotent measure"}
+
+
+def test_approx_counts_its_targets_before_reading_the_second_measure(
+    doc, tmp_path, capsys
+):
+    code, out = invoke(
+        capsys, "approx", "--measure", doc("m.json", IDEMPOTENT), "--epsilon", "0.5",
+        "--point", "a", "--measure2", str(tmp_path / "nope.json"),
+    )
+    assert code == 2
+    assert out == {"error": "approx needs exactly one of --point or --measure2"}
+
+
 def test_help_exits_zero():
     assert run(["--help"]) == 0
+
+
+# -- documents at the edges of the float range ----------------------------------
+
+SUBCOMMANDS = (
+    "eval", "push", "product", "convert", "dist", "approx",
+    "verify-counterexample", "density-converge",
+)
+
+
+@st.composite
+def extreme_invocations(draw):
+    """A subcommand, its JSON documents by flag, and its other flags."""
+    command = draw(st.sampled_from(SUBCOMMANDS))
+    labels = draw(extreme_spaces)
+    documents = {"measure": draw(extreme_measure_docs(labels))}
+    epsilon = ["--epsilon", repr(draw(extreme_epsilons))]
+    if command == "eval":
+        documents["function"] = draw(extreme_function_docs(labels))
+        return command, documents, []
+    if command == "push":
+        images = {x: draw(st.sampled_from(("x", "y"))) for x in labels}
+        documents["map"] = {"domain": labels, "codomain": ["x", "y"], "map": images}
+        return command, documents, []
+    if command == "product":
+        documents["measure2"] = draw(extreme_spaces.flatmap(extreme_measure_docs))
+        return command, documents, []
+    if command == "convert":
+        to = draw(st.sampled_from(("idempotent", "classical")))
+        return command, documents, ["--to", to]
+    if command == "approx":
+        if draw(st.booleans()):
+            point = draw(st.sampled_from(labels))
+            return command, documents, [*epsilon, "--point", point]
+        documents["measure2"] = draw(extreme_measure_docs(labels))
+        return command, documents, epsilon
+    if command == "density-converge":
+        documents = {
+            "density": draw(extreme_line_docs(True)),
+            "function": draw(extreme_line_docs(False)),
+        }
+        grids = draw(st.lists(st.sampled_from(("10", "37", "100")), min_size=1, max_size=3))
+        return command, documents, [flag for n in grids for flag in ("--grid", n)]
+    return command, {}, epsilon if command == "dist" else []
+
+
+@settings(max_examples=300, derandomize=True)
+@given(extreme_invocations())
+def test_documents_at_the_float_edges_exit_zero_or_two_with_one_json_line(invocation):
+    # Weights at +-1.79e308, near -745 or BOTTOM, subnormal masses, values
+    # at +-1.79e308 and rates down to 5e-324: an input problem or an
+    # answer, never an internal error.
+    command, documents, flags = invocation
+    with tempfile.TemporaryDirectory() as folder:
+        argv = [command, *flags]
+        for flag, payload in documents.items():
+            path = Path(folder) / f"{flag}.json"
+            path.write_text(json.dumps(payload))
+            argv += [f"--{flag}", str(path)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run(argv)
+    assert code in (0, 2), (argv, documents, out.getvalue())
+    (line,) = out.getvalue().splitlines()
+    assert ("error" in json.loads(line)) == (code == 2), line

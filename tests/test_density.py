@@ -127,6 +127,14 @@ def test_reference_evaluator_validates_resolution():
     assert eval_density_measure(FLAT, RAMP, 10_000) == 1.0
 
 
+def test_reference_evaluator_refuses_a_resolution_above_one_million():
+    # One call builds up to ``resolution`` floats; the grid sizes' ceiling holds.
+    with pytest.raises(ValueError) as err:
+        eval_density_measure(FLAT, RAMP, 10**6 + 1)
+    assert str(err.value) == "the resolution must be at most 1000000, got 1000001"
+    assert eval_density_measure(FLAT, RAMP, 10**6) == 1.0
+
+
 # -- convergence ---------------------------------------------------------------------
 
 

@@ -269,6 +269,45 @@ def test_every_number_entry_point_answers_a_bad_value_with_value_error(name):
         assert name in READS_NON_FINITE and type(bad) in (int, float), (name, bad)
 
 
+# Entry points that reject an int past Python's 4,300-digit limit for
+# int-to-string conversion, by the signs they reject: a huge atom budget
+# or seed is valid.
+LONG_INT_SIGNS = {
+    "grid_points": (1, -1),
+    "approx_coefficients": (1, -1),
+    "TestFunction.shift": (1, -1),
+    "IdempotentMeasure": (1, -1),
+    "normalize_idempotent": (1, -1),
+    "as_scalar": (1, -1),
+    "maxplus_combine": (1, -1),
+    "has_support_at_most": (-1,),
+    "verify_counterexample seed": (-1,),
+    "eval_density_measure": (1, -1),
+}
+
+
+@pytest.mark.parametrize(
+    "name, sign", [(name, sign) for name, signs in LONG_INT_SIGNS.items() for sign in signs]
+)
+def test_an_int_past_the_digit_limit_is_named_by_its_lead_and_length(name, sign):
+    # Its repr would raise Python's own limit message, naming no check.
+    call, _ = ENTRY_POINTS[name]
+    with pytest.raises(ValueError) as err:
+        call(sign * 10**5000)
+    shown = "-100000000000" if sign < 0 else "100000000000"
+    assert str(err.value).endswith(f" {shown}... (5001 digits)"), str(err.value)
+
+
+def test_shown_spells_out_every_int_that_has_a_repr():
+    # Up to Python's default limit of 4,300 digits, as the messages always did.
+    assert semiring._shown(10**4300 - 1) == "9" * 4300
+    assert semiring._shown(-(10**4300)) == "-100000000000... (4301 digits)"
+    assert semiring._shown(10**4400 - 1) == "999999999999... (4400 digits)"
+    assert semiring._shown(2**16000) == "301946933723... (4817 digits)"
+    assert semiring._shown(True) == "True"
+    assert semiring._shown(2.5) == "2.5"
+
+
 SRC = Path(maxplusprob.__file__).resolve().parent
 # Outside ``semiring``, only these call ``float``: the encoders and the CLI
 # printer convert the package's own values, and ``measures._scalars`` the
