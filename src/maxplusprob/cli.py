@@ -38,9 +38,11 @@ def _load_json(path: str) -> object:
             text = handle.read()
     except OSError as err:
         raise _CliError(f"cannot read {path}: {err.strerror or err}") from None
+    except UnicodeDecodeError as err:  # not UTF-8; it has no strerror
+        raise _CliError(f"cannot read {path}: {err}") from None
     try:
         return json.loads(text)
-    except ValueError as err:  # malformed, or an int literal past the digit limit
+    except (ValueError, RecursionError) as err:  # malformed, too long an int, too deep
         raise _CliError(f"{path} is not valid JSON: {err}") from None
 
 

@@ -262,11 +262,17 @@ def convergence_report(
 
     Grid sizes are deduplicated and sorted; each row compares the
     discretized evaluation with the reference ``sup_x (d(x) + phi(x))``,
-    the largest sum at a breakpoint of ``d`` or ``phi``.
+    the largest sum at a breakpoint of ``d`` or ``phi``.  Lipschitz bounds
+    whose sum overflows the float range raise ``ValueError``.
     """
     sizes = sorted({_grid_size(n) for n in ns})
     if not sizes:
         raise ValueError("at least one grid size is required")
+    if not math.isfinite(phi.lipschitz + d.lipschitz):
+        raise ValueError(
+            f"the Lipschitz bounds {d.lipschitz!r} (density) + {phi.lipschitz!r}"
+            " (function) overflow the float range, so no error bound is finite"
+        )
     cuts = sorted({x for x, _ in d.breakpoints} | {x for x, _ in phi.breakpoints})
     reference = max(map(add, d.sample(cuts), phi.sample(cuts)))
     rows = []

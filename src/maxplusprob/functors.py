@@ -36,7 +36,7 @@ from .measures import (
     in_space_order,
 )
 from .record import Record
-from .semiring import MAX_PLUS, _count
+from .semiring import MAX_PLUS, _count, _name_overflow
 
 __all__ = [
     "CounterexampleReport",
@@ -149,22 +149,13 @@ class ProductSpace(Record):
 
 
 # The characters that structure a pair label, and their escapes.
-_PAIR_SYNTAX = frozenset("\\,()")
-_ESCAPES = str.maketrans({c: "\\" + c for c in _PAIR_SYNTAX})
-
-
-def _escaped(labels: Sequence[str]) -> Sequence[str]:
-    # The labels as they appear inside pair labels.  One scan over all of
-    # them decides whether any needs escaping; most never do.
-    if _PAIR_SYNTAX.isdisjoint("".join(labels)):
-        return labels
-    return [label.translate(_ESCAPES) for label in labels]
+_ESCAPES = str.maketrans({c: "\\" + c for c in "\\,()"})
 
 
 def _pair_labels(xs: Sequence[str], ys: Sequence[str]) -> tuple[str, ...]:
     # "(x,y)" for every pair, left-major.
-    heads = [f"({x}," for x in _escaped(xs)]
-    tails = [f"{y})" for y in _escaped(ys)]
+    heads = [f"({x.translate(_ESCAPES)}," for x in xs]
+    tails = [f"{y.translate(_ESCAPES)})" for y in ys]
     return tuple([head + tail for head in heads for tail in tails])
 
 
@@ -172,7 +163,15 @@ def product_function(phi: TestFunction, psi: TestFunction) -> TestFunction:
     """The function ``(x, y) -> phi(x) + psi(y)`` on the product space."""
     prod = ProductSpace.of(phi.space, psi.space)
     values = tuple(a + b for a in phi.values for b in psi.values)
-    return TestFunction(prod.space, values)
+    try:
+        return TestFunction(prod.space, values)
+    except ValueError:
+        m = len(psi.values)
+        _name_overflow(
+            prod.space.points, values, "atom {} of the product function", "value",
+            lambda i: (phi.values[i // m], psi.values[i % m]),
+        )
+        raise
 
 
 # -- pushforwards ------------------------------------------------------------

@@ -23,7 +23,8 @@ Every type here is a frozen ``Record``: its constructor binds the
 annotated fields and then runs ``__post_init__``, which checks them and
 may normalize them.  ``FiniteSpace._index``, the label lookup, is a cache
 built on the first lookup.  For a measure kind ``__post_init__`` is the
-only place its weights are checked, by the number rules of ``semiring``.
+only place its weights are checked, by the number rules of ``semiring``:
+``_scalars`` for max-plus weights, ``_floats`` for masses.
 ``normalize_idempotent`` and ``classical_measure`` only align raw
 weights (a table keyed by label through ``in_space_order``, the one
 reader of such tables) and shift or rescale them; other operations
@@ -47,6 +48,8 @@ from .semiring import (
     MaxPlusValue,
     _count,
     _floats,
+    _name_overflow,
+    _scalars,
     _shown,
     as_scalar,
     oplus,
@@ -164,7 +167,15 @@ class TestFunction(Record):
         (c,) = _floats((constant,))
         if not math.isfinite(c):
             raise ValueError(f"the shift must be finite, got {_shown(constant)}")
-        return TestFunction(self.space, tuple(v + c for v in self.values))
+        values = tuple(v + c for v in self.values)
+        try:
+            return TestFunction(self.space, values)
+        except ValueError:
+            _name_overflow(
+                self.space.points, values, "point {!r} of the shift", "value",
+                lambda i: (self.values[i], c),
+            )
+            raise
 
     def pointwise_max(self, other: "TestFunction") -> "TestFunction":
         """Max-plus sum of two functions on the same space."""
@@ -311,9 +322,15 @@ def normalize_idempotent(
     which the constructor rejects as empty support.
     """
     values, peak = _scalars(_aligned(space, raw))
-    return IdempotentMeasure(
-        space, tuple([BOTTOM if v is BOTTOM else v - peak for v in values])
-    )
+    weights = tuple([BOTTOM if v is BOTTOM else v - peak for v in values])
+    try:
+        return IdempotentMeasure(space, weights)
+    except ValueError:
+        _name_overflow(
+            space.points, weights, "point {!r} of the normalization", "weight",
+            lambda i: (values[i], -peak),
+        )
+        raise
 
 
 def classical_measure(
@@ -333,7 +350,9 @@ def classical_measure(
     passed.
     """
     values = _floats(_aligned(space, weights))
-    if renormalize and len(values) == len(space.points) and min(values) >= 0.0:
+    if renormalize and len(values) == len(space.points) and (
+        0.0 <= min(values) <= max(values) < math.inf
+    ):
         given, top = values, 1.0
         try:
             total = math.fsum(values)
@@ -347,9 +366,11 @@ def classical_measure(
             label, mass = next(
                 (p, v) for p, v, r in zip(space.points, given, values) if r == 0.0 < v
             )
+            # A total beyond the float range is shown as its two factors.
+            shown = repr(top * total) if top * total < math.inf else f"{top!r} * {total!r}"
             raise ValueError(
                 f"mass {mass!r} of point {label!r} underflows to 0 when divided by"
-                f" the total {top * total!r}; the rescale would drop it from the support"
+                f" the total {shown}; the rescale would drop it from the support"
             )
     return ClassicalMeasure(space, values)
 
@@ -415,13 +436,12 @@ def maxplus_combine(
         return IdempotentMeasure(mu.space, tuple(weights))
     except ValueError:
         # A finite weight plus its coefficient overflowed to -inf: name it.
-        for label, out, w, v in zip(mu.space.points, weights, left, right):
-            if out == -math.inf:
-                a, b = (w, alpha) if w is not BOTTOM and w + alpha == out else (v, beta)
-                raise ValueError(
-                    f"point {label!r} of the combination: the weight sum"
-                    f" {a!r} + {b!r} overflows the float range"
-                ) from None
+        def summands(i: int) -> tuple:
+            w, out = left[i], weights[i]
+            return (w, alpha) if w is not BOTTOM and w + alpha == out else (right[i], beta)
+
+        where = "point {!r} of the combination"
+        _name_overflow(mu.space.points, weights, where, "weight", summands)
         raise
 
 
@@ -460,30 +480,6 @@ def _aligned(
     space: FiniteSpace, raw: Union[Mapping[str, object], Sequence[object]]
 ) -> Sequence[object]:
     # Raw weights keyed by label, in space order; a sequence as given.
-    # A list or tuple skips the ``Mapping`` ABC check, the slow part.
-    if type(raw) not in (list, tuple) and isinstance(raw, Mapping):
+    if isinstance(raw, Mapping):
         return in_space_order(space, raw, "weights")
     return raw
-
-
-def _scalars(values: Sequence[object]) -> tuple[tuple, MaxPlusValue]:
-    # The values as max-plus scalars, and their peak (BOTTOM if all are).
-    # Finite floats pass in bulk, and so do ints (a JSON peak written
-    # ``0``), made floats here.  Anything else, an int beyond the float
-    # range included, is coerced one by one, so ``as_scalar`` names the
-    # first value it rejects.
-    values = tuple(values)
-    finite = [w for w in values if w is not BOTTOM]
-    kinds = set(map(type, finite))
-    if int in kinds and kinds <= {int, float}:
-        try:
-            values = tuple([w if w is BOTTOM else float(w) for w in values])
-        except OverflowError:
-            pass
-        else:
-            finite, kinds = [w for w in values if w is not BOTTOM], {float}
-    if not (kinds <= {float} and all(map(math.isfinite, finite))):
-        values = tuple(map(as_scalar, values))
-        finite = [w for w in values if w is not BOTTOM]
-    return values, max(finite, default=BOTTOM)
-

@@ -11,9 +11,12 @@ A ``Semiring`` record bundles what a measure kind computes with, so
 each measure operation is written once: ``MAX_PLUS`` for idempotent
 measures and ``SUM_PRODUCT`` for classical ones.
 
-Every number a caller passes in is checked here, by ``as_scalar``,
-``_floats`` or ``_count``; each raises ``ValueError`` naming what it
-rejects.  ``_shown`` formats a rejected value, so no int is too long to name.
+Every number a caller passes in is checked here: one scalar by
+``as_scalar``, reals by ``_floats``, max-plus weights with their peak by
+``_scalars`` and counts by ``_count``; each raises ``ValueError`` naming
+what it rejects.  ``_shown`` formats a rejected value, so no int is too
+long to name, and ``_name_overflow`` the terms of a sum that leaves the
+float range.
 """
 
 from __future__ import annotations
@@ -99,9 +102,9 @@ _FLOAT = frozenset((float,))
 
 
 def _floats(values: Sequence[object]) -> tuple[float, ...]:
-    # Ints and floats (never bools) as floats, at C speed; anything else
-    # is named.  An int beyond the float range becomes +-inf, so the
-    # caller's finiteness check rejects it by name.
+    # Ints and floats (never bools) as floats; anything else is named.
+    # An int beyond the float range becomes +-inf, so the caller's
+    # finiteness check rejects it by name.
     values = tuple(values)
     if _FLOAT.issuperset(map(type, values)):
         return values
@@ -109,10 +112,34 @@ def _floats(values: Sequence[object]) -> tuple[float, ...]:
         for v in values:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
                 raise ValueError(f"not a real number: {v!r}")
-    try:
-        return tuple(map(float, values))
-    except OverflowError:
-        return tuple(map(as_float, values))
+    return tuple(map(as_float, values))
+
+
+def _scalars(values: Iterable[object]) -> tuple[tuple, MaxPlusValue]:
+    # The values as max-plus scalars, and their peak (BOTTOM if all are).
+    # Finite floats pass in one bulk check; anything else is coerced one
+    # by one, so ``as_scalar`` names the first value it rejects.
+    values = tuple(values)
+    finite = [w for w in values if w is not BOTTOM]
+    if not (_FLOAT.issuperset(map(type, finite)) and all(map(math.isfinite, finite))):
+        values = tuple(map(as_scalar, values))
+        finite = [w for w in values if w is not BOTTOM]
+    return values, max(finite, default=BOTTOM)
+
+
+def _name_overflow(
+    labels: Sequence[str], sums: Sequence, where: str, what: str, summands: Callable
+) -> None:
+    # Raise ``ValueError`` for the first of ``sums`` that left the float
+    # range, naming its label by ``where`` and the two finite terms
+    # ``summands(i)`` that ``sums[i]`` added; return when none did.
+    for i, out in enumerate(sums):
+        if out in (math.inf, -math.inf):
+            a, b = summands(i)
+            raise ValueError(
+                f"{where.format(labels[i])}: the {what} sum {a!r} + {b!r}"
+                " overflows the float range"
+            ) from None
 
 
 def _count(value: object, what: str, least: int = 1) -> int:

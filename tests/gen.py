@@ -154,6 +154,13 @@ extreme_weights = st.one_of(
 subnormal_masses = st.one_of(
     st.just(LEAST_SUBNORMAL), st.floats(min_value=0.0, max_value=LEAST_NORMAL)
 )
+# Classical masses: subnormal, at the float maximum (so their sum
+# overflows), and at or within the 1e-12 gate of 1.
+extreme_masses = st.one_of(
+    subnormal_masses,
+    st.sampled_from((0.0, 0.5, 1.0, 1.0 - 1e-12, 1.0 + 1e-12, FLOAT_MAX)),
+    st.floats(min_value=0.0, allow_infinity=False),
+)
 extreme_values = st.one_of(
     st.sampled_from((FLOAT_MAX, -FLOAT_MAX)),
     st.floats(allow_nan=False, allow_infinity=False),

@@ -178,6 +178,32 @@ def test_density_converge_refuses_a_grid_above_one_million(doc, capsys):
     assert out == {"error": "the grid size must be at most 1000000, got 1000001"}
 
 
+def _no_constant(name: str):
+    raise AssertionError(f"{name} is not RFC 8259 JSON")
+
+
+def test_density_converge_rejects_bounds_whose_sum_overflows(doc, capsys):
+    # (L_d + L_phi) / n would print as Infinity, with within_bound true.
+    steep = {"breakpoints": [[0, 0], [1, 0]], "lipschitz": 1.7976931348623157e308}
+    code = run([
+        "density-converge", "--density", doc("d.json", steep),
+        "--function", doc("phi.json", steep), "--grid", "10",
+    ])
+    out = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    assert code == 2
+    assert out == {
+        "error": "the Lipschitz bounds 1.7976931348623157e+308 (density) +"
+        " 1.7976931348623157e+308 (function) overflow the float range,"
+        " so no error bound is finite"
+    }
+    # One bound at the float maximum still gives a finite row.
+    code, out = invoke(
+        capsys, "density-converge", "--density", doc("d.json", steep),
+        "--function", doc("phi.json", FLAT_DENSITY), "--grid", "10",
+    )
+    assert code == 0 and out["rows"][0]["bound"] == 1.79769313486e307
+
+
 def test_verify_counterexample_document(capsys):
     code, out = invoke(capsys, "verify-counterexample")
     assert code == 0
@@ -355,6 +381,23 @@ def test_unreadable_file(capsys, tmp_path):
     code, out = invoke(capsys, "eval", "--measure", missing, "--function", missing)
     assert code == 2
     assert "cannot read" in out["error"]
+
+
+def test_a_file_that_is_not_utf8_is_named(capsys, tmp_path):
+    # The decode error has no strerror; the message still names the file.
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out = invoke(capsys, "eval", "--measure", str(path), "--function", str(path))
+    assert code == 2
+    assert out["error"].startswith(f"cannot read {path}: 'utf-8' codec can't decode")
+
+
+def test_json_nested_past_the_recursion_limit_is_not_valid_json(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out = invoke(capsys, "eval", "--measure", str(path), "--function", str(path))
+    assert code == 2
+    assert out["error"].startswith(f"{path} is not valid JSON: maximum recursion depth")
 
 
 def test_invalid_json(capsys, tmp_path):
@@ -606,4 +649,4 @@ def test_documents_at_the_float_edges_exit_zero_or_two_with_one_json_line(invoca
             code = run(argv)
     assert code in (0, 2), (argv, documents, out.getvalue())
     (line,) = out.getvalue().splitlines()
-    assert ("error" in json.loads(line)) == (code == 2), line
+    assert ("error" in json.loads(line, parse_constant=_no_constant)) == (code == 2), line

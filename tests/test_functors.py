@@ -290,6 +290,20 @@ def test_product_names_the_pair_whose_weight_sum_overflows():
     assert out.weights == (0.0, -1e308, BOTTOM, BOTTOM)
 
 
+def test_product_function_names_the_atom_whose_value_sum_overflows():
+    phi = TestFunction(AB, (1.7e308, 0.0))
+    with pytest.raises(
+        ValueError,
+        match=r"^atom \(a,a\) of the product function: the value sum "
+        r"1\.7e\+308 \+ 1\.7e\+308 overflows the float range$",
+    ):
+        product_function(phi, phi)
+    psi = TestFunction(AB, (0.0, -1.7e308))
+    with pytest.raises(ValueError, match=r"^atom \(b,b\) of the product function"):
+        product_function(psi, psi)
+    assert product_function(phi, psi).values == (1.7e308, 0.0, 0.0, -1.7e308)
+
+
 def test_product_names_the_pair_whose_mass_product_underflows():
     # 1e-200 * 1e-200 rounds to 0: (b,b) would leave the support silently.
     mu = ClassicalMeasure(AB, (1.0, 1e-200))

@@ -11,7 +11,7 @@ from array import array
 from collections import UserList, defaultdict
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maxplusprob import (
@@ -37,11 +37,20 @@ from maxplusprob import (
     maxplus_combine,
     normalize_idempotent,
     point_mass,
+    product,
+    product_function,
+    pushforward,
     support,
+    to_classical,
+    to_idempotent,
 )
 
 from gen import (
     awkward_spaces,
+    extreme_masses,
+    extreme_spaces,
+    extreme_values,
+    extreme_weights,
     measure_function_scalar,
     random_function,
     random_idempotent,
@@ -115,6 +124,9 @@ def test_ints_beyond_the_float_range_are_not_finite():
         ClassicalMeasure(AB, (1.0, huge))
     with pytest.raises(ValueError, match="finite and >= 0, got -inf$"):
         classical_measure(AB, (1.0, -huge), renormalize=True)
+    # Beside finite masses whose sum overflows, too: no rescale is tried.
+    with pytest.raises(ValueError, match="finite and >= 0, got inf$"):
+        classical_measure(space_of(3), (huge, 1e308, 1e308), renormalize=True)
     with pytest.raises(ValueError, match="must be finite: inf$"):
         TestFunction(AB, (1, huge))
     with pytest.raises(ValueError, match="not a max-plus scalar"):
@@ -134,6 +146,38 @@ def test_idempotent_weights_are_coerced_when_not_all_floats():
     assert [type(w) for w in mu.weights[:2]] == [float, float]
     with pytest.raises(ValueError, match="not a max-plus scalar"):
         IdempotentMeasure(AB, (0.0, True))
+
+    # Each door gives the bits of the float spelling: an int peak, an
+    # all-int vector, ints as function values and as masses.
+    def bits(value):
+        values = value.values if isinstance(value, TestFunction) else value.weights
+        return [v if v is BOTTOM else (type(v), v.hex()) for v in values]
+
+    def rescaled(space, masses):
+        return classical_measure(space, masses, renormalize=True)
+
+    abc = space_of(3)
+    for build, ints, floats in (
+        (IdempotentMeasure, (0, -1.5, BOTTOM), (0.0, -1.5, BOTTOM)),
+        (IdempotentMeasure, (0, -2, -5), (0.0, -2.0, -5.0)),
+        (normalize_idempotent, {"a": 3, "b": -1.5, "c": BOTTOM}, {"a": 3.0, "b": -1.5, "c": BOTTOM}),
+        (normalize_idempotent, (3, -2, 1), (3.0, -2.0, 1.0)),
+        (TestFunction, (3, -2, 1), (3.0, -2.0, 1.0)),
+        (classical_measure, (0, 1, 0), (0.0, 1.0, 0.0)),
+        (rescaled, (1, 1, 2), (1.0, 1.0, 2.0)),
+    ):
+        assert bits(build(abc, ints)) == bits(build(abc, floats))
+    doc = {"space": list("abc"), "kind": "idempotent", "weights": {"a": 0, "b": -2, "c": "-inf"}}
+    floats = {**doc, "weights": {"a": 0.0, "b": -2.0, "c": "-inf"}}
+    assert bits(decode_measure(doc)) == bits(decode_measure(floats))
+    # An int beyond the float range is still rejected by name.
+    huge = -(10**400)
+    message = f"^not a max-plus scalar \\(finite number or BOTTOM\\): {huge}$"
+    for build in (IdempotentMeasure, normalize_idempotent):
+        with pytest.raises(ValueError, match=message):
+            build(abc, (0, huge, BOTTOM))
+    with pytest.raises(ValueError, match=r"^weights\.b: expected a finite number$"):
+        decode_measure({**doc, "weights": {"a": 0, "b": huge, "c": "-inf"}})
 
 
 def test_classical_constructors_take_only_numbers():
@@ -206,9 +250,16 @@ def test_a_rejected_shift_is_named_as_given():
         with pytest.raises(ValueError) as err:
             phi.shift(bad)
         assert str(err.value) == f"the shift must be finite, got {bad!r}"
-    # A finite shift whose sums overflow is named by the constructor.
-    with pytest.raises(ValueError, match="must be finite: inf$"):
+    # A finite shift whose sums overflow names the point and both summands.
+    with pytest.raises(
+        ValueError,
+        match=r"^point 'a' of the shift: the value sum 1e\+308 \+ 1e\+308 overflows the float"
+        r" range$",
+    ):
         TestFunction(AB, (1e308, 0.0)).shift(1e308)
+    below = r"^point 'b' of the shift: the value sum -1e\+308 \+ -1e\+308 overflows"
+    with pytest.raises(ValueError, match=below):
+        TestFunction(AB, (0.0, -1e308)).shift(-1e308)
 
 
 # -- tables keyed by label --------------------------------------------------------
@@ -350,6 +401,18 @@ def test_normalize_shifts_to_zero_max():
         normalize_idempotent(AB, (BOTTOM, BOTTOM))
 
 
+def test_normalization_names_the_point_whose_weight_sum_overflows():
+    # No weight the caller passed is -inf; the shift by the peak makes one.
+    with pytest.raises(
+        ValueError,
+        match=r"^point 'a' of the normalization: the weight sum "
+        r"-1\.7e\+308 \+ -1\.7e\+308 overflows the float range$",
+    ):
+        normalize_idempotent(AB, {"a": -1.7e308, "b": 1.7e308})
+    # Within the float range the same shift keeps every point.
+    assert normalize_idempotent(AB, (-MAX / 2, MAX / 2)).weights == (-MAX, 0.0)
+
+
 def test_normalize_is_idempotent():
     rng = random.Random(7)
     for _ in range(50):
@@ -450,6 +513,13 @@ def test_rescale_that_rounds_a_mass_to_zero_names_the_point():
     # 1e-300 / 1e308 underflows: the rescale would drop b from the support.
     with pytest.raises(ValueError, match="mass 1e-300 of point 'b' underflows to 0"):
         classical_measure(AB, (1e308, 1e-300), renormalize=True)
+    # A total beyond the float range is named by its two factors, not as inf.
+    with pytest.raises(
+        ValueError,
+        match=r"^mass 5e-324 of point 'a' underflows to 0 when divided by the total "
+        r"1\.7976931348623157e\+308 \* 2\.0; the rescale",
+    ):
+        classical_measure(space_of(3), (5e-324, MAX, MAX), renormalize=True)
 
 
 def test_masses_summing_beyond_the_float_range():
@@ -523,6 +593,73 @@ def test_classical_evaluate_never_overflows_on_random_masses():
         slack = 1e-12 * max(map(abs, on_support))
         value = evaluate(mu, TestFunction(space, values))
         assert min(on_support) - slack <= value <= max(on_support) + slack
+
+
+# An infinity named as a value, as in ``got -inf`` or ``sum to inf``.
+_INFINITY = re.compile(r"(?<![\w.])-?inf\b")
+
+
+def _at_the_edge(call, *args):
+    # The call's answer, or None for a ValueError that names no infinity:
+    # every input here is finite.  Any other exception fails the test.
+    try:
+        return call(*args)
+    except ValueError as err:
+        assert not _INFINITY.search(str(err)), str(err)
+        return None
+
+
+@settings(max_examples=300, derandomize=True)
+@given(extreme_spaces, st.data())
+def test_library_calls_at_the_float_edges_answer_or_name_the_problem(labels, data):
+    # Weights at +-1.79e308, near -745 or BOTTOM, masses subnormal, at the
+    # maximum or at the 1e-12 gate, values and shifts at +-1.79e308: each
+    # call returns a valid object with the documented support, or raises
+    # ValueError, never OverflowError, TypeError or AttributeError.
+    space = FiniteSpace(tuple(labels))
+
+    def table(values) -> dict:
+        n = len(labels)
+        return dict(zip(labels, data.draw(st.lists(values, min_size=n, max_size=n))))
+
+    def valid(out, expected_support=None):
+        if isinstance(out, Measure):
+            assert type(out)(out.space, out.weights) == out
+            assert expected_support is None or out.support == expected_support
+        elif isinstance(out, TestFunction):
+            assert TestFunction(out.space, out.values) == out
+        elif out is not None:
+            assert type(out) is float and math.isfinite(out)
+
+    raw = {p: BOTTOM if w == "-inf" else w for p, w in table(extreme_weights).items()}
+    mu = _at_the_edge(normalize_idempotent, space, raw)
+    valid(mu, {p for p, w in raw.items() if w is not BOTTOM})
+    masses = table(extreme_masses)
+    rho = _at_the_edge(classical_measure, space, masses, True)
+    valid(rho, {p for p, m in masses.items() if m > 0.0})
+    phi = TestFunction(space, tuple(table(extreme_values).values()))
+    valid(_at_the_edge(phi.shift, data.draw(extreme_values)))
+    valid(_at_the_edge(product_function, phi, phi))
+    f = PointMap.from_mapping(space, XY, table(st.sampled_from(XY.points)))
+    pairs = ProductSpace.of(space, space)
+    for m in (mu, rho):
+        if m is None:
+            continue
+        valid(_at_the_edge(evaluate, m, phi))
+        valid(_at_the_edge(pushforward, f, m), {f(p) for p in m.support})
+        square = {pairs.pair_label(x, y) for x in m.support for y in m.support}
+        valid(_at_the_edge(product, m, m), square)
+        convert = to_classical if m is mu else to_idempotent
+        valid(_at_the_edge(convert, m), m.support)
+    if mu is not None:
+        c = data.draw(extreme_weights)
+        c = BOTTOM if c == "-inf" else c
+        alpha, beta = (0.0, c) if data.draw(st.booleans()) else (c, 0.0)
+        nu = dirac(space, data.draw(st.sampled_from(labels)))
+        union = (mu.support if alpha is not BOTTOM else set()) | (
+            nu.support if beta is not BOTTOM else set()
+        )
+        valid(_at_the_edge(maxplus_combine, alpha, mu, beta, nu), union)
 
 
 # -- combination and the atom-count family --------------------------------------

@@ -310,16 +310,14 @@ def test_shown_spells_out_every_int_that_has_a_repr():
 
 SRC = Path(maxplusprob.__file__).resolve().parent
 # Outside ``semiring``, only these call ``float``: the encoders and the CLI
-# printer convert the package's own values, and ``measures._scalars`` the
-# ints its bulk check has already passed.
+# printer convert the package's own values.
 OWN_FLOATS = {
     "cli._present",
     "jsonio.encode_scalar",
     "jsonio.encode_measure",
-    "measures._scalars",
 }
 # The number rules, each defined in ``semiring`` only.
-RULES = ("as_float", "_floats", "_count")
+RULES = ("as_float", "_floats", "_scalars", "_count")
 
 
 def _float_calls(node: ast.AST, scope: str):
