@@ -39,6 +39,7 @@ def to_idempotent(mu: ClassicalMeasure) -> IdempotentMeasure:
     Atoms with mass 0 leave the support (weight BOTTOM).  The largest
     mass maps to weight exactly 0.
     """
+    _of_kind(mu, ClassicalMeasure)
     logs = [math.log(w) if w > 0.0 else BOTTOM for w in mu.weights]
     return normalize_idempotent(mu.space, logs)
 
@@ -52,6 +53,7 @@ def to_classical(mu: IdempotentMeasure) -> ClassicalMeasure:
     division by the total) would leave the support; that raises
     ``ValueError`` instead of dropping the atom.
     """
+    _of_kind(mu, IdempotentMeasure)
     masses = [0.0 if w is BOTTOM else math.exp(w) for w in mu.weights]
     total = math.fsum(masses)
     stored = [m / total for m in masses]
@@ -64,6 +66,11 @@ def to_classical(mu: IdempotentMeasure) -> ClassicalMeasure:
                     " the conversion would drop it from the support"
                 )
     return ClassicalMeasure(mu.space, tuple(stored))
+
+
+def _of_kind(mu: object, cls: type) -> None:
+    if not isinstance(mu, cls):
+        raise TypeError(f"{cls.kind} measure required, got {type(mu).__name__}")
 
 
 def _weight_gap(a: Measure, b: Measure) -> float:
@@ -101,6 +108,7 @@ def naturality_gap(f: PointMap, mu: ClassicalMeasure) -> float:
     largest absolute weight difference.  Injective maps give exactly 0;
     maps that merge atoms of unequal mass give a positive gap.
     """
+    _of_kind(mu, ClassicalMeasure)
     if mu.space != f.domain:
         raise ValueError("space mismatch: measure does not live on the map domain")
     via_classical = to_idempotent(pushforward_classical(f, mu))

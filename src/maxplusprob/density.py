@@ -263,7 +263,7 @@ def convergence_report(
     Grid sizes are deduplicated and sorted; each row compares the
     discretized evaluation with the reference ``sup_x (d(x) + phi(x))``,
     the largest sum at a breakpoint of ``d`` or ``phi``.  Lipschitz bounds
-    whose sum overflows the float range raise ``ValueError``.
+    whose sum leaves the float range raise ``ValueError``.
     """
     sizes = sorted({_grid_size(n) for n in ns})
     if not sizes:

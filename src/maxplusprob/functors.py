@@ -21,7 +21,6 @@ non-injective pushforward.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from collections.abc import Mapping, Sequence
 
@@ -36,7 +35,7 @@ from .measures import (
     in_space_order,
 )
 from .record import Record
-from .semiring import MAX_PLUS, _count, _name_overflow
+from .semiring import MAX_PLUS, _count, _summed
 
 __all__ = [
     "CounterexampleReport",
@@ -163,15 +162,11 @@ def product_function(phi: TestFunction, psi: TestFunction) -> TestFunction:
     """The function ``(x, y) -> phi(x) + psi(y)`` on the product space."""
     prod = ProductSpace.of(phi.space, psi.space)
     values = tuple(a + b for a in phi.values for b in psi.values)
-    try:
-        return TestFunction(prod.space, values)
-    except ValueError:
-        m = len(psi.values)
-        _name_overflow(
-            prod.space.points, values, "atom {} of the product function", "value",
-            lambda i: (phi.values[i // m], psi.values[i % m]),
-        )
-        raise
+    m = len(psi.values)
+    return _summed(
+        TestFunction, prod.space, values, "atom {} of the product function", "value",
+        lambda i: (phi.values[i // m], psi.values[i % m]),
+    )
 
 
 # -- pushforwards ------------------------------------------------------------
@@ -218,32 +213,29 @@ def product(mu: Measure, nu: Measure) -> Measure:
     return _product_measure(type(mu), prod, mu.weights, nu.weights)
 
 
-# Why a pair of support atoms would leave the product's support, per kind.
-_LOST_PAIR = {
-    "idempotent": "the weight sum {a!r} + {b!r} overflows the float range",
-    "classical": "the mass product {a!r} * {b!r} underflows to 0",
-}
-
-
 def _product_measure(
     cls: type, prod: ProductSpace, left: Sequence, right: Sequence
 ) -> Measure:
-    # Atom (x, y) weighs w_x (.) w_y.  Rounding is monotone, so some pair
-    # of support atoms leaves the support (a max-plus sum overflowing to
-    # -inf, a classical product underflowing to 0) exactly when the pair
-    # of the two smallest support atoms does; only then are pairs searched.
+    # Atom (x, y) weighs w_x (.) w_y.  ``_summed`` names a max-plus sum
+    # that overflows to -inf.  A classical product that underflows to 0
+    # passes the constructor, and a max-plus one is never 0; rounding is
+    # monotone, so some pair of support atoms gives 0 exactly when the two
+    # smallest do, and only then are pairs searched.
     times, zero = cls.semiring.times, cls.semiring.zero
     weights = tuple(itertools.starmap(times, itertools.product(left, right)))
-    low = times(min(w for w in left if w != zero), min(w for w in right if w != zero))
-    if low == zero or not math.isfinite(low):
+    if times(min(w for w in left if w != zero), min(w for w in right if w != zero)) == zero:
         pairs = itertools.product(left, right)
         for label, (a, b), w in zip(prod.space.points, pairs, weights):
-            if a != zero and b != zero and (w == zero or not math.isfinite(w)):
+            if a != zero and b != zero and w == zero:
                 raise ValueError(
-                    f"atom {label} of the product: "
-                    + _LOST_PAIR[cls.kind].format(a=a, b=b)
+                    f"atom {label} of the product: the mass product {a!r} * {b!r}"
+                    " underflows to 0"
                 )
-    return cls(prod.space, weights)
+    m = len(right)
+    return _summed(
+        cls, prod.space, weights, "atom {} of the product", "weight",
+        lambda i: (left[i // m], right[i % m]),
+    )
 
 
 product_idempotent = product_classical = product

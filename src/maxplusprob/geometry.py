@@ -177,11 +177,16 @@ def exactness_threshold(phi: TestFunction) -> float:
 def support_meets(mu: Measure, targets: Iterable[str]) -> bool:
     """Whether the support of ``mu`` intersects the given set of points.
 
+    ``targets`` is a collection of labels, such as ``{"ab"}``; a bare
+    string raises ``TypeError`` rather than being read as its characters.
+
     The family of measures hitting a fixed target set is monotone in
     the set and closed under max-plus convex combinations, but it does
     not respect intersections; the geometry tests carry a two-set
     counterexample.
     """
+    if isinstance(targets, str):
+        raise TypeError(f"targets must be a collection of labels, got the string {targets!r}")
     labels = set(targets)
     space = mu.space
     unknown = sorted(label for label in labels if label not in space)

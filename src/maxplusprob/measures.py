@@ -48,9 +48,9 @@ from .semiring import (
     MaxPlusValue,
     _count,
     _floats,
-    _name_overflow,
     _scalars,
     _shown,
+    _summed,
     as_scalar,
     oplus,
 )
@@ -168,14 +168,10 @@ class TestFunction(Record):
         if not math.isfinite(c):
             raise ValueError(f"the shift must be finite, got {_shown(constant)}")
         values = tuple(v + c for v in self.values)
-        try:
-            return TestFunction(self.space, values)
-        except ValueError:
-            _name_overflow(
-                self.space.points, values, "point {!r} of the shift", "value",
-                lambda i: (self.values[i], c),
-            )
-            raise
+        return _summed(
+            TestFunction, self.space, values, "point {!r} of the shift", "value",
+            lambda i: (self.values[i], c),
+        )
 
     def pointwise_max(self, other: "TestFunction") -> "TestFunction":
         """Max-plus sum of two functions on the same space."""
@@ -285,6 +281,10 @@ class ClassicalMeasure(Measure):
             for w in weights:
                 if not 0.0 <= w < math.inf:
                     raise ValueError(f"classical weights must be finite and >= 0, got {w!r}")
+            # Every mass is finite and >= 0, so their sum overflowed.
+            raise ValueError(
+                "the weights' sum exceeds the float range; pass renormalize=True to rescale"
+            )
         if total <= 0.0:
             raise ValueError("empty support: weights sum to 0")
         if abs(total - 1.0) > _INPUT_SUM_TOL:
@@ -323,14 +323,10 @@ def normalize_idempotent(
     """
     values, peak = _scalars(_aligned(space, raw))
     weights = tuple([BOTTOM if v is BOTTOM else v - peak for v in values])
-    try:
-        return IdempotentMeasure(space, weights)
-    except ValueError:
-        _name_overflow(
-            space.points, weights, "point {!r} of the normalization", "weight",
-            lambda i: (values[i], -peak),
-        )
-        raise
+    return _summed(
+        IdempotentMeasure, space, weights, "point {!r} of the normalization", "weight",
+        lambda i: (values[i], -peak),
+    )
 
 
 def classical_measure(
@@ -432,17 +428,11 @@ def maxplus_combine(
         else a if (a := w + alpha) >= (b := v + beta) else b
         for w, v in zip(left, right)
     ]
-    try:
-        return IdempotentMeasure(mu.space, tuple(weights))
-    except ValueError:
-        # A finite weight plus its coefficient overflowed to -inf: name it.
-        def summands(i: int) -> tuple:
-            w, out = left[i], weights[i]
-            return (w, alpha) if w is not BOTTOM and w + alpha == out else (right[i], beta)
-
-        where = "point {!r} of the combination"
-        _name_overflow(mu.space.points, weights, where, "weight", summands)
-        raise
+    # Every side an overflowed weight takes in is -inf: name the left one if present.
+    return _summed(
+        IdempotentMeasure, mu.space, weights, "point {!r} of the combination", "weight",
+        lambda i: (left[i], alpha) if left[i] is not BOTTOM else (right[i], beta),
+    )
 
 
 def has_support_at_most(mu: Measure, n: int) -> bool:

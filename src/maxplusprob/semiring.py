@@ -15,8 +15,9 @@ Every number a caller passes in is checked here: one scalar by
 ``as_scalar``, reals by ``_floats``, max-plus weights with their peak by
 ``_scalars`` and counts by ``_count``; each raises ``ValueError`` naming
 what it rejects.  ``_shown`` formats a rejected value, so no int is too
-long to name, and ``_name_overflow`` the terms of a sum that leaves the
-float range.
+long to name.  ``_summed`` builds a value from max-plus sums and, when
+one of them leaves the float range, names its point and both terms: the
+one overflow rule, so no sum changes a support silently.
 """
 
 from __future__ import annotations
@@ -127,19 +128,22 @@ def _scalars(values: Iterable[object]) -> tuple[tuple, MaxPlusValue]:
     return values, max(finite, default=BOTTOM)
 
 
-def _name_overflow(
-    labels: Sequence[str], sums: Sequence, where: str, what: str, summands: Callable
-) -> None:
-    # Raise ``ValueError`` for the first of ``sums`` that left the float
-    # range, naming its label by ``where`` and the two finite terms
-    # ``summands(i)`` that ``sums[i]`` added; return when none did.
-    for i, out in enumerate(sums):
-        if out in (math.inf, -math.inf):
-            a, b = summands(i)
-            raise ValueError(
-                f"{where.format(labels[i])}: the {what} sum {a!r} + {b!r}"
-                " overflows the float range"
-            ) from None
+def _summed(cls: type, space, sums: Sequence, where: str, what: str, terms: Callable):
+    # ``cls(space, sums)``.  When the constructor rejects a sum that left
+    # the float range, the ``ValueError`` names the first such sum's point
+    # by ``where`` and the two finite terms ``terms(i)`` that ``sums[i]``
+    # added (``terms`` is asked only there); other rejections propagate.
+    try:
+        return cls(space, sums)
+    except ValueError:
+        for i, out in enumerate(sums):
+            if out in (math.inf, -math.inf):
+                a, b = terms(i)
+                raise ValueError(
+                    f"{where.format(space.points[i])}: the {what} sum {a!r} + {b!r}"
+                    " overflows the float range"
+                ) from None
+        raise
 
 
 def _count(value: object, what: str, least: int = 1) -> int:

@@ -458,8 +458,8 @@ def test_invariant_violation_exits_two(doc, capsys):
 
 
 def test_classical_masses_summing_beyond_the_float_range_exit_two(doc, capsys):
-    # fsum of these masses overflows; the constructor reads that as an
-    # infinite sum instead of letting an internal error escape.
+    # fsum of these masses overflows; the constructor says so instead of
+    # letting an internal error escape or naming an infinity no input holds.
     huge = {"space": ["a", "b"], "kind": "classical", "weights": {"a": 1e308, "b": 1e308}}
     code, out = invoke(
         capsys, "eval", "--measure", doc("huge.json", huge),
@@ -467,7 +467,8 @@ def test_classical_masses_summing_beyond_the_float_range_exit_two(doc, capsys):
     )
     assert code == 2
     assert out == {
-        "error": "weights: weights sum to inf, not 1; pass renormalize=True to rescale"
+        "error": "weights: the weights' sum exceeds the float range;"
+        " pass renormalize=True to rescale"
     }
 
 

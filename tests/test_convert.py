@@ -90,6 +90,23 @@ def test_softmax_rejects_a_weight_whose_mass_underflows():
     assert support(kept) == frozenset({"a", "c"})
 
 
+@pytest.mark.parametrize(
+    "convert, args, got",
+    [
+        (to_classical, (point_mass(AB, "a"),), "ClassicalMeasure"),
+        (to_classical, ("a",), "str"),
+        (to_idempotent, (dirac(AB, "a"),), "IdempotentMeasure"),
+        (to_idempotent, (IdempotentMeasure(AB, (0.0, -1.0)),), "IdempotentMeasure"),
+        (naturality_gap, (PointMap.identity(AB), dirac(AB, "a")), "IdempotentMeasure"),
+    ],
+)
+def test_conversions_name_the_measure_kind_they_need(convert, args, got):
+    # Masses are not read as weights, nor weights as masses.
+    needed = "idempotent" if convert is to_classical else "classical"
+    with pytest.raises(TypeError, match=f"^{needed} measure required, got {got}$"):
+        convert(*args)
+
+
 # -- roundtrips ------------------------------------------------------------------
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
@@ -302,6 +303,57 @@ def test_product_function_names_the_atom_whose_value_sum_overflows():
     with pytest.raises(ValueError, match=r"^atom \(b,b\) of the product function"):
         product_function(psi, psi)
     assert product_function(phi, psi).values == (1.7e308, 0.0, 0.0, -1.7e308)
+
+
+def test_products_name_the_first_pair_whose_sum_overflows():
+    # Weights near -1.79e308 and -9e307 and values near +-1.79e308: each
+    # product keeps every pair of support atoms, or names the first pair in
+    # left-major order whose sum overflows, with both terms, as a scan does.
+    rng = random.Random(19)
+
+    def near_edge(sign: float) -> float:
+        return sign * rng.choice((1.79e308, 9e307)) * rng.uniform(0.99, 1.0)
+
+    def measure(space: FiniteSpace) -> IdempotentMeasure:
+        weights = [rng.choice((BOTTOM, 0.0, near_edge(-1.0))) for _ in space.points]
+        weights[rng.randrange(len(space))] = 0.0
+        return IdempotentMeasure(space, tuple(weights))
+
+    def function(space: FiniteSpace) -> TestFunction:
+        return TestFunction(space, tuple(near_edge(rng.choice((-1.0, 1.0))) for _ in space))
+
+    outcomes = set()
+    for _ in range(300):
+        prod = ProductSpace.of(space_of(rng.randint(1, 4)), space_of(rng.randint(1, 4)))
+        mu, nu = measure(prod.left), measure(prod.right)
+        phi, psi = function(prod.left), function(prod.right)
+        for build, left, right, where, what in (
+            (product, mu.weights, nu.weights, "product", "weight"),
+            (reconstruct_product, mu.weights, nu.weights, "product", "weight"),
+            (product_function, phi.values, psi.values, "product function", "value"),
+        ):
+            factors = (mu, nu) if what == "weight" else (phi, psi)
+            pairs = list(itertools.product(left, right))
+            sums = tuple(BOTTOM if BOTTOM in pair else pair[0] + pair[1] for pair in pairs)
+            lost = [
+                (label, *pair)
+                for label, pair, out in zip(prod.space.points, pairs, sums)
+                if out is not BOTTOM and math.isinf(out)
+            ]
+            outcomes.add((build, bool(lost)))
+            if not lost:
+                out = build(*factors)
+                assert out.space == prod.space
+                assert (out.weights if what == "weight" else out.values) == sums
+                continue
+            label, a, b = lost[0]
+            with pytest.raises(ValueError) as err:
+                build(*factors)
+            assert str(err.value) == (
+                f"atom {label} of the {where}: the {what} sum {a!r} + {b!r}"
+                " overflows the float range"
+            )
+    assert len(outcomes) == 6  # each product both answers and raises
 
 
 def test_product_names_the_pair_whose_mass_product_underflows():

@@ -256,6 +256,14 @@ def test_support_meets_basics():
         support_meets(mu, {"a", "z"})
 
 
+def test_support_meets_rejects_a_bare_label():
+    # A string is one label, not the collection of its characters.
+    mu = dirac(FiniteSpace(("ab", "c")), "ab")
+    with pytest.raises(TypeError, match="got the string 'ab'"):
+        support_meets(mu, "ab")
+    assert support_meets(mu, {"ab"})
+
+
 def test_support_meets_is_monotone_in_the_target_set():
     rng = random.Random(41)
     for _ in range(100):

@@ -523,11 +523,11 @@ def test_rescale_that_rounds_a_mass_to_zero_names_the_point():
 
 
 def test_masses_summing_beyond_the_float_range():
-    # fsum overflows on these finite masses: the sum counts as infinite,
-    # so the constructor rejects it by its gate instead of OverflowError.
-    with pytest.raises(ValueError, match="weights sum to inf, not 1; pass renormalize"):
+    # fsum overflows on these finite masses: the constructor says the sum
+    # exceeds the float range, neither raising OverflowError nor naming inf.
+    with pytest.raises(ValueError, match="sum exceeds the float range; pass renormalize"):
         ClassicalMeasure(AB, (1e308, 1e308))
-    with pytest.raises(ValueError, match="weights sum to inf, not 1; pass renormalize"):
+    with pytest.raises(ValueError, match="sum exceeds the float range; pass renormalize"):
         classical_measure(AB, (1e308, 1e308))
     assert classical_measure(AB, (1e308, 1e308), renormalize=True).weights == (0.5, 0.5)
     abc = space_of(3)

@@ -316,8 +316,8 @@ OWN_FLOATS = {
     "jsonio.encode_scalar",
     "jsonio.encode_measure",
 }
-# The number rules, each defined in ``semiring`` only.
-RULES = ("as_float", "_floats", "_scalars", "_count")
+# The number rules and the overflow rule, each defined in ``semiring`` only.
+RULES = ("as_float", "_floats", "_scalars", "_count", "_summed")
 
 
 def _float_calls(node: ast.AST, scope: str):
@@ -354,6 +354,16 @@ def test_only_semiring_decides_what_a_number_is():
     assert calls <= OWN_FLOATS, sorted(calls - OWN_FLOATS)
     assert not rules, rules
     assert not private, private
+
+
+def test_only_semiring_names_a_sum_that_overflows():
+    # Every max-plus sum past the float range is named by ``_summed``.
+    writers = [
+        path.stem
+        for path in sorted(SRC.glob("*.py"))
+        if "overflows the float range" in path.read_text(encoding="utf-8")
+    ]
+    assert writers == ["semiring"], writers
 
 
 def _table_reads(node: ast.AST, scope: str):
