@@ -64,7 +64,7 @@ def _dist(args: argparse.Namespace) -> dict:
 
 def _approx(args: argparse.Namespace) -> dict:
     mu = args.measure
-    if not isinstance(mu, measures.IdempotentMeasure):
+    if mu.kind != "idempotent":
         raise _CliError("approx requires an idempotent measure")
     if (args.point is None) == (args.measure2 is None):
         raise _CliError("approx needs exactly one of --point or --measure2")
@@ -72,7 +72,7 @@ def _approx(args: argparse.Namespace) -> dict:
         out = geometry.approx_toward_point(mu, args.point, args.epsilon)
     else:
         nu = jsonio.decode_measure(_load_json(args.measure2))
-        if not isinstance(nu, measures.IdempotentMeasure):
+        if nu.kind != "idempotent":
             raise _CliError("approx requires an idempotent second measure")
         out = geometry.approx_toward_measure(mu, nu, args.epsilon)
     return jsonio.encode_measure(out)

@@ -23,7 +23,7 @@ from .measures import (
     Measure,
     normalize_idempotent,
 )
-from .semiring import BOTTOM
+from .semiring import BOTTOM, _of_kind
 
 __all__ = [
     "naturality_gap",
@@ -68,11 +68,6 @@ def to_classical(mu: IdempotentMeasure) -> ClassicalMeasure:
     return ClassicalMeasure(mu.space, tuple(stored))
 
 
-def _of_kind(mu: object, cls: type) -> None:
-    if not isinstance(mu, cls):
-        raise TypeError(f"{cls.kind} measure required, got {type(mu).__name__}")
-
-
 def _weight_gap(a: Measure, b: Measure) -> float:
     if a.space != b.space:
         raise ValueError("space mismatch between measures")
@@ -92,11 +87,9 @@ def roundtrip_gap(mu: Measure) -> float:
     BOTTOM only matches BOTTOM; a support change reports ``inf``.
     Point measures of either kind round-trip with gap exactly 0.
     """
-    if isinstance(mu, ClassicalMeasure):
-        return _weight_gap(mu, to_classical(to_idempotent(mu)))
-    if isinstance(mu, IdempotentMeasure):
-        return _weight_gap(mu, to_idempotent(to_classical(mu)))
-    raise TypeError(f"not a measure: {mu!r}")
+    classical = _of_kind(mu, Measure).kind == "classical"
+    there, back = (to_idempotent, to_classical) if classical else (to_classical, to_idempotent)
+    return _weight_gap(mu, back(there(mu)))
 
 
 def naturality_gap(f: PointMap, mu: ClassicalMeasure) -> float:

@@ -35,7 +35,7 @@ from .measures import (
     in_space_order,
 )
 from .record import Record
-from .semiring import MAX_PLUS, _count, _summed
+from .semiring import MAX_PLUS, _count, _of_kind, _shown, _summed
 
 __all__ = [
     "CounterexampleReport",
@@ -83,7 +83,7 @@ class PointMap(Record):
             for point, label in zip(self.domain.points, assignment):
                 if not isinstance(label, str) or label not in index:
                     raise ValueError(
-                        f"image {label!r} of point {point!r} is not in the codomain"
+                        f"image {_shown(label)} of point {point!r} is not in the codomain"
                     ) from None
             raise
         fibers: list[list[int]] = [[] for _ in range(len(self.codomain))]
@@ -179,9 +179,7 @@ def pushforward(f: PointMap, mu: Measure) -> Measure:
     the overall maximum is still exactly 0, so the image is normalized by
     construction.  Classical masses take the exactly rounded fiber sum.
     """
-    if not isinstance(mu, Measure):
-        raise TypeError(f"not a measure: {mu!r}")
-    if mu.space != f.domain:
+    if _of_kind(mu, Measure).space != f.domain:
         raise ValueError("space mismatch: measure does not live on the map domain")
     fold, weight = mu.semiring.sum, mu.weights.__getitem__
     weights = [fold(map(weight, fiber)) for fiber in f._fibers]
@@ -207,7 +205,7 @@ def product(mu: Measure, nu: Measure) -> Measure:
     atoms whose weight sum overflows, or whose mass product underflows
     to 0, raises ``ValueError`` naming the pair.
     """
-    if type(mu) is not type(nu):
+    if type(_of_kind(mu, Measure)) is not type(nu):
         raise ValueError("product requires two measures of the same kind")
     prod = ProductSpace.of(mu.space, nu.space)
     return _product_measure(type(mu), prod, mu.weights, nu.weights)
@@ -260,9 +258,9 @@ def reconstruct_product(
         chi = dirac(m.space, label).weights
         return MAX_PLUS.sum(map(MAX_PLUS.times, m.weights, chi))
 
+    left = [integral(mu, x) for x in _of_kind(mu, IdempotentMeasure).space.points]
+    right = [integral(nu, y) for y in _of_kind(nu, IdempotentMeasure).space.points]
     prod = ProductSpace.of(mu.space, nu.space)
-    left = [integral(mu, x) for x in mu.space.points]
-    right = [integral(nu, y) for y in nu.space.points]
     return _product_measure(IdempotentMeasure, prod, left, right)
 
 

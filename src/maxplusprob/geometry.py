@@ -44,7 +44,7 @@ from .measures import (
 )
 from .record import Record
 from .semiring import (
-    BOTTOM, MaxPlusValue, _floats, _shown, as_scalar, mp_exp, mp_ln, odot, oplus
+    BOTTOM, MaxPlusValue, _floats, _of_kind, _shown, as_scalar, mp_exp, mp_ln, odot, oplus
 )
 
 __all__ = [
@@ -127,8 +127,8 @@ def approx_toward_point(
     The target point always enters the support; for ``eps < 1`` the
     original support is kept as well.
     """
-    point = approx_coefficients(eps)
-    return maxplus_combine(point.alpha, mu, point.beta, dirac(mu.space, target))
+    point, space = approx_coefficients(eps), _of_kind(mu, IdempotentMeasure).space
+    return maxplus_combine(point.alpha, mu, point.beta, dirac(space, target))
 
 
 def approx_toward_measure(
@@ -188,8 +188,10 @@ def support_meets(mu: Measure, targets: Iterable[str]) -> bool:
     if isinstance(targets, str):
         raise TypeError(f"targets must be a collection of labels, got the string {targets!r}")
     labels = set(targets)
-    space = mu.space
-    unknown = sorted(label for label in labels if label not in space)
+    space = _of_kind(mu, Measure).space
+    # Strings in order, then other labels by their text: no two types are compared.
+    unknown = [label for label in labels if label not in space]
+    unknown.sort(key=lambda label: (0, label) if isinstance(label, str) else (1, _shown(label)))
     if unknown:
-        raise ValueError(f"points not in space: {unknown!r}")
+        raise ValueError(f"points not in space: {_shown(unknown)}")
     return not labels.isdisjoint(support(mu))

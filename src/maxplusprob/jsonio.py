@@ -34,7 +34,7 @@ from .measures import (
     classical_measure,
     in_space_order,
 )
-from .semiring import BOTTOM, MaxPlusValue, _floats
+from .semiring import BOTTOM, MaxPlusValue, _floats, _of_kind
 
 __all__ = [
     "SchemaError",
@@ -224,7 +224,7 @@ def encode_measure(mu: Measure) -> dict:
     """The measure document for either kind."""
     weights = {
         p: _BOTTOM_WIRE if w is BOTTOM else float(w)
-        for p, w in zip(mu.space.points, mu.weights)
+        for p, w in zip(_of_kind(mu, Measure).space.points, mu.weights)
     }
     return {"space": list(mu.space.points), "kind": mu.kind, "weights": weights}
 

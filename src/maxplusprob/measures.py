@@ -48,6 +48,7 @@ from .semiring import (
     MaxPlusValue,
     _count,
     _floats,
+    _of_kind,
     _scalars,
     _shown,
     _summed,
@@ -104,9 +105,9 @@ class FiniteSpace(Record):
         seen: set[str] = set()
         for label in labels:
             if not isinstance(label, str) or not label:
-                raise ValueError(f"point labels must be nonempty strings: {label!r}")
+                raise ValueError(f"point labels must be nonempty strings: {_shown(label)}")
             if label in seen:
-                raise ValueError(f"duplicate point label: {label!r}")
+                raise ValueError(f"duplicate point label: {_shown(label)}")
             seen.add(label)
 
     def __len__(self) -> int:
@@ -128,7 +129,7 @@ class FiniteSpace(Record):
         try:
             return self._index[label]
         except KeyError:
-            raise ValueError(f"point not in space: {label!r}") from None
+            raise ValueError(f"point not in space: {_shown(label)}") from None
 
 
 class TestFunction(Record):
@@ -381,9 +382,7 @@ def evaluate(mu: Measure, phi: TestFunction) -> float:
     finite because some weight is exactly 0.  Classical: the expectation,
     exactly rounded.
     """
-    if not isinstance(mu, Measure):
-        raise TypeError(f"not a measure: {mu!r}")
-    if mu.space != phi.space:
+    if _of_kind(mu, Measure).space != phi.space:
         raise ValueError("space mismatch between measure and function")
     return mu.semiring.dot(mu.weights, phi.values)
 
@@ -393,9 +392,7 @@ evaluate_idempotent = evaluate_classical = evaluate
 
 def support(mu: Measure) -> frozenset[str]:
     """The set of points carrying weight: finite weights, or positive mass."""
-    if not isinstance(mu, Measure):
-        raise TypeError(f"not a measure: {mu!r}")
-    return mu.support
+    return _of_kind(mu, Measure).support
 
 
 def maxplus_combine(
@@ -412,7 +409,7 @@ def maxplus_combine(
     """
     alpha = as_scalar(alpha)
     beta = as_scalar(beta)
-    if mu.space != nu.space:
+    if _of_kind(mu, IdempotentMeasure).space != _of_kind(nu, IdempotentMeasure).space:
         raise ValueError("space mismatch between measures")
     if oplus(alpha, beta) != 0.0:
         raise ValueError(
@@ -463,7 +460,7 @@ def in_space_order(space: FiniteSpace, table: Mapping, what: str) -> list:
     if missing:
         raise ValueError(f"missing {what} for points: {missing!r}")
     extra = [k for k in table if k not in space]
-    raise ValueError(f"{what} given for unknown points: {extra!r}")
+    raise ValueError(f"{what} given for unknown points: {_shown(extra)}")
 
 
 def _aligned(

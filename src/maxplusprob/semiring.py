@@ -14,10 +14,12 @@ measures and ``SUM_PRODUCT`` for classical ones.
 Every number a caller passes in is checked here: one scalar by
 ``as_scalar``, reals by ``_floats``, max-plus weights with their peak by
 ``_scalars`` and counts by ``_count``; each raises ``ValueError`` naming
-what it rejects.  ``_shown`` formats a rejected value, so no int is too
-long to name.  ``_summed`` builds a value from max-plus sums and, when
-one of them leaves the float range, names its point and both terms: the
-one overflow rule, so no sum changes a support silently.
+what it rejects.  ``_shown`` formats a rejected value or label, so no int
+is too long to name.  ``_summed`` builds a value from max-plus sums and,
+when one of them leaves the float range, names its point and both terms:
+the one overflow rule, so no sum changes a support silently.
+``_of_kind`` is the one kind rule: every operation that takes a measure
+passes it there, and anything else raises ``TypeError`` naming the need.
 """
 
 from __future__ import annotations
@@ -146,6 +148,16 @@ def _summed(cls: type, space, sums: Sequence, where: str, what: str, terms: Call
         raise
 
 
+def _of_kind(mu: object, cls: type):
+    # ``mu`` if it is a ``cls``: any measure (``Measure`` sets no ``kind``)
+    # or the one kind ``cls.kind``.  Otherwise ``TypeError`` names the need.
+    if isinstance(mu, cls):
+        return mu
+    if hasattr(cls, "kind"):
+        raise TypeError(f"{cls.kind} measure required, got {type(mu).__name__}")
+    raise TypeError(f"not a measure: {_shown(mu)}")
+
+
 def _count(value: object, what: str, least: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ValueError(
@@ -158,11 +170,14 @@ def _shown(value: object) -> str:
     """``repr(value)``, or an int too long for it as its sign, lead and length.
 
     Python refuses the repr of an int past 4,300 digits (its int-to-string
-    limit) with a message that names neither the check nor the value.
+    limit) with a message that names neither the check nor the value.  A
+    list holding such an int is shown item by item.
     """
     try:
         return repr(value)
     except ValueError:
+        if isinstance(value, list):
+            return f"[{', '.join(map(_shown, value))}]"
         size = abs(value)
     digits = int(math.log10(size)) + 1
     digits += (size >= 10**digits) - (size < 10 ** (digits - 1))

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import ast
+import inspect
 import math
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from maxplusprob import (
     FiniteSpace,
     IdempotentMeasure,
     PiecewiseLinear,
+    PointMap,
     SegmentPoint,
     TestFunction,
     approx_coefficients,
@@ -31,6 +34,7 @@ from maxplusprob import (
     classical_measure,
     convergence_report,
     decode_measure,
+    dirac,
     eval_density_measure,
     grid_points,
     has_support_at_most,
@@ -41,7 +45,9 @@ from maxplusprob import (
     normalize_idempotent,
     odot,
     oplus,
+    point_mass,
     scalar_distance,
+    support_meets,
     verify_counterexample,
 )
 
@@ -306,6 +312,108 @@ def test_shown_spells_out_every_int_that_has_a_repr():
     assert semiring._shown(2**16000) == "301946933723... (4817 digits)"
     assert semiring._shown(True) == "True"
     assert semiring._shown(2.5) == "2.5"
+    assert semiring._shown(["a", 10**5000]) == "['a', 100000000000... (5001 digits)]"
+
+
+# -- the kind rule ---------------------------------------------------------------
+
+HUGE = 10**5000
+M = object()  # marks the measure slot under test
+F = PointMap.identity(AB)
+# Every public operation that takes a measure, once per measure slot, with
+# the kind that slot needs (None: either kind will do).
+KIND_RULE = [
+    ("evaluate", (M, PHI), None),
+    ("evaluate_idempotent", (M, PHI), None),
+    ("evaluate_classical", (M, PHI), None),
+    ("support", (M,), None),
+    ("has_support_at_most", (M, 1), None),
+    ("pushforward", (F, M), None),
+    ("pushforward_idempotent", (F, M), None),
+    ("pushforward_classical", (F, M), None),
+    ("pair_map_image", (F, F, M), None),
+    ("product", (M, MU), None),
+    ("product_idempotent", (M, MU), None),
+    ("product_classical", (M, MU), None),
+    ("roundtrip_gap", (M,), None),
+    ("encode_measure", (M,), None),
+    ("support_meets", (M, {"a"}), None),
+    ("maxplus_combine", (0.0, M, 0.0, MU), "idempotent"),
+    ("maxplus_combine", (0.0, MU, 0.0, M), "idempotent"),
+    ("reconstruct_product", (M, MU), "idempotent"),
+    ("reconstruct_product", (MU, M), "idempotent"),
+    ("approx_toward_point", (M, "b", 0.25), "idempotent"),
+    ("approx_toward_measure", (M, MU, 0.25), "idempotent"),
+    ("approx_toward_measure", (MU, M, 0.25), "idempotent"),
+    ("to_classical", (M,), "idempotent"),
+    ("to_idempotent", (M,), "classical"),
+    ("naturality_gap", (F, M), "classical"),
+]
+MEASURE_TYPES = {"Measure", "IdempotentMeasure", "ClassicalMeasure"}
+
+
+@pytest.mark.parametrize(
+    "name, args, kind", KIND_RULE, ids=[f"{n}-{a.index(M)}" for n, a, _ in KIND_RULE]
+)
+def test_every_operation_states_the_measure_kind_it_needs(name, args, kind):
+    # Masses are never read as weights, nor a non-measure's attributes looked
+    # up: the answer is a TypeError naming what was needed.
+    other = () if kind is None else (MU if kind == "classical" else point_mass(AB, "a"),)
+    for bad in ("x", HUGE, *other):
+        if kind is None:
+            needed = f"not a measure: {semiring._shown(bad)}"
+        else:
+            needed = f"{kind} measure required, got {type(bad).__name__}"
+        with pytest.raises(TypeError, match=f"^{re.escape(needed)}$"):
+            getattr(maxplusprob, name)(*(bad if a is M else a for a in args))
+
+
+def test_the_kind_rule_covers_every_operation_that_takes_a_measure():
+    takers = {
+        name
+        for name in maxplusprob.__all__
+        if inspect.isfunction(op := getattr(maxplusprob, name))
+        and any(p.annotation in MEASURE_TYPES for p in inspect.signature(op).parameters.values())
+    }
+    assert takers == {name for name, _, _ in KIND_RULE}
+
+
+# -- labels ----------------------------------------------------------------------
+
+# Each place that rejects a label, given an int past the digit limit.
+LABEL_ENTRY_POINTS = {
+    "FiniteSpace": lambda v: FiniteSpace(("a", v)),
+    "FiniteSpace.index": lambda v: AB.index(v),
+    "dirac": lambda v: dirac(AB, v),
+    "point_mass": lambda v: point_mass(AB, v),
+    "TestFunction.__call__": PHI,
+    "TestFunction.from_mapping": lambda v: TestFunction.from_mapping(
+        AB, {"a": 0.0, "b": 0.0, v: 1.0}
+    ),
+    "PointMap": lambda v: PointMap(AB, AB, ("a", v)),
+    "PointMap.__call__": F,
+    "approx_toward_point": lambda v: approx_toward_point(MU, v, 0.25),
+    "support_meets": lambda v: support_meets(MU, {v}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LABEL_ENTRY_POINTS))
+def test_a_rejected_label_is_shown_like_a_number(name):
+    with pytest.raises(ValueError, match=re.escape("100000000000... (5001 digits)")):
+        LABEL_ENTRY_POINTS[name](HUGE)
+
+
+def test_unknown_targets_of_mixed_types_are_named_in_order():
+    # Strings keep their order and come first; no two types are compared.
+    with pytest.raises(ValueError, match=r"^points not in space: \['y', 'z'\]$"):
+        support_meets(MU, {"z", "a", "y"})
+    with pytest.raises(ValueError, match=r"^points not in space: \['z', 1\]$"):
+        support_meets(MU, {1, "z"})
+    with pytest.raises(
+        ValueError,
+        match=r"^points not in space: \['z', 100000000000\.\.\. \(5001 digits\), 2, None\]$",
+    ):
+        support_meets(MU, {None, 2, HUGE, "z", "a"})
 
 
 SRC = Path(maxplusprob.__file__).resolve().parent
@@ -316,23 +424,25 @@ OWN_FLOATS = {
     "jsonio.encode_scalar",
     "jsonio.encode_measure",
 }
-# The number rules and the overflow rule, each defined in ``semiring`` only.
-RULES = ("as_float", "_floats", "_scalars", "_count", "_summed")
+# The number rules, the overflow rule and the kind rule, each defined in
+# ``semiring`` only.
+RULES = ("as_float", "_floats", "_scalars", "_count", "_summed", "_of_kind")
 
 
-def _float_calls(node: ast.AST, scope: str):
-    # The qualified name of the innermost definition around each ``float(...)``.
+def _calls(node: ast.AST, scope: str, callee: str):
+    # ``(scope, call)`` for each ``callee(...)``, ``scope`` being the qualified
+    # name of the innermost definition around it.
     for child in ast.iter_child_nodes(node):
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _float_calls(child, f"{scope}.{child.name}")
+            yield from _calls(child, f"{scope}.{child.name}", callee)
             continue
         if (
             isinstance(child, ast.Call)
             and isinstance(child.func, ast.Name)
-            and child.func.id == "float"
+            and child.func.id == callee
         ):
-            yield scope
-        yield from _float_calls(child, scope)
+            yield scope, child
+        yield from _calls(child, scope, callee)
 
 
 def test_only_semiring_decides_what_a_number_is():
@@ -341,7 +451,7 @@ def test_only_semiring_decides_what_a_number_is():
         if path.stem == "semiring":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        calls.update(_float_calls(tree, path.stem))
+        calls.update(scope for scope, _ in _calls(tree, path.stem, "float"))
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and node.name in RULES:
                 rules.append(f"{path.stem}.{node.name}")
@@ -398,3 +508,29 @@ def test_only_in_space_order_puts_a_table_in_space_order():
         for site in _table_reads(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     ]
     assert set(reads) <= {"measures.in_space_order"}, reads
+
+
+def test_only_of_kind_checks_a_measure_kind():
+    # No ``isinstance`` call names a measure class outside ``semiring._of_kind``.
+    checks = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope, call in _calls(tree, path.stem, "isinstance"):
+            named = {
+                getattr(node, "id", None) or getattr(node, "attr", None)
+                for arg in call.args[1:]
+                for node in ast.walk(arg)
+            }
+            if named & MEASURE_TYPES and scope != "semiring._of_kind":
+                checks.append(scope)
+    assert not checks, checks
+
+
+def test_every_source_line_fits_in_99_columns():
+    long_lines = [
+        f"{path.name}:{number} ({len(line)})"
+        for path in sorted(SRC.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if len(line) > 99
+    ]
+    assert not long_lines, long_lines
