@@ -7,12 +7,16 @@ printed with 12 significant digits and object keys are sorted, so a
 given invocation is byte-stable.
 
 Each subcommand is one row of ``_COMMANDS``; ``run`` alone parses, loads
-and decodes its JSON files, runs its step and prints the result.
+and decodes its JSON files, runs its step and prints the result.  ``run``
+is the in-process entry and may be called any number of times; ``main``,
+the process entry, freezes the heap once ``run`` has returned, so that
+interpreter shutdown does not garbage-collect what the process loaded.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from typing import Sequence
@@ -194,4 +198,8 @@ def run(argv: Sequence[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    code = run(sys.argv[1:])
+    # Shutdown's collections would walk every object the process holds; they
+    # skip frozen ones, which the OS reclaims.  atexit and flushes still run.
+    gc.freeze()
+    sys.exit(code)

@@ -205,7 +205,7 @@ def product(mu: Measure, nu: Measure) -> Measure:
     atoms whose weight sum overflows, or whose mass product underflows
     to 0, raises ``ValueError`` naming the pair.
     """
-    if type(_of_kind(mu, Measure)) is not type(nu):
+    if type(_of_kind(mu, Measure)) is not type(_of_kind(nu, Measure)):
         raise ValueError("product requires two measures of the same kind")
     prod = ProductSpace.of(mu.space, nu.space)
     return _product_measure(type(mu), prod, mu.weights, nu.weights)

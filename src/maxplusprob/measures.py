@@ -123,12 +123,15 @@ class FiniteSpace(Record):
         return dict(zip(self.points, range(len(self.points))))
 
     def __contains__(self, label: object) -> bool:
-        return label in self._index
+        try:
+            return label in self._index
+        except TypeError:  # unhashable, so no label
+            return False
 
     def index(self, label: str) -> int:
         try:
             return self._index[label]
-        except KeyError:
+        except (KeyError, TypeError):
             raise ValueError(f"point not in space: {_shown(label)}") from None
 
 

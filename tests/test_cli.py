@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import contextlib
+import gc
 import io
 import json
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maxplusprob import cli
 from maxplusprob.cli import run
 
 from gen import (
@@ -322,24 +324,18 @@ def test_only_density_sampling_loads_numpy(doc):
     assert json.loads(converged.stdout)["within_bound"] is True
 
 
-def test_every_subcommand_runs_without_numpy(doc):
+def test_every_subcommand_runs_without_numpy(doc, monkeypatch):
     # numpy is no runtime dependency: with it unimportable, every
-    # subcommand still runs, and density-converge prints what it prints
-    # in a normal process.
+    # subcommand still runs.  Through the process entry, each prints what
+    # ``run`` prints here, byte for byte, with its exit code and nothing
+    # on stderr; so do an input error and --help.
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps to the terminal width
     block_numpy = (
         "import sys; sys.modules['numpy'] = None;"
         " from maxplusprob.cli import main; main()"
     )
     measure = doc("m.json", IDEMPOTENT)
-    density_args = [
-        "density-converge",
-        "--density", doc("d.json", {"breakpoints": [[0, -1], [0.3, 0], [1, -2]],
-                                    "lipschitz": 3.34}),
-        "--function", doc("phi.json", {"breakpoints": [[0, 0.5], [0.71, -0.2], [1, 1]],
-                                       "lipschitz": 4.14}),
-        "--grid", "10", "--grid", "100", "--grid", "1000",
-    ]
-    subcommands = [
+    invocations = [
         ["eval", "--measure", measure, "--function", doc("f.json", FUNCTION)],
         ["push", "--measure", doc("w.json", WIDE), "--map", doc("map.json", MERGE_MAP)],
         ["product", "--measure", measure, "--measure2", measure],
@@ -347,18 +343,48 @@ def test_every_subcommand_runs_without_numpy(doc):
         ["dist", "--epsilon", "0.25"],
         ["approx", "--measure", measure, "--epsilon", "0.25", "--point", "b"],
         ["verify-counterexample"],
-        density_args,
+        [
+            "density-converge",
+            "--density", doc("d.json", {"breakpoints": [[0, -1], [0.3, 0], [1, -2]],
+                                        "lipschitz": 3.34}),
+            "--function", doc("phi.json", {"breakpoints": [[0, 0.5], [0.71, -0.2], [1, 1]],
+                                           "lipschitz": 4.14}),
+            "--grid", "10", "--grid", "100", "--grid", "1000",
+        ],
+        ["convert", "--measure", measure, "--to", "idempotent"],
+        ["--help"],
     ]
-    for argv in subcommands:
+    codes = []
+    for argv in invocations:
         blocked = subprocess.run(
             [sys.executable, "-c", block_numpy, *argv], capture_output=True, text=True
         )
-        assert blocked.returncode == 0, (argv[0], blocked.stdout, blocked.stderr)
-    normal = subprocess.run(
-        [sys.executable, "-m", "maxplusprob", *density_args], capture_output=True, text=True
-    )
-    assert normal.returncode == 0, normal.stderr
-    assert blocked.stdout == normal.stdout
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            codes.append(run(argv))
+        assert (blocked.returncode, blocked.stdout, blocked.stderr) == (
+            codes[-1], out.getvalue(), ""
+        ), argv[0]
+    assert codes == [0] * 8 + [2, 0]
+
+
+def test_main_freezes_the_heap_once_the_output_is_printed(monkeypatch, capsys):
+    # The process entry spares interpreter shutdown its collections; the
+    # in-process entry never freezes, since it may run many times.
+    frozen = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: frozen.append(capsys.readouterr().out))
+    for argv, code in ((["dist", "--epsilon", "0.25"], 0), (["dist", "--epsilon", "x"], 2)):
+        before = gc.get_freeze_count()
+        assert run(argv) == code
+        assert gc.get_freeze_count() == before
+        printed = capsys.readouterr().out
+        monkeypatch.setattr(sys, "argv", ["maxplusprob", *argv])
+        with pytest.raises(SystemExit) as exit_:
+            cli.main()
+        assert exit_.value.code == code
+        assert frozen == [printed]
+        assert capsys.readouterr().out == ""
+        frozen.clear()
 
 
 # -- error handling -------------------------------------------------------------

@@ -3,6 +3,9 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -598,3 +601,41 @@ def test_single_point_spaces_push_and_multiply():
     assert pushforward(f, mu) == mu
     prod = product_idempotent(mu, mu)
     assert prod.weights == (0.0,)
+
+
+def test_shared_records_answer_four_threads_as_they_answer_one():
+    # The records are immutable, so sharing them is safe; the one cache, a
+    # space's label index, is built by whichever thread looks a label up first.
+    def tasks():
+        rng = random.Random(7)
+        big = FiniteSpace(tuple(f"p{i}" for i in range(10_000)))
+        f = random_map(rng, big, ABC)
+        mu, nu = random_idempotent(rng, big), random_classical(rng, big)
+        phi = random_function(rng, big)
+        labels = [f"p{i}" for i in range(0, 10_000, 97)]
+        assert "_index" not in vars(big)
+        return [
+            lambda: [big.index(x) for x in labels],
+            lambda: [(f(x), phi(x), x in big) for x in labels],
+            lambda: (evaluate(mu, phi), evaluate(nu, phi)),
+            lambda: (pushforward(f, mu), pushforward(f, nu)),
+            lambda: product(pushforward(f, mu), random_idempotent(random.Random(1), ABC)),
+            lambda: product(nu, pushforward(f, nu)),
+        ]
+
+    serial = [task() for task in tasks()]
+    shared = tasks()
+    start = threading.Barrier(4, timeout=60)
+
+    def worker(_) -> list:
+        start.wait()  # so that all four look labels up before the index exists
+        return [task() for task in shared]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the kernels too
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            answers = list(pool.map(worker, range(4)))
+    finally:
+        sys.setswitchinterval(interval)
+    assert answers == [serial] * 4

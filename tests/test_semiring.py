@@ -335,6 +335,9 @@ KIND_RULE = [
     ("product", (M, MU), None),
     ("product_idempotent", (M, MU), None),
     ("product_classical", (M, MU), None),
+    ("product", (MU, M), None),
+    ("product_idempotent", (MU, M), None),
+    ("product_classical", (MU, M), None),
     ("roundtrip_gap", (M,), None),
     ("encode_measure", (M,), None),
     ("support_meets", (M, {"a"}), None),
@@ -401,6 +404,17 @@ LABEL_ENTRY_POINTS = {
 def test_a_rejected_label_is_shown_like_a_number(name):
     with pytest.raises(ValueError, match=re.escape("100000000000... (5001 digits)")):
         LABEL_ENTRY_POINTS[name](HUGE)
+
+
+def test_an_unhashable_label_is_not_in_the_space():
+    # Named like any other unknown label, not as Python's bare "unhashable type".
+    assert ["a"] not in AB
+    for name in (
+        "FiniteSpace.index", "dirac", "point_mass", "TestFunction.__call__",
+        "PointMap.__call__", "approx_toward_point",
+    ):
+        with pytest.raises(ValueError, match=r"^point not in space: \['a'\]$"):
+            LABEL_ENTRY_POINTS[name](["a"])
 
 
 def test_unknown_targets_of_mixed_types_are_named_in_order():
