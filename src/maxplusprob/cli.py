@@ -7,9 +7,10 @@ printed with 12 significant digits and object keys are sorted, so a
 given invocation is byte-stable.
 
 Each subcommand is one row of ``_COMMANDS``; ``run`` alone parses, loads
-and decodes its JSON files, runs its step and prints the result.  ``run``
-is the in-process entry and may be called any number of times; ``main``,
-the process entry, freezes the heap once ``run`` has returned, so that
+and decodes its JSON files (``approx`` reads ``--measure2`` in its step,
+after its own checks), runs its step and prints the result.  ``run`` is
+the in-process entry and may be called any number of times; ``main``, the
+process entry, freezes the heap once ``run`` has returned, so that
 interpreter shutdown does not garbage-collect what the process loaded.
 """
 

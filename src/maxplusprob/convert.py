@@ -102,8 +102,6 @@ def naturality_gap(f: PointMap, mu: ClassicalMeasure) -> float:
     maps that merge atoms of unequal mass give a positive gap.
     """
     _of_kind(mu, ClassicalMeasure)
-    if mu.space != f.domain:
-        raise ValueError("space mismatch: measure does not live on the map domain")
     via_classical = to_idempotent(pushforward_classical(f, mu))
     via_idempotent = pushforward_idempotent(f, to_idempotent(mu))
     return _weight_gap(via_classical, via_idempotent)

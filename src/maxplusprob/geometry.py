@@ -187,11 +187,16 @@ def support_meets(mu: Measure, targets: Iterable[str]) -> bool:
     """
     if isinstance(targets, str):
         raise TypeError(f"targets must be a collection of labels, got the string {targets!r}")
-    labels = set(targets)
+    given = list(targets)
     space = _of_kind(mu, Measure).space
+    # Membership first, on the labels as given: an unhashable one is in no space.
+    unknown = [label for label in given if label not in space]
+    try:  # each label once, the first of equal ones kept, as a set keeps it
+        unknown = list(dict.fromkeys(unknown))
+    except TypeError:  # an unhashable label is told apart by equality alone
+        unknown = [x for i, x in enumerate(unknown) if x not in unknown[:i]]
     # Strings in order, then other labels by their text: no two types are compared.
-    unknown = [label for label in labels if label not in space]
     unknown.sort(key=lambda label: (0, label) if isinstance(label, str) else (1, _shown(label)))
     if unknown:
         raise ValueError(f"points not in space: {_shown(unknown)}")
-    return not labels.isdisjoint(support(mu))
+    return not support(mu).isdisjoint(given)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import ast
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -206,9 +208,10 @@ def test_off_grid_reference_is_the_supremum_above_the_fine_grid():
     # The peak at 1/3 lies on no decimal grid: the reference is the
     # value there, which the 1e6-cell grid misses by at most half a cell
     # times the summed Lipschitz bounds.
+    np = pytest.importorskip("numpy")
     report = convergence_report(TENT, SLOPE_HALF, [10])
     assert report.reference.hex() == "0x1.5555555555556p-3"
-    grid = eval_density_measure(TENT, SLOPE_HALF, 1_000_000)
+    grid = _numpy_grid_max(np, TENT, SLOPE_HALF, 1_000_000)
     assert grid <= report.reference <= grid + (TENT.lipschitz + SLOPE_HALF.lipschitz) / 2e6
 
 
@@ -221,6 +224,18 @@ def test_report_never_evaluates_the_fine_grid(monkeypatch):
     for d, phi in ((FLAT, RAMP), (TENT, SLOPE_HALF), (TENT, flat)):
         report = convergence_report(d, phi, [10, 100, 1000])
         assert report.within_bound
+
+
+def test_no_package_or_workload_code_calls_the_fine_grid_evaluator():
+    # ``eval_density_measure`` scans every grid point; it stays out of the
+    # package's own paths and the benchmark's workloads.
+    root = Path(__file__).resolve().parent.parent
+    sources = sorted((root / "src" / "maxplusprob").glob("*.py"))
+    for path in [*sources, root / "bench" / "workloads.py"]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            assert name != "eval_density_measure", f"{path.name}:{node.lineno}"
 
 
 def _random_piecewise(rng: random.Random, lo: float, hi: float, cls):
@@ -311,7 +326,52 @@ def _oracle_pair(rng: random.Random, kind: str):
     )
 
 
+def _interp(np, f, xs):
+    return np.interp(xs, [x for x, _ in f.breakpoints], [y for _, y in f.breakpoints])
+
+
+def _numpy_grid_max(np, d, phi, resolution: int) -> float:
+    """numpy's maximum of ``d + phi`` over the grid points ``k / resolution``."""
+    xs = np.arange(resolution + 1, dtype=np.float64) / float(resolution)
+    return float(np.max(_interp(np, d, xs) + _interp(np, phi, xs)))
+
+
+def _rounding(d, phi) -> float:
+    """How far a grid maximum may exceed the reference by rounding alone.
+
+    Both read sampled sums ``fl(d(x) + phi(x))``: the grid at its points,
+    the reference at the breakpoints.  On a segment from ``(x0, y0)`` to
+    ``(x1, y1)`` of a function whose breakpoint values are at most ``M``
+    in size, a sample is ``fl(fl(s * fl(x - x0)) + y0)`` with slope
+    ``s = fl(fl(y1 - y0) / fl(x1 - x0))``.  The exact increment is at most
+    ``|y1 - y0| <= 2M`` and passes five roundings of relative size
+    ``u = 2**-53``, so it is off by under ``6u * 2M``; adding ``y0`` costs
+    under ``u * 1.01M`` more, and a subnormal quotient or product loses up
+    to ``2**-1075`` absolutely, twice.  A sample is thus within
+    ``14u M + 2**-1074`` of the exact value, and the rounded sum of two
+    within ``e = 16u (M_d + M_phi) + 2**-1073`` of ``d(x) + phi(x)``.
+    Every exact sum is at most the supremum, and the reference is within
+    ``e`` of it (it reads the sum at the supremum's breakpoint), so the
+    grid maximum exceeds the reference by at most ``2e``.
+    """
+    m = sum(max(abs(y) for _, y in f.breakpoints) for f in (d, phi))
+    return 2 * (16 * 2.0**-53 * m + 2.0**-1073)
+
+
+def _bracketed(np, d, phi, resolution: int) -> tuple[float, float]:
+    """numpy's grid maximum and the reference, checked against each other."""
+    grid = _numpy_grid_max(np, d, phi, resolution)
+    reference = convergence_report(d, phi, [10]).reference
+    # Below: rounding alone (``_rounding``).  Above: the supremum's point
+    # lies within half a cell of a grid point, where ``d + phi`` is at most
+    # ``(L_d + L_phi) / (2 * resolution)`` lower.
+    half_cell = (d.lipschitz + phi.lipschitz) / (2 * resolution)
+    assert grid - _rounding(d, phi) <= reference <= grid + half_cell, (d, phi)
+    return grid, reference
+
+
 def test_reference_is_the_largest_sum_at_the_union_breakpoints():
+    np = pytest.importorskip("numpy")
     rng = random.Random(71)
     for k in range(24):
         on_grid = k % 4 == 0
@@ -321,51 +381,68 @@ def test_reference_is_the_largest_sum_at_the_union_breakpoints():
         reference = convergence_report(d, phi, [10, 100]).reference
         assert reference.hex() == want.hex(), (d, phi)
         if on_grid:
-            # Every breakpoint is a point of the 1e6-cell grid.
-            assert reference.hex() == eval_density_measure(d, phi, 1_000_000).hex()
+            # Every breakpoint is a point of the 1e6-cell grid, sampled alike
+            # by both, and the random slopes of ``d + phi`` put every other
+            # grid point a cell's rise below the peak, far beyond rounding.
+            grid, _ = _bracketed(np, d, phi, 1_000_000)
+            assert reference.hex() == grid.hex(), (d, phi)
 
 
-def _interp(np, f, xs):
-    return np.interp(xs, [x for x, _ in f.breakpoints], [y for _, y in f.breakpoints])
+KINDS = ("flat", "tilted", "off-grid", "on-grid")
 
 
 @pytest.mark.parametrize(
     "resolution, cases", [(10_000, 200), (12_347, 40), (100_000, 40), (1_000_000, 12)]
 )
-def test_reference_matches_numpy_fine_grid_bit_for_bit(resolution, cases):
+def test_reference_brackets_the_numpy_fine_grid_maximum(resolution, cases):
     np = pytest.importorskip("numpy")
     rng = random.Random(resolution)
-    xs = np.arange(resolution + 1, dtype=np.float64) / float(resolution)
     for k in range(cases):
-        d, phi = _oracle_pair(rng, ("flat", "tilted", "off-grid", "on-grid")[k % 4])
-        want = float(np.max(_interp(np, d, xs) + _interp(np, phi, xs)))
-        assert eval_density_measure(d, phi, resolution).hex() == want.hex(), (d, phi)
+        kind = KINDS[k % 4]
+        d, phi = _oracle_pair(rng, kind)
+        grid, reference = _bracketed(np, d, phi, resolution)
+        if kind != "off-grid" and resolution % 1000 == 0:
+            # Every breakpoint k/1000 is the grid point with the same float,
+            # so the grid maximum reads the reference's largest sum too; on
+            # the on-grid kind the random slopes of ``d + phi`` put every
+            # other grid point a cell's rise below it, far beyond rounding.
+            assert reference <= grid, (d, phi)
+            if kind == "on-grid":
+                assert reference.hex() == grid.hex(), (d, phi)
+
+
+def test_fine_grid_evaluator_matches_numpy_bit_for_bit():
+    # The same 200 seeded pairs as the reference's check at 10_000 cells.
+    np = pytest.importorskip("numpy")
+    rng = random.Random(10_000)
+    for k in range(200):
+        d, phi = _oracle_pair(rng, KINDS[k % 4])
+        want = _numpy_grid_max(np, d, phi, 10_000)
+        assert eval_density_measure(d, phi, 10_000).hex() == want.hex(), (d, phi)
 
 
 def test_reference_matches_numpy_when_the_peak_is_a_grid_point():
-    # ``x * resolution`` may round past the k with ``k / resolution == x``;
-    # that grid point still belongs to the segment the peak starts.
+    # The peak m/1000 is a grid point, where numpy reads its value 0.0 as
+    # the reference does; every other grid point lies a cell or more down
+    # a slope of at least 0.1, far beyond rounding, so the two are equal.
     np = pytest.importorskip("numpy")
     rng = random.Random(67)
     zero = ContinuousTestFunction(((0.0, 0.0), (1.0, 0.0)), 0.0)
     for resolution in (10_000, 100_000):
-        xs = np.arange(resolution + 1, dtype=np.float64) / float(resolution)
         for m in range(1, 1000):
             pairs = ((0.0, rng.uniform(-3.0, -0.1)), (m / 1000, 0.0), (1.0, rng.uniform(-3.0, -0.1)))
             d = DensityMeasure(pairs, _steepest(pairs))
-            want = float(np.max(_interp(np, d, xs)))
-            assert eval_density_measure(d, zero, resolution).hex() == want.hex(), pairs
+            want = _numpy_grid_max(np, d, zero, resolution)
+            assert convergence_report(d, zero, [10]).reference.hex() == want.hex(), pairs
 
 
 def test_reference_matches_numpy_for_subnormal_slopes():
-    # A summed slope this small would make the rounding window wider
-    # than the largest float.
+    # Slopes this small sample to subnormals, where rounding is absolute.
     np = pytest.importorskip("numpy")
     d = DensityMeasure(((0.0, 0.0), (1.0, -1e-320)), 1.0)
     phi = ContinuousTestFunction(((0.0, 0.0), (0.5, 1e-320), (1.0, 5e-321)), 1.0)
-    xs = np.arange(10_001, dtype=np.float64) / 10_000.0
-    want = float(np.max(_interp(np, d, xs) + _interp(np, phi, xs)))
-    assert eval_density_measure(d, phi, 10_000).hex() == want.hex()
+    grid, _ = _bracketed(np, d, phi, 10_000)
+    assert eval_density_measure(d, phi, 10_000).hex() == grid.hex()
 
 
 def test_grid_sampling_matches_numpy_bit_for_bit():

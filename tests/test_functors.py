@@ -8,6 +8,8 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from maxplusprob import (
     BOTTOM,
@@ -22,6 +24,7 @@ from maxplusprob import (
     dirac,
     evaluate,
     evaluate_idempotent,
+    normalize_idempotent,
     pair_map_image,
     product,
     product_classical,
@@ -37,6 +40,9 @@ from maxplusprob import functors
 from maxplusprob.functors import _fixture, _full_rank, _paired_image
 
 from gen import (
+    extreme_spaces,
+    extreme_values,
+    extreme_weights,
     random_classical,
     random_function,
     random_idempotent,
@@ -404,6 +410,54 @@ def test_reconstruction_from_factor_evaluations_is_exact():
         mu = random_idempotent(rng, x)
         nu = random_idempotent(rng, y)
         assert reconstruct_product(mu, nu) == product_idempotent(mu, nu)
+
+
+def _unless_overflow(call, *args):
+    # The call's answer, or None when it raises the named overflow.
+    try:
+        return call(*args)
+    except ValueError as err:
+        assert str(err).endswith(" overflows the float range"), str(err)
+        return None
+
+
+@settings(max_examples=300, derandomize=True)
+@given(extreme_spaces, extreme_spaces, extreme_spaces, st.data())
+def test_exact_laws_hold_at_the_float_edges(xs, ys, zs, data):
+    # Weights at -1.79e308, near -745 or BOTTOM, values at +-1.79e308.  Each
+    # law's two sides take the maximum of the same rounded sums, and rounding
+    # is monotone, so they agree bit for bit.  An operation that raises its
+    # named overflow skips the laws that need its result.
+    x, y, z = (FiniteSpace(tuple(labels)) for labels in (xs, ys, zs))
+
+    def drawn(values, n: int) -> list:
+        return data.draw(st.lists(values, min_size=n, max_size=n))
+
+    def measure(space):
+        raw = [BOTTOM if w == "-inf" else w for w in drawn(extreme_weights, len(space))]
+        assume(any(w is not BOTTOM for w in raw))
+        return _unless_overflow(normalize_idempotent, space, raw)
+
+    def point_map(domain, codomain):
+        images = drawn(st.sampled_from(codomain.points), len(domain))
+        return PointMap(domain, codomain, tuple(images))
+
+    mu, nu = measure(x), measure(y)
+    f, g = point_map(x, y), point_map(y, z)
+    psi = TestFunction(y, tuple(drawn(extreme_values, len(y))))
+    if mu is not None:
+        assert pushforward(PointMap.identity(x), mu) == mu
+        assert pushforward(compose(g, f), mu) == pushforward(g, pushforward(f, mu))
+        pulled = TestFunction(x, tuple(psi(f(p)) for p in x.points))
+        assert evaluate(pushforward(f, mu), psi) == evaluate(mu, pulled)
+    if mu is not None and nu is not None:
+        both = _unless_overflow(product, mu, nu)
+        assert _unless_overflow(reconstruct_product, mu, nu) == both
+        if both is not None:
+            left = PointMap(both.space, x, tuple(p for p in x.points for _ in y.points))
+            right = PointMap(both.space, y, tuple(q for _ in x.points for q in y.points))
+            assert pushforward(left, both) == mu
+            assert pushforward(right, both) == nu
 
 
 def test_classical_product_is_fubini_too():

@@ -417,6 +417,14 @@ def test_an_unhashable_label_is_not_in_the_space():
             LABEL_ENTRY_POINTS[name](["a"])
 
 
+def test_an_unhashable_target_is_named_once():
+    # Membership is asked of the targets as given, before any set is built.
+    with pytest.raises(ValueError, match=r"^points not in space: \[\['a'\]\]$"):
+        support_meets(dirac(AB, "a"), [["a"]])
+    with pytest.raises(ValueError, match=r"^points not in space: \['z', 1, \['a'\]\]$"):
+        support_meets(MU, [["a"], "z", "a", ["a"], 1, "z", True])
+
+
 def test_unknown_targets_of_mixed_types_are_named_in_order():
     # Strings keep their order and come first; no two types are compared.
     with pytest.raises(ValueError, match=r"^points not in space: \['y', 'z'\]$"):
