@@ -190,11 +190,11 @@ def support_meets(mu: Measure, targets: Iterable[str]) -> bool:
     given = list(targets)
     space = _of_kind(mu, Measure).space
     # Membership first, on the labels as given: an unhashable one is in no space.
-    unknown = [label for label in given if label not in space]
-    try:  # each label once, the first of equal ones kept, as a set keeps it
-        unknown = list(dict.fromkeys(unknown))
-    except TypeError:  # an unhashable label is told apart by equality alone
-        unknown = [x for i, x in enumerate(unknown) if x not in unknown[:i]]
+    # Each label once, the first of equal ones kept, as a set keeps it.
+    unknown = []
+    for label in given:
+        if label not in space and label not in unknown:
+            unknown.append(label)
     # Strings in order, then other labels by their text: no two types are compared.
     unknown.sort(key=lambda label: (0, label) if isinstance(label, str) else (1, _shown(label)))
     if unknown:

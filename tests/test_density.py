@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -207,12 +208,14 @@ def test_grid_sizes_stop_at_one_million(monkeypatch):
 def test_off_grid_reference_is_the_supremum_above_the_fine_grid():
     # The peak at 1/3 lies on no decimal grid: the reference is the
     # value there, which the 1e6-cell grid misses by at most half a cell
-    # times the summed Lipschitz bounds.
-    np = pytest.importorskip("numpy")
+    # times the summed Lipschitz bounds, plus rounding (``_bracketed``).
     report = convergence_report(TENT, SLOPE_HALF, [10])
     assert report.reference.hex() == "0x1.5555555555556p-3"
-    grid = _numpy_grid_max(np, TENT, SLOPE_HALF, 1_000_000)
-    assert grid <= report.reference <= grid + (TENT.lipschitz + SLOPE_HALF.lipschitz) / 2e6
+    np = pytest.importorskip("numpy")
+    grid, reference = _bracketed(np, TENT, SLOPE_HALF, 1_000_000)
+    # Every grid point is at least 1/3e6 from the peak, where d + phi
+    # falls with slope 2 or steeper: far below it, beyond any rounding.
+    assert grid <= reference
 
 
 def test_report_never_evaluates_the_fine_grid(monkeypatch):
@@ -336,7 +339,7 @@ def _numpy_grid_max(np, d, phi, resolution: int) -> float:
     return float(np.max(_interp(np, d, xs) + _interp(np, phi, xs)))
 
 
-def _rounding(d, phi) -> float:
+def _rounding(d, phi) -> Fraction:
     """How far a grid maximum may exceed the reference by rounding alone.
 
     Both read sampled sums ``fl(d(x) + phi(x))``: the grid at its points,
@@ -353,26 +356,50 @@ def _rounding(d, phi) -> float:
     Every exact sum is at most the supremum, and the reference is within
     ``e`` of it (it reads the sum at the supremum's breakpoint), so the
     grid maximum exceeds the reference by at most ``2e``.
+
+    Returned as an exact rational, so that the bounds built on it round
+    nothing themselves.
     """
-    m = sum(max(abs(y) for _, y in f.breakpoints) for f in (d, phi))
-    return 2 * (16 * 2.0**-53 * m + 2.0**-1073)
+    m = sum(Fraction(max(abs(y) for _, y in f.breakpoints)) for f in (d, phi))
+    return 2 * (16 * Fraction(1, 2**53) * m + Fraction(1, 2**1073))
+
+
+def _reach(d, phi, resolution: int) -> Fraction:
+    """How far below the supremum ``d + phi`` may be at its nearest grid point.
+
+    The supremum is reached at some ``x*``; the float grid point nearest
+    to it, ``fl(k / resolution)``, is within ``1 / (2 * resolution)`` plus
+    one rounding, ``2**-54``, of ``x*``.  Over that distance the exact sum
+    falls by at most ``S`` times it, where ``S`` bounds the true slopes of
+    ``d`` and ``phi`` together.  The constructor admits a float slope up to
+    ``lipschitz + _SLOPE_TOL``, and a float slope is within three roundings,
+    a factor ``1 + 2**-51``, of the true one, or ``2**-1074`` absolutely if
+    the quotient is subnormal.
+    """
+    tol = Fraction(density._SLOPE_TOL)
+    slopes = sum(
+        (Fraction(f.lipschitz) + tol) * (1 + Fraction(1, 2**51)) + Fraction(1, 2**1074)
+        for f in (d, phi)
+    )
+    return slopes * (Fraction(1, 2 * resolution) + Fraction(1, 2**54))
 
 
 def _bracketed(np, d, phi, resolution: int) -> tuple[float, float]:
     """numpy's grid maximum and the reference, checked against each other."""
     grid = _numpy_grid_max(np, d, phi, resolution)
     reference = convergence_report(d, phi, [10]).reference
-    # Below: rounding alone (``_rounding``).  Above: the supremum's point
-    # lies within half a cell of a grid point, where ``d + phi`` is at most
-    # ``(L_d + L_phi) / (2 * resolution)`` lower.
-    half_cell = (d.lipschitz + phi.lipschitz) / (2 * resolution)
-    assert grid - _rounding(d, phi) <= reference <= grid + half_cell, (d, phi)
+    # Below: rounding alone, ``2e`` (``_rounding``).  Above: the reference
+    # is at most ``e`` over the supremum, the nearest grid point's exact sum
+    # at most ``_reach`` under it, and that point's sample at most ``e``
+    # under its exact sum, so ``2e`` again on top of ``_reach``.
+    r, grid_q, reference_q = _rounding(d, phi), Fraction(grid), Fraction(reference)
+    assert grid_q - r <= reference_q <= grid_q + _reach(d, phi, resolution) + r, (d, phi)
     return grid, reference
 
 
 def test_reference_is_the_largest_sum_at_the_union_breakpoints():
-    np = pytest.importorskip("numpy")
     rng = random.Random(71)
+    on_grid_pairs = []
     for k in range(24):
         on_grid = k % 4 == 0
         d, phi = _oracle_pair(rng, "on-grid" if on_grid else "off-grid")
@@ -381,11 +408,14 @@ def test_reference_is_the_largest_sum_at_the_union_breakpoints():
         reference = convergence_report(d, phi, [10, 100]).reference
         assert reference.hex() == want.hex(), (d, phi)
         if on_grid:
-            # Every breakpoint is a point of the 1e6-cell grid, sampled alike
-            # by both, and the random slopes of ``d + phi`` put every other
-            # grid point a cell's rise below the peak, far beyond rounding.
-            grid, _ = _bracketed(np, d, phi, 1_000_000)
-            assert reference.hex() == grid.hex(), (d, phi)
+            on_grid_pairs.append((d, phi))
+    np = pytest.importorskip("numpy")
+    for d, phi in on_grid_pairs:
+        # Every breakpoint is a point of the 1e6-cell grid, sampled alike
+        # by both, and the random slopes of ``d + phi`` put every other
+        # grid point a cell's rise below the peak, far beyond rounding.
+        grid, reference = _bracketed(np, d, phi, 1_000_000)
+        assert reference.hex() == grid.hex(), (d, phi)
 
 
 KINDS = ("flat", "tilted", "off-grid", "on-grid")
