@@ -6,9 +6,9 @@ Errors are reported as ``{"error": message}`` on stdout.  Numbers are
 printed with 12 significant digits and object keys are sorted, so a
 given invocation is byte-stable.
 
-Each subcommand is one row of ``_COMMANDS``; ``run`` alone parses, loads
-and decodes its JSON files (``approx`` reads ``--measure2`` in its step,
-after its own checks), runs its step and prints the result.  ``run`` is
+Each subcommand is one row of ``_COMMANDS``; ``run`` parses, reads its
+JSON files through ``_read`` (``approx`` reads ``--measure2`` through it
+too, after its own checks), runs its step and prints the result.  ``run`` is
 the in-process entry and may be called any number of times; ``main``, the
 process entry, freezes the heap once ``run`` has returned, so that
 interpreter shutdown does not garbage-collect what the process loaded.
@@ -37,7 +37,7 @@ class _Parser(argparse.ArgumentParser):
         raise _CliError(message)
 
 
-def _load_json(path: str) -> object:
+def _read(path: str, decoder: str) -> object:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -46,9 +46,10 @@ def _load_json(path: str) -> object:
     except UnicodeDecodeError as err:  # not UTF-8; it has no strerror
         raise _CliError(f"cannot read {path}: {err}") from None
     try:
-        return json.loads(text)
+        document = json.loads(text)
     except (ValueError, RecursionError) as err:  # malformed, too long an int, too deep
         raise _CliError(f"{path} is not valid JSON: {err}") from None
+    return getattr(jsonio, decoder)(document)
 
 
 def _convert(args: argparse.Namespace) -> dict:
@@ -76,7 +77,7 @@ def _approx(args: argparse.Namespace) -> dict:
     if args.point is not None:
         out = geometry.approx_toward_point(mu, args.point, args.epsilon)
     else:
-        nu = jsonio.decode_measure(_load_json(args.measure2))
+        nu = _read(args.measure2, "decode_measure")
         if nu.kind != "idempotent":
             raise _CliError("approx requires an idempotent second measure")
         out = geometry.approx_toward_measure(mu, nu, args.epsilon)
@@ -181,8 +182,7 @@ def run(argv: Sequence[str]) -> int:
         _, flags, step = _COMMANDS[args.command]
         for flag, spec in flags.items():
             if isinstance(spec, str):
-                document = _load_json(getattr(args, flag))
-                setattr(args, flag, getattr(jsonio, spec)(document))
+                setattr(args, flag, _read(getattr(args, flag), spec))
         payload = step(args)
     except (_CliError, ValueError) as err:
         # Bad flags, schema violations and invalid values all land here.

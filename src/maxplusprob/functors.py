@@ -196,7 +196,8 @@ def product(mu: Measure, nu: Measure) -> Measure:
     """The product measure: atom ``(x, y)`` weighs ``w_x (.) w_y``.
 
     Idempotent factors give ``w_x + w_y``, the unique measure with
-    ``m(phi (.) psi) = mu(phi) + nu(psi)`` for split functions;
+    ``m(phi (.) psi) = mu(phi) + nu(psi)`` for split functions, up to
+    float absorption near the float maximum (``M - 745`` rounds to ``M``);
     ``reconstruct_product`` checks that uniqueness constructively.
     Classical factors give ``w_x * w_y``.  Each factor sums to 1 within
     1e-12, so the products can miss by about twice that; the

@@ -15,8 +15,9 @@ Decoders validate shape first and report the offending path.  A table's
 keys may come in any order (``measures.in_space_order`` aligns them).
 Value invariants (normalization, mass sums) are then enforced by the
 type constructors and re-raised with the same path prefix.  A
-constructor is also the bulk check of its elements: only on a rejection
-are they decoded one by one, to name the first bad one at its own path.
+constructor is also the bulk check of its elements, a table's values or
+a piecewise document's numbers: only on a rejection are they decoded one
+by one, to name the first bad one at its own path.
 """
 
 from __future__ import annotations
@@ -182,22 +183,23 @@ def decode_point_map(doc: object) -> PointMap:
 def _decode_piecewise(doc: object, cls: type, what: str):
     root = _expect_object(doc, "")
     _expect_keys(root, "", ("breakpoints", "lipschitz"))
-    node = root["breakpoints"]
+    node, bound = root["breakpoints"], root["lipschitz"]
     if not isinstance(node, list):
         raise SchemaError("breakpoints", "expected a list of [x, y] pairs")
-    pairs = []
-    for i, item in enumerate(node):
-        if not isinstance(item, list) or len(item) != 2:
-            raise SchemaError(f"breakpoints[{i}]", "expected an [x, y] pair")
-        pairs.append(
-            (
-                _expect_number(item[0], f"breakpoints[{i}][0]"),
-                _expect_number(item[1], f"breakpoints[{i}][1]"),
-            )
-        )
-    bound = _expect_number(root["lipschitz"], "lipschitz")
+
+    def elements() -> None:
+        for i, item in enumerate(node):
+            if not isinstance(item, list) or len(item) != 2:
+                raise SchemaError(f"breakpoints[{i}]", "expected an [x, y] pair")
+            _expect_number(item[0], f"breakpoints[{i}][0]")
+            _expect_number(item[1], f"breakpoints[{i}][1]")
+        _expect_number(bound, "lipschitz")
+
+    # The constructor takes pairs only, and checks their numbers in bulk.
+    if not all(isinstance(item, list) and len(item) == 2 for item in node):
+        elements()
     prefix = f"not a valid {what}: "
-    return _built("breakpoints", cls, tuple(pairs), bound, prefix=prefix)
+    return _built("breakpoints", cls, node, bound, prefix=prefix, elements=elements)
 
 
 def decode_density(doc: object) -> DensityMeasure:
@@ -221,9 +223,9 @@ def encode_scalar(value: MaxPlusValue) -> Union[float, str]:
 
 
 def encode_measure(mu: Measure) -> dict:
-    """The measure document for either kind."""
+    """The measure document for either kind; stored weights are exact floats."""
     weights = {
-        p: _BOTTOM_WIRE if w is BOTTOM else float(w)
+        p: _BOTTOM_WIRE if w is BOTTOM else w
         for p, w in zip(_of_kind(mu, Measure).space.points, mu.weights)
     }
     return {"space": list(mu.space.points), "kind": mu.kind, "weights": weights}

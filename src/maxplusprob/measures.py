@@ -24,11 +24,12 @@ annotated fields and then runs ``__post_init__``, which checks them and
 may normalize them.  ``FiniteSpace._index``, the label lookup, is a cache
 built on the first lookup.  For a measure kind ``__post_init__`` is the
 only place its weights are checked, by the number rules of ``semiring``:
-``_scalars`` for max-plus weights, ``_floats`` for masses.
-``normalize_idempotent`` and ``classical_measure`` only align raw
-weights (a table keyed by label through ``in_space_order``, the one
-reader of such tables) and shift or rescale them; other operations
-build their results through the same constructors.
+``_scalars`` for max-plus weights, ``_floats`` for masses, so
+``ClassicalMeasure`` is the only check on masses.  ``normalize_idempotent``
+and ``classical_measure`` only align raw weights (a table keyed by label
+through ``in_space_order``, the one reader of such tables) and shift or
+rescale them (``classical_measure`` reads masses only to rescale them);
+other operations build their results through the same constructors.
 """
 
 from __future__ import annotations
@@ -286,15 +287,11 @@ class ClassicalMeasure(Measure):
                 if not 0.0 <= w < math.inf:
                     raise ValueError(f"classical weights must be finite and >= 0, got {w!r}")
             # Every mass is finite and >= 0, so their sum overflowed.
-            raise ValueError(
-                "the weights' sum exceeds the float range; pass renormalize=True to rescale"
-            )
+            raise ValueError("the weights' sum exceeds the float range")
         if total <= 0.0:
             raise ValueError("empty support: weights sum to 0")
         if abs(total - 1.0) > _INPUT_SUM_TOL:
-            raise ValueError(
-                f"weights sum to {total!r}, not 1; pass renormalize=True to rescale"
-            )
+            raise ValueError(f"weights sum to {total!r}, not 1")
         self.__dict__["weights"] = tuple(w / total for w in weights)
 
 
@@ -349,8 +346,8 @@ def classical_measure(
     else goes to the constructor as given, so its error names the value
     passed.
     """
-    values = _floats(_aligned(space, weights))
-    if renormalize and len(values) == len(space.points) and (
+    values = _aligned(space, weights)
+    if renormalize and len(values := _floats(values)) == len(space.points) and (
         0.0 <= min(values) <= max(values) < math.inf
     ):
         given, top = values, 1.0

@@ -480,7 +480,7 @@ def test_invariant_violation_exits_two(doc, capsys):
         "--function", doc("f.json", FUNCTION),
     )
     assert code == 2
-    assert "renormalize" in out["error"]
+    assert out == {"error": "weights: weights sum to 1.1, not 1"}
 
 
 def test_classical_masses_summing_beyond_the_float_range_exit_two(doc, capsys):
@@ -492,10 +492,7 @@ def test_classical_masses_summing_beyond_the_float_range_exit_two(doc, capsys):
         "--function", doc("f.json", FUNCTION),
     )
     assert code == 2
-    assert out == {
-        "error": "weights: the weights' sum exceeds the float range;"
-        " pass renormalize=True to rescale"
-    }
+    assert out == {"error": "weights: the weights' sum exceeds the float range"}
 
 
 def test_bad_epsilon_exits_two(capsys):
@@ -608,6 +605,26 @@ def test_approx_counts_its_targets_before_reading_the_second_measure(
     )
     assert code == 2
     assert out == {"error": "approx needs exactly one of --point or --measure2"}
+
+
+def test_every_file_is_read_by_one_helper(doc, monkeypatch, capsys):
+    # ``run`` reads the row's files, and ``approx`` its ``--measure2``,
+    # through the same ``_read``, so one hook sees every load and decode.
+    read = []
+    original = cli._read
+
+    def counting(path, decoder):
+        read.append((Path(path).name, decoder))
+        return original(path, decoder)
+
+    monkeypatch.setattr(cli, "_read", counting)
+    other = {"space": ["a", "b"], "kind": "idempotent", "weights": {"a": -1, "b": 0}}
+    code, out = invoke(
+        capsys, "approx", "--measure", doc("m.json", IDEMPOTENT), "--epsilon", "0.5",
+        "--measure2", doc("n.json", other),
+    )
+    assert code == 0, out
+    assert read == [("m.json", "decode_measure"), ("n.json", "decode_measure")]
 
 
 def test_help_exits_zero():

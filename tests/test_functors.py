@@ -24,6 +24,7 @@ from maxplusprob import (
     dirac,
     evaluate,
     evaluate_idempotent,
+    maxplus_combine,
     normalize_idempotent,
     pair_map_image,
     product,
@@ -34,12 +35,14 @@ from maxplusprob import (
     pushforward_classical,
     pushforward_idempotent,
     reconstruct_product,
+    support,
     verify_counterexample,
 )
 from maxplusprob import functors
 from maxplusprob.functors import _fixture, _full_rank, _paired_image
 
 from gen import (
+    FLOAT_MAX,
     extreme_spaces,
     extreme_values,
     extreme_weights,
@@ -458,6 +461,21 @@ def test_exact_laws_hold_at_the_float_edges(xs, ys, zs, data):
             right = PointMap(both.space, y, tuple(q for _ in x.points for q in y.points))
             assert pushforward(left, both) == mu
             assert pushforward(right, both) == nu
+    # Max-plus convexity: the support of ``alpha mu (+) beta lam`` is the union
+    # of the supports whose coefficient is not BOTTOM.
+    lam = measure(x)
+    # The coefficient besides 0: BOTTOM in about half the examples.
+    c = data.draw(st.one_of(st.just("-inf"), extreme_weights.filter(lambda w: w != FLOAT_MAX)))
+    c = BOTTOM if c == "-inf" else c
+    alpha, beta = (0.0, c) if data.draw(st.booleans()) else (c, 0.0)
+    mixed = None if mu is None or lam is None else _unless_overflow(
+        maxplus_combine, alpha, mu, beta, lam
+    )
+    if mixed is not None:
+        none = frozenset()
+        assert support(mixed) == (
+            (none if alpha is BOTTOM else support(mu)) | (none if beta is BOTTOM else support(lam))
+        )
 
 
 def test_classical_product_is_fubini_too():

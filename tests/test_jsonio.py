@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import pytest
@@ -20,6 +21,7 @@ from maxplusprob import (
     encode_scalar,
     verify_counterexample,
 )
+from maxplusprob import jsonio
 from maxplusprob.density import ContinuousTestFunction, DensityMeasure
 
 from gen import random_classical, random_idempotent, random_space
@@ -195,6 +197,51 @@ def test_decode_piecewise_documents():
         decode_density({"breakpoints": [[0, 0], [1, 0.5]], "lipschitz": 1})
     with pytest.raises(SchemaError, match="breakpoints: expected a list"):
         decode_density({"breakpoints": {"0": 0}, "lipschitz": 1})
+
+
+@pytest.mark.parametrize("decode", (decode_density, decode_continuous_function))
+def test_valid_piecewise_documents_decode_without_the_element_path(decode, monkeypatch):
+    # The constructor checks every breakpoint number and the bound in bulk;
+    # the per-number decoder runs only on a rejection.
+    calls = []
+    original = jsonio._expect_number
+
+    def counting(node, path):
+        calls.append(path)
+        return original(node, path)
+
+    monkeypatch.setattr(jsonio, "_expect_number", counting)
+    line = decode({"breakpoints": [[0, -1], [0.25, 0], [0.5, -0.5], [1, -1]], "lipschitz": 4})
+    assert calls == []
+    assert line.breakpoints == ((0.0, -1.0), (0.25, 0.0), (0.5, -0.5), (1.0, -1.0))
+    assert all(type(v) is float for pair in line.breakpoints for v in pair)
+    assert type(line.lipschitz) is float and line.lipschitz == 4.0
+
+
+@pytest.mark.parametrize(
+    "breakpoints, lipschitz, message",
+    (
+        ([[0, "a"], [1]], "x", "breakpoints[0][1]: expected a number, got str"),
+        ([[0, 0], [1]], "x", "breakpoints[1]: expected an [x, y] pair"),
+        ([[0, 0], [1, None, 2]], math.nan, "breakpoints[1]: expected an [x, y] pair"),
+        ([[True, 0], [1, 0]], 1, "breakpoints[0][0]: expected a number, got bool"),
+        ([[0, 0], [math.inf, 0], [1, 0]], 1, "breakpoints[1][0]: expected a finite number"),
+        ([[0, 0], [1, 10**400]], 1, "breakpoints[1][1]: expected a finite number"),
+        ([[0, 0], [0.5, math.nan], [1, 0]], "x", "breakpoints[1][1]: expected a finite number"),
+        ([[0, 0], [1, 0]], "x", "lipschitz: expected a number, got str"),
+        ([[0, 0], [1, 0]], -math.inf, "lipschitz: expected a finite number"),
+        ([[0, 0]], False, "lipschitz: expected a number, got bool"),
+        ([[0, 0]], 1, "breakpoints: not a valid density: at least two breakpoints are required"),
+        ([[0, 0], [1, 2]], 1, "breakpoints: not a valid density: segment slope 2.0"
+         " exceeds the declared Lipschitz bound 1.0"),
+    ),
+)
+def test_piecewise_errors_keep_their_precedence(breakpoints, lipschitz, message):
+    # Pair by pair (its shape, then x, then y), then the bound, then the
+    # constructor's own invariants.
+    with pytest.raises(SchemaError) as caught:
+        decode_density({"breakpoints": breakpoints, "lipschitz": lipschitz})
+    assert str(caught.value) == message
 
 
 def test_space_errors_carry_their_path():

@@ -44,6 +44,7 @@ from maxplusprob import (
     to_classical,
     to_idempotent,
 )
+from maxplusprob import measures
 
 from gen import (
     awkward_spaces,
@@ -445,7 +446,7 @@ def test_evaluate_space_mismatch():
 def test_classical_validation_gate():
     mu = classical_measure(AB, (0.5, 0.5))
     assert mu.weights == (0.5, 0.5)
-    with pytest.raises(ValueError, match="renormalize"):
+    with pytest.raises(ValueError, match=r"^weights sum to 1\.1, not 1$"):
         classical_measure(AB, (0.5, 0.6))
     rescaled = classical_measure(AB, (0.5, 0.6), renormalize=True)
     assert math.isclose(sum(rescaled.weights), 1.0, abs_tol=1e-15)
@@ -464,6 +465,31 @@ def test_classical_validation_gate():
     for raw, shown in cases:
         with pytest.raises(ValueError, match=f"finite and >= 0, got {shown}$"):
             classical_measure(AB, raw, renormalize=True)
+
+
+def test_classical_measure_checks_masses_once(monkeypatch):
+    # Within the gate the masses meet one number check, the constructor's;
+    # only a rescale reads them as numbers before it.
+    calls = []
+    original = measures._floats
+
+    def counting(values):
+        calls.append(values)
+        return original(values)
+
+    monkeypatch.setattr(measures, "_floats", counting)
+    cases = (
+        ((0.25, 0.75), (0.25, 0.75)),
+        ([1, 0], (1.0, 0.0)),
+        ({"b": 0.75, "a": 0.25}, (0.25, 0.75)),
+    )
+    for raw, stored in cases:
+        calls.clear()
+        assert classical_measure(AB, raw).weights == stored
+        assert len(calls) == 1, raw
+    calls.clear()
+    classical_measure(AB, (0.5, 0.6), renormalize=True)
+    assert len(calls) == 2
 
 
 def test_classical_constructor_names_the_first_bad_weight():
@@ -525,9 +551,9 @@ def test_rescale_that_rounds_a_mass_to_zero_names_the_point():
 def test_masses_summing_beyond_the_float_range():
     # fsum overflows on these finite masses: the constructor says the sum
     # exceeds the float range, neither raising OverflowError nor naming inf.
-    with pytest.raises(ValueError, match="sum exceeds the float range; pass renormalize"):
+    with pytest.raises(ValueError, match="^the weights' sum exceeds the float range$"):
         ClassicalMeasure(AB, (1e308, 1e308))
-    with pytest.raises(ValueError, match="sum exceeds the float range; pass renormalize"):
+    with pytest.raises(ValueError, match="^the weights' sum exceeds the float range$"):
         classical_measure(AB, (1e308, 1e308))
     assert classical_measure(AB, (1e308, 1e308), renormalize=True).weights == (0.5, 0.5)
     abc = space_of(3)
@@ -865,16 +891,14 @@ def test_classical_measure_reads_every_container_alike():
 
     cases = (
         ((1, 0, 0), ("1.0", "0.0", "0.0"), ("1.0", "0.0", "0.0")),
-        ((1, 1, 2), "weights sum to 4.0, not 1; pass renormalize=True to rescale",
-         ("0.25", "0.25", "0.5")),
+        ((1, 1, 2), "weights sum to 4.0, not 1", ("0.25", "0.25", "0.5")),
         ((True, 0.0, 0.0), "not a real number: True", "not a real number: True"),
         ((0.5, None, 0.5), "not a real number: None", "not a real number: None"),
         ((0.5, math.nan, 0.5), "classical weights must be finite and >= 0, got nan",
          "classical weights must be finite and >= 0, got nan"),
         ((-0.0, 0.5, 0.5), ("-0.0", "0.5", "0.5"), ("-0.0", "0.5", "0.5")),
-        ((-0.0, 1.0, 1.0), "weights sum to 2.0, not 1; pass renormalize=True to rescale",
-         ("-0.0", "0.5", "0.5")),
-        ((5e-324, 1.0, 1.0), "weights sum to 2.0, not 1; pass renormalize=True to rescale",
+        ((-0.0, 1.0, 1.0), "weights sum to 2.0, not 1", ("-0.0", "0.5", "0.5")),
+        ((5e-324, 1.0, 1.0), "weights sum to 2.0, not 1",
          "mass 5e-324 of point 'a' underflows to 0 when divided by the total 2.0;"
          " the rescale would drop it from the support"),
     )

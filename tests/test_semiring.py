@@ -439,12 +439,12 @@ def test_unknown_targets_of_mixed_types_are_named_in_order():
 
 
 SRC = Path(maxplusprob.__file__).resolve().parent
-# Outside ``semiring``, only these call ``float``: the encoders and the CLI
-# printer convert the package's own values.
+# Outside ``semiring``, only these call ``float``: the scalar encoder and the
+# CLI printer convert the package's own values.  A measure's stored weights
+# are already exact floats, so ``encode_measure`` writes them as they are.
 OWN_FLOATS = {
     "cli._present",
     "jsonio.encode_scalar",
-    "jsonio.encode_measure",
 }
 # The number rules, the overflow rule and the kind rule, each defined in
 # ``semiring`` only.

@@ -27,6 +27,7 @@ from maxplusprob import (
     approx_toward_measure,
     approx_toward_point,
     classical_measure,
+    compose,
     decode_measure,
     dirac,
     evaluate,
@@ -35,6 +36,7 @@ from maxplusprob import (
     product_classical,
     product_idempotent,
     pushforward,
+    reconstruct_product,
     support,
     to_classical,
     to_idempotent,
@@ -481,3 +483,41 @@ def test_evaluate_lies_within_the_dequantization_bounds(n, h):
     soft = m + h * math.log(math.fsum(math.exp((s - m) / h) for s in sums))
     slack = 1e-12  # rounding in the soft maximum
     assert m - slack <= soft <= m + h * math.log(len(sums)) + slack
+
+
+# -- the exact laws at n = 1e5 ---------------------------------------------------
+
+
+def test_exact_laws_hold_at_scale():
+    # Functoriality along 1e5 -> 1e4 -> 1e3 and the pushforward/evaluate
+    # adjunction, both with ``==``: each side takes the maximum of the same
+    # rounded sums.  Test values reach +-1e308, so those sums round.
+    n = SIZES[-1]
+    rng = random.Random(f"laws:{n}")
+    x, y, z = _space("x", n), _space("y", n // 10), _space("z", n // 100)
+    mu = _idempotent(rng, x)
+    images = [rng.randrange(len(y)) for _ in x]
+    f = PointMap(x, y, tuple(y.points[j] for j in images))
+    g = PointMap(y, z, tuple(z.points[rng.randrange(len(z))] for _ in y))
+    pushed = pushforward(f, mu)
+    assert pushforward(compose(g, f), mu) == pushforward(g, pushed)
+    assert pushforward(PointMap.identity(x), mu) == mu
+    scale = (1.0, 1e300, 1e308)
+    psi = TestFunction(y, tuple(rng.uniform(-1.0, 1.0) * rng.choice(scale) for _ in y))
+    pulled = TestFunction(x, tuple(psi.values[j] for j in images))
+    assert evaluate(pushed, psi) == evaluate(mu, pulled)
+
+
+def test_product_laws_hold_at_scale():
+    # Both marginals of a 316 x 316 idempotent product are its factors, and
+    # rebuilding the product from factor evaluations gives it bit for bit.
+    k = math.isqrt(SIZES[-1])
+    rng = random.Random(f"product laws:{k}")
+    left, right = _space("a", k), _space("b", k)
+    mu, nu = _idempotent(rng, left), _idempotent(rng, right)
+    both = product_idempotent(mu, nu)
+    first = PointMap(both.space, left, tuple(p for p in left.points for _ in right.points))
+    second = PointMap(both.space, right, tuple(q for _ in left.points for q in right.points))
+    assert pushforward(first, both) == mu
+    assert pushforward(second, both) == nu
+    assert reconstruct_product(mu, nu) == both
