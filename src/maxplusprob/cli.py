@@ -158,7 +158,7 @@ def _build_parser() -> _Parser:
 
 def _present(node: object) -> object:
     # 12 significant digits; floats that land on integers print as such.
-    if isinstance(node, bool) or isinstance(node, (str, int)) or node is None:
+    if isinstance(node, (str, int)) or node is None:
         return node
     if isinstance(node, float):
         value = float(f"{node:.12g}")

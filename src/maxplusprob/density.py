@@ -20,7 +20,8 @@ maximum over a grid of ``resolution`` cells, lies below it by at most
 rounding of the sampled sums, a few ulps of the largest breakpoint values.
 
 Sampling computes each value in plain floats the way ``numpy.interp``
-does, so the outputs match it bit for bit.
+does, so the outputs match it bit for bit.  ``PiecewiseLinear`` checks
+that each breakpoint is a pair of two entries before it reads a number.
 """
 
 from __future__ import annotations
@@ -81,6 +82,9 @@ class PiecewiseLinear(Record):
 
     def __post_init__(self) -> None:
         given = tuple(self.breakpoints)
+        for item in given:
+            if not isinstance(item, (tuple, list)) or len(item) != 2:
+                raise ValueError(f"a breakpoint must be an (x, y) pair, got {_shown(item)}")
         xs = _floats([x for x, _ in given])
         ys = _floats([y for _, y in given])
         self.__dict__["breakpoints"] = pairs = tuple(zip(xs, ys))

@@ -73,9 +73,9 @@ class PointMap(Record):
     def __post_init__(self) -> None:
         assignment = tuple(self.assignment)
         self.__dict__["assignment"] = assignment
-        if len(assignment) != len(self.domain):
+        if len(assignment) != len(_of_kind(self.domain, FiniteSpace)):
             raise ValueError("one image per domain point is required")
-        index = self.codomain._index
+        index = _of_kind(self.codomain, FiniteSpace)._index
         try:
             images = list(map(index.__getitem__, assignment))
         except (KeyError, TypeError):
@@ -98,8 +98,6 @@ class PointMap(Record):
         codomain: FiniteSpace,
         mapping: Mapping[str, str],
     ) -> "PointMap":
-        if not isinstance(mapping, Mapping):
-            raise TypeError(f"images must be a mapping, got {type(mapping).__name__}")
         return cls(domain, codomain, in_space_order(domain, mapping, "images"))
 
     @classmethod
@@ -178,6 +176,11 @@ def pushforward(f: PointMap, mu: Measure) -> Measure:
     Idempotent weights take the fiber maximum, BOTTOM for an empty fiber;
     the overall maximum is still exactly 0, so the image is normalized by
     construction.  Classical masses take the exactly rounded fiber sum.
+    Along the identity the image equals ``mu`` for either kind.  Along
+    ``g o f`` idempotent images agree bit for bit with pushing twice;
+    classical ones agree per atom within ``4u * max(a, b) + n * 2**-1074``
+    (``u = 2**-53``, ``n`` the domain size), since pushing twice rounds the
+    inner fiber sums and then the outer one.
     """
     if _of_kind(mu, Measure).space != f.domain:
         raise ValueError("space mismatch: measure does not live on the map domain")

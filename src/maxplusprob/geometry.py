@@ -75,11 +75,11 @@ class SegmentPoint(Record):
         beta = as_scalar(self.beta)
         self.__dict__["alpha"] = alpha
         self.__dict__["beta"] = beta
-        for c in (alpha, beta):
-            if c is not BOTTOM and c > 0.0:
-                raise ValueError(f"segment coefficients must be <= 0, got {c!r}")
         if oplus(alpha, beta) != 0.0:
-            raise ValueError("a segment point needs alpha oplus beta == 0")
+            raise ValueError(
+                "a segment point needs alpha oplus beta == 0, so both <= 0 and one"
+                f" of them 0, got ({alpha!r}, {beta!r})"
+            )
 
 
 def scalar_distance(x: MaxPlusValue, y: MaxPlusValue) -> float:
@@ -99,7 +99,7 @@ def segment_distance(p: SegmentPoint, q: SegmentPoint) -> float:
 
 def _check_eps(eps: float) -> float:
     (value,) = _floats((eps,))
-    if not math.isfinite(value) or not 0.0 < value <= 1.0:
+    if not 0.0 < value <= 1.0:
         raise ValueError(f"epsilon must lie in (0, 1], got {_shown(eps)}")
     return value
 
@@ -115,7 +115,6 @@ def approx_coefficients(eps: float) -> SegmentPoint:
     stay = mp_ln(1.0 - eps)
     move = math.log(eps)
     peak = oplus(stay, move)
-    assert isinstance(peak, float)
     return SegmentPoint(odot(stay, -peak), move - peak)
 
 

@@ -16,8 +16,8 @@ keys may come in any order (``measures.in_space_order`` aligns them).
 Value invariants (normalization, mass sums) are then enforced by the
 type constructors and re-raised with the same path prefix.  A
 constructor is also the bulk check of its elements, a table's values or
-a piecewise document's numbers: only on a rejection are they decoded one
-by one, to name the first bad one at its own path.
+a piecewise document's pair shapes and numbers: only on a rejection are
+they decoded one by one, to name the first bad one at its own path.
 """
 
 from __future__ import annotations
@@ -195,9 +195,6 @@ def _decode_piecewise(doc: object, cls: type, what: str):
             _expect_number(item[1], f"breakpoints[{i}][1]")
         _expect_number(bound, "lipschitz")
 
-    # The constructor takes pairs only, and checks their numbers in bulk.
-    if not all(isinstance(item, list) and len(item) == 2 for item in node):
-        elements()
     prefix = f"not a valid {what}: "
     return _built("breakpoints", cls, node, bound, prefix=prefix, elements=elements)
 

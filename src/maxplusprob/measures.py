@@ -26,9 +26,9 @@ built on the first lookup.  For a measure kind ``__post_init__`` is the
 only place its weights are checked, by the number rules of ``semiring``:
 ``_scalars`` for max-plus weights, ``_floats`` for masses, so
 ``ClassicalMeasure`` is the only check on masses.  ``normalize_idempotent``
-and ``classical_measure`` only align raw weights (a table keyed by label
-through ``in_space_order``, the one reader of such tables) and shift or
-rescale them (``classical_measure`` reads masses only to rescale them);
+and ``classical_measure`` only align raw weights (a table keyed by label,
+which ``in_space_order`` alone reads and checks to be a mapping) and shift
+or rescale them (``classical_measure`` reads masses only to rescale them);
 other operations build their results through the same constructors.
 """
 
@@ -92,8 +92,13 @@ class FiniteSpace(Record):
     """
 
     points: tuple[str, ...]
+    noun = "space"
 
     def __post_init__(self) -> None:
+        if isinstance(self.points, str):
+            raise TypeError(
+                f"points must be a collection of labels, got the string {self.points!r}"
+            )
         labels = tuple(self.points)
         self.__dict__["points"] = labels
         if not labels:
@@ -146,7 +151,7 @@ class TestFunction(Record):
 
     def __post_init__(self) -> None:
         values = _floats(self.values)
-        if len(values) != len(self.space):
+        if len(values) != len(_of_kind(self.space, FiniteSpace)):
             raise ValueError("one value per point of the space is required")
         if not all(map(math.isfinite, values)):
             bad = next(v for v in values if not math.isfinite(v))
@@ -155,8 +160,6 @@ class TestFunction(Record):
 
     @classmethod
     def from_mapping(cls, space: FiniteSpace, values: Mapping[str, float]) -> "TestFunction":
-        if not isinstance(values, Mapping):
-            raise TypeError(f"function values must be a mapping, got {type(values).__name__}")
         return cls(space, in_space_order(space, values, "function values"))
 
     def __call__(self, label: str) -> float:
@@ -204,11 +207,12 @@ class Measure(Record):
 
     space: FiniteSpace
     weights: tuple
+    noun = "measure"
 
     def __init__(self, space: FiniteSpace, weights: tuple) -> None:
         # Half the cost of ``Record.__init__``, in verify_counterexample's loop.
         fields = self.__dict__
-        fields["space"] = space
+        fields["space"] = _of_kind(space, FiniteSpace)
         fields["weights"] = weights
         self.__post_init__()
 
@@ -449,6 +453,8 @@ def in_space_order(space: FiniteSpace, table: Mapping, what: str) -> list:
     An in-order table is read without lookups, any other by ``get``,
     which never inserts a key; missing or unknown keys raise ``ValueError``.
     """
+    if not isinstance(table, Mapping):
+        raise TypeError(f"{what} must be a mapping, got {type(table).__name__}")
     points = space.points
     if len(table) == len(points):
         if tuple(table) == points:

@@ -18,8 +18,9 @@ what it rejects.  ``_shown`` formats a rejected value or label, so no int
 is too long to name.  ``_summed`` builds a value from max-plus sums and,
 when one of them leaves the float range, names its point and both terms:
 the one overflow rule, so no sum changes a support silently.
-``_of_kind`` is the one kind rule: every operation that takes a measure
-passes it there, and anything else raises ``TypeError`` naming the need.
+``_of_kind`` is the one kind rule: every operation that takes a measure,
+and every value built on a space, passes it there, and anything else
+raises ``TypeError`` naming the need.
 """
 
 from __future__ import annotations
@@ -148,14 +149,15 @@ def _summed(cls: type, space, sums: Sequence, where: str, what: str, terms: Call
         raise
 
 
-def _of_kind(mu: object, cls: type):
-    # ``mu`` if it is a ``cls``: any measure (``Measure`` sets no ``kind``)
-    # or the one kind ``cls.kind``.  Otherwise ``TypeError`` names the need.
-    if isinstance(mu, cls):
-        return mu
+def _of_kind(value: object, cls: type):
+    # ``value`` if it is a ``cls``: a space, any measure (neither sets a
+    # ``kind``) or the one kind ``cls.kind``.  Otherwise ``TypeError`` names
+    # the need, by the kind or by the class's ``noun``.
+    if isinstance(value, cls):
+        return value
     if hasattr(cls, "kind"):
-        raise TypeError(f"{cls.kind} measure required, got {type(mu).__name__}")
-    raise TypeError(f"not a measure: {_shown(mu)}")
+        raise TypeError(f"{cls.kind} measure required, got {type(value).__name__}")
+    raise TypeError(f"not a {cls.noun}: {_shown(value)}")
 
 
 def _count(value: object, what: str, least: int = 1) -> int:

@@ -118,6 +118,35 @@ def test_roundtrip_gap_on_seeded_sweep():
         assert roundtrip_gap(random_classical(rng, space)) <= 1e-9
 
 
+def test_roundtrip_gap_stays_within_its_stated_bound():
+    # The smallest exact mass m = e^{w_min} / sum_j e^{w_j} is stored after
+    # two roundings, exp's and the division's; once it is subnormal they
+    # move it by about 2**-1074, so its log moves by about 2**-1074 / m (at
+    # most twice that, rounding down).  While every mass is normal only the
+    # logs' rounding shows.  The named underflow, a mass rounded to 0, is
+    # skipped.
+    tiny = -1074 * math.log(2.0)
+    checked = skipped = 0
+    worst = 0.0
+    for k in range(4521):
+        w = -700.0 - k / 100
+        for weights in ((0.0, w), (w, 0.0), (0.0, w, -0.5), (-0.5, 0.0, w), (w, 0.0, w)):
+            mu = IdempotentMeasure(space_of(len(weights)), weights)
+            try:
+                gap = roundtrip_gap(mu)
+            except ValueError as err:
+                assert "underflows to mass 0" in str(err)
+                skipped += 1
+                continue
+            log_m = w - math.log(math.fsum(map(math.exp, weights)))
+            bound = 2.0 * math.exp(tiny - log_m) + 4.0 * math.ulp(1.0 - w)
+            assert gap <= bound, (weights, gap, bound)
+            worst = max(worst, gap / bound)
+            checked += 1
+    assert skipped < 50 < checked
+    assert worst > 0.25  # the sweep reaches the subnormal masses
+
+
 def test_roundtrip_gap_rejects_non_measures():
     with pytest.raises(TypeError):
         roundtrip_gap({"a": 1.0})

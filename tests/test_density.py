@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import math
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -87,6 +88,21 @@ def test_breakpoints_and_bound_must_be_real_numbers():
     assert f.breakpoints == ((0.0, 0.0), (1.0, 1.0)) and f.lipschitz == 1.0
     assert all(type(v) is float for pair in f.breakpoints for v in pair)
     assert type(f.lipschitz) is float
+
+
+@pytest.mark.parametrize(
+    "item, shown",
+    [(5, "5"), ((1, 0, 0), "(1, 0, 0)"), ({"x": 1, "y": 0}, "{'x': 1, 'y': 0}"), ([1], "[1]")],
+)
+def test_a_malformed_breakpoint_is_named_before_any_number(item, shown):
+    # The pair rule comes first: a scalar is not unpacked, a 3-entry pair
+    # not cut short, and a dict not read as its keys.
+    message = f"^a breakpoint must be an \\(x, y\\) pair, got {re.escape(shown)}$"
+    for cls in (PiecewiseLinear, DensityMeasure, ContinuousTestFunction):
+        with pytest.raises(ValueError, match=message):
+            cls(((0, 0), item), 1.0)
+        with pytest.raises(ValueError, match=message):
+            cls(((0, "x"), item), "bound")
 
 
 def test_continuous_functions_may_change_sign():

@@ -43,6 +43,8 @@ from maxplusprob.functors import _fixture, _full_rank, _paired_image
 
 from gen import (
     FLOAT_MAX,
+    LEAST_NORMAL,
+    extreme_masses,
     extreme_spaces,
     extreme_values,
     extreme_weights,
@@ -476,6 +478,67 @@ def test_exact_laws_hold_at_the_float_edges(xs, ys, zs, data):
         assert support(mixed) == (
             (none if alpha is BOTTOM else support(mu)) | (none if beta is BOTTOM else support(lam))
         )
+
+
+@settings(max_examples=100, derandomize=True)
+@given(st.integers(1, 8), extreme_spaces, extreme_spaces, st.data())
+def test_classical_functoriality_holds_within_its_stated_bound(n, ys, zs, data):
+    # Masses subnormal, at 1, at the float maximum (rescaled) or anywhere.
+    # The identity copies each mass.  Along g o f one step rounds each fiber
+    # sum once, exactly (``fsum``); two steps round the inner sums and then
+    # the outer one.  So the images agree per atom within 4u * max(a, b),
+    # plus one subnormal spacing per domain point.
+    x, y, z = space_of(n), FiniteSpace(tuple(ys)), FiniteSpace(tuple(zs))
+    masses = data.draw(st.lists(extreme_masses, min_size=n, max_size=n))
+    assume(max(masses) > 0.0)
+    try:
+        mu = classical_measure(x, masses, renormalize=True)
+    except ValueError as err:  # the rescale would drop a mass, and says so
+        assert "underflows to 0" in str(err)
+        assume(False)
+
+    def point_map(domain, codomain):
+        k = len(domain)
+        images = data.draw(st.lists(st.sampled_from(codomain.points), min_size=k, max_size=k))
+        return PointMap(domain, codomain, tuple(images))
+
+    f, g = point_map(x, y), point_map(y, z)
+    assert pushforward(PointMap.identity(x), mu) == mu
+    one_step = pushforward(compose(g, f), mu)
+    two_step = pushforward(g, pushforward(f, mu))
+    for a, b in zip(one_step.weights, two_step.weights):
+        assert abs(a - b) <= 4 * 2.0**-53 * max(a, b) + n * 2.0**-1074, (a, b)
+
+
+def test_classical_functoriality_bound_is_reached_on_seeded_masses():
+    # Masses subnormal, between 1e-320 and 1e-300, uniform in [0, 1) or near
+    # the float maximum, mixed on up to 8 points: here the two routes do
+    # round differently, by up to half the bound.
+    rng = random.Random(5)
+    draws = (
+        lambda: rng.uniform(0.0, LEAST_NORMAL),
+        lambda: 10 ** rng.uniform(-320, -300),
+        rng.random,
+        lambda: FLOAT_MAX * rng.uniform(0.5, 1.0),
+    )
+    worst, differ = 0.0, 0
+    for _ in range(1500):
+        x, y, z = (random_space(rng) for _ in range(3))
+        masses = [rng.choice(draws)() for _ in x.points]
+        try:
+            mu = classical_measure(x, masses, renormalize=True)
+        except ValueError as err:  # the rescale would drop a mass, and says so
+            assert "underflows to 0" in str(err)
+            continue
+        f, g = random_map(rng, x, y), random_map(rng, y, z)
+        one_step = pushforward(compose(g, f), mu)
+        two_step = pushforward(g, pushforward(f, mu))
+        differ += one_step != two_step
+        for a, b in zip(one_step.weights, two_step.weights):
+            bound = 4 * 2.0**-53 * max(a, b) + len(x) * 2.0**-1074
+            assert abs(a - b) <= bound, (a, b)
+            worst = max(worst, abs(a - b) / bound)
+    assert differ and worst > 0.25, (differ, worst)
 
 
 def test_classical_product_is_fubini_too():

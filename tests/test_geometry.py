@@ -53,6 +53,23 @@ def test_segment_point_validation():
         SegmentPoint(BOTTOM, BOTTOM)
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, shown",
+    [(0.5, 0.0, "(0.5, 0.0)"), (0.0, 1.0, "(0.0, 1.0)"), (-1.0, -2.0, "(-1.0, -2.0)"),
+     (BOTTOM, BOTTOM, "(BOTTOM, BOTTOM)"), (2.0, BOTTOM, "(2.0, BOTTOM)")],
+)
+def test_segment_point_states_its_one_rule(alpha, beta, shown):
+    # alpha oplus beta == 0 already keeps both coefficients <= 0, so one
+    # message covers a positive coefficient and a maximum below 0 alike.
+    message = (
+        "a segment point needs alpha oplus beta == 0, so both <= 0 and one of them 0,"
+        f" got {shown}"
+    )
+    with pytest.raises(ValueError) as caught:
+        SegmentPoint(alpha, beta)
+    assert str(caught.value) == message
+
+
 def test_scalar_distance_values():
     assert scalar_distance(0.0, BOTTOM) == 1.0
     assert scalar_distance(BOTTOM, BOTTOM) == 0.0

@@ -94,6 +94,32 @@ def test_space_names_the_first_bad_label():
     assert FiniteSpace(("b", "a"))._index == {"b": 0, "a": 1}
 
 
+# Each value built on a space, and the space slot under test.
+SPACE_TAKERS = {
+    "IdempotentMeasure": lambda s: IdempotentMeasure(s, (0.0, -1.0)),
+    "ClassicalMeasure": lambda s: ClassicalMeasure(s, (0.5, 0.5)),
+    "TestFunction": lambda s: TestFunction(s, (1.0, 2.0)),
+    "PointMap.domain": lambda s: PointMap(s, AB, ("a", "b")),
+    "PointMap.codomain": lambda s: PointMap(AB, s, ("a", "b")),
+}
+
+
+@pytest.mark.parametrize("build", SPACE_TAKERS.values(), ids=SPACE_TAKERS.keys())
+def test_only_a_finite_space_is_a_space(build):
+    # A tuple or list of labels is not read as a space, nor None looked into.
+    assert build(AB)
+    for bad in (("a", "b"), ["a", "b"], None):
+        with pytest.raises(TypeError, match=f"^not a space: {re.escape(repr(bad))}$"):
+            build(bad)
+
+
+def test_a_space_is_not_read_from_a_string():
+    # "ab" is one label's text, not the two points "a" and "b".
+    message = r"^points must be a collection of labels, got the string 'ab'$"
+    with pytest.raises(TypeError, match=message):
+        FiniteSpace("ab")
+
+
 def test_space_index_is_built_on_first_lookup():
     def fresh() -> FiniteSpace:
         return FiniteSpace(("b", "a", "c"))

@@ -532,6 +532,46 @@ def test_only_in_space_order_puts_a_table_in_space_order():
     assert set(reads) <= {"measures.in_space_order"}, reads
 
 
+def _strings(node: ast.AST, scope: str):
+    # ``(scope, text)`` for each string constant, f-string parts included.
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _strings(child, f"{scope}.{child.name}")
+            continue
+        if isinstance(child, ast.Constant) and isinstance(child.value, str):
+            yield scope, child.value
+        yield from _strings(child, scope)
+
+
+def test_only_in_space_order_checks_that_a_table_is_a_mapping():
+    writers = {
+        scope
+        for path in sorted(SRC.glob("*.py"))
+        for scope, text in _strings(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+        if "must be a mapping" in text
+    }
+    assert writers == {"measures.in_space_order"}, sorted(writers)
+
+
+def test_jsonio_runs_element_checks_only_after_a_rejection():
+    # Each decoder hands its ``elements`` closure to ``_built``, which runs it
+    # only when the constructor has refused the value.
+    tree = ast.parse((SRC / "jsonio.py").read_text(encoding="utf-8"))
+    callers = {scope for scope, _ in _calls(tree, "jsonio", "elements")}
+    assert callers == {"jsonio._built"}, sorted(callers)
+
+
+def test_no_source_file_holds_an_assert():
+    # ``python -O`` drops them, so no check may rest on one.
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert not asserts, asserts
+
+
 def test_only_of_kind_checks_a_measure_kind():
     # No ``isinstance`` call names a measure class outside ``semiring._of_kind``.
     checks = []
