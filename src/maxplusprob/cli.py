@@ -183,7 +183,7 @@ def run(argv: Sequence[str]) -> int:
         for flag, spec in flags.items():
             if isinstance(spec, str):
                 setattr(args, flag, _read(getattr(args, flag), spec))
-        payload = step(args)
+        document = _present(step(args))
     except (_CliError, ValueError) as err:
         # Bad flags, schema violations and invalid values all land here.
         print(json.dumps({"error": str(err)}, sort_keys=True))
@@ -191,10 +191,10 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as err:
         # argparse exits directly for --help; let that behave as usual.
         return int(err.code or 0)
-    except Exception as err:  # pragma: no cover - defensive
+    except Exception as err:
         print(json.dumps({"error": f"internal error: {err}"}, sort_keys=True))
         return 1
-    print(json.dumps(_present(payload), sort_keys=True))
+    print(json.dumps(document, sort_keys=True))
     return 0
 
 

@@ -40,7 +40,7 @@ from .measures import (
     normalize_idempotent,
 )
 from .record import Record
-from .semiring import _count, _floats, _shown
+from .semiring import _MAX_SIZE, _count, _floats, _shown
 
 __all__ = [
     "ContinuousTestFunction",
@@ -57,7 +57,6 @@ __all__ = [
 ]
 
 _MIN_RESOLUTION = 10_000
-_MAX_GRID = 10**6  # the largest grid size and fine-grid resolution
 # Slack for the declared-Lipschitz check: breakpoint slopes are computed
 # in floats, so an exact bound like 3 may come out a few ulps high.
 _SLOPE_TOL = 1e-9
@@ -164,8 +163,8 @@ class ContinuousTestFunction(PiecewiseLinear):
 
 
 def _grid_size(n: object, what: str = "the grid size", least: int = 1) -> int:
-    if _count(n, what, least) > _MAX_GRID:
-        raise ValueError(f"{what} must be at most {_MAX_GRID}, got {_shown(n)}")
+    if _count(n, what, least) > _MAX_SIZE:
+        raise ValueError(f"{what} must be at most {_MAX_SIZE}, got {_shown(n)}")
     return n
 
 

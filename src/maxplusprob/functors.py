@@ -35,7 +35,7 @@ from .measures import (
     in_space_order,
 )
 from .record import Record
-from .semiring import MAX_PLUS, _count, _of_kind, _shown, _summed
+from .semiring import _MAX_SIZE, MAX_PLUS, _count, _of_kind, _shown, _summed
 
 __all__ = [
     "CounterexampleReport",
@@ -79,13 +79,12 @@ class PointMap(Record):
         try:
             images = list(map(index.__getitem__, assignment))
         except (KeyError, TypeError):
-            # Name the first image that is not a codomain label.
+            # Name the first image that is not a codomain label; a failed lookup has one.
             for point, label in zip(self.domain.points, assignment):
                 if not isinstance(label, str) or label not in index:
                     raise ValueError(
                         f"image {_shown(label)} of point {point!r} is not in the codomain"
                     ) from None
-            raise
         fibers: list[list[int]] = [[] for _ in range(len(self.codomain))]
         for i, j in enumerate(images):
             fibers[j].append(i)
@@ -127,6 +126,7 @@ class ProductSpace(Record):
     serialize like any other measure.  Inside ``x`` and ``y`` each of
     ``\\``, ``,``, ``(`` and ``)`` is escaped by a backslash, so distinct
     pairs get distinct labels; a label with none of them is kept as is.
+    ``of`` refuses more than 10**6 pairs before it builds any label.
     """
 
     left: FiniteSpace
@@ -135,6 +135,9 @@ class ProductSpace(Record):
 
     @classmethod
     def of(cls, left: FiniteSpace, right: FiniteSpace) -> "ProductSpace":
+        n, m = len(left.points), len(right.points)
+        if n * m > _MAX_SIZE:
+            raise ValueError(f"a product space has at most {_MAX_SIZE} points, got {n} x {m}")
         labels = _pair_labels(left.points, right.points)
         return cls(left, right, FiniteSpace(labels))
 
@@ -262,9 +265,11 @@ def reconstruct_product(
         chi = dirac(m.space, label).weights
         return MAX_PLUS.sum(map(MAX_PLUS.times, m.weights, chi))
 
-    left = [integral(mu, x) for x in _of_kind(mu, IdempotentMeasure).space.points]
-    right = [integral(nu, y) for y in _of_kind(nu, IdempotentMeasure).space.points]
-    prod = ProductSpace.of(mu.space, nu.space)
+    prod = ProductSpace.of(
+        _of_kind(mu, IdempotentMeasure).space, _of_kind(nu, IdempotentMeasure).space
+    )
+    left = [integral(mu, x) for x in mu.space.points]
+    right = [integral(nu, y) for y in nu.space.points]
     return _product_measure(IdempotentMeasure, prod, left, right)
 
 

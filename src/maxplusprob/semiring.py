@@ -160,6 +160,10 @@ def _of_kind(value: object, cls: type):
     raise TypeError(f"not a {cls.noun}: {_shown(value)}")
 
 
+# The size budget of a space built from sizes: a grid's cells, a product's pairs.
+_MAX_SIZE = 10**6
+
+
 def _count(value: object, what: str, least: int = 1) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ValueError(

@@ -535,6 +535,20 @@ def test_product_of_labels_that_spell_the_pair_syntax(doc, capsys):
     }
 
 
+def test_product_past_the_size_budget_exits_two(doc, capsys):
+    def flat(prefix: str, n: int) -> dict:
+        labels = [f"{prefix}{i}" for i in range(n)]
+        return {"space": labels, "kind": "idempotent", "weights": dict.fromkeys(labels, 0)}
+
+    code, out = invoke(
+        capsys, "product", "--measure", doc("m.json", flat("a", 1001)),
+        "--measure2", doc("n.json", flat("b", 1000)),
+    )
+    assert (code, out) == (
+        2, {"error": "a product space has at most 1000000 points, got 1001 x 1000"}
+    )
+
+
 def test_convert_rejects_no_op_directions(doc, capsys):
     code, out = invoke(
         capsys, "convert", "--measure", doc("m.json", CLASSICAL), "--to", "classical"
@@ -629,6 +643,35 @@ def test_every_file_is_read_by_one_helper(doc, monkeypatch, capsys):
 
 def test_help_exits_zero():
     assert run(["--help"]) == 0
+
+
+# -- internal errors ---------------------------------------------------------------
+
+
+def _with_step(monkeypatch, command: str, step) -> None:
+    help_text, flags, _ = cli._COMMANDS[command]
+    monkeypatch.setitem(cli._COMMANDS, command, (help_text, flags, step))
+
+
+def _raises(args):
+    raise RuntimeError("the step broke")
+
+
+@pytest.mark.parametrize(
+    "step, message",
+    [
+        (_raises, "internal error: the step broke"),
+        (lambda args: object(), "internal error: cannot serialize object"),
+        (lambda args: {"value": [1.5, {2j}]}, "internal error: cannot serialize set"),
+    ],
+    ids=("raises", "object", "nested set"),
+)
+def test_a_failing_step_exits_one_with_one_json_line(monkeypatch, capsys, step, message):
+    # A bug in a step, or a payload the printer cannot write, is an internal
+    # error: one JSON line and exit 1, never a traceback or a partial line.
+    _with_step(monkeypatch, "dist", step)
+    code, out = invoke(capsys, "dist", "--epsilon", "0.25")
+    assert (code, out) == (1, {"error": message})
 
 
 # -- documents at the edges of the float range ----------------------------------

@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 
 from maxplusprob import (
     BOTTOM,
@@ -14,6 +14,7 @@ from maxplusprob import (
     classical_measure,
     dirac,
     naturality_gap,
+    normalize_idempotent,
     point_mass,
     roundtrip_gap,
     support,
@@ -23,6 +24,9 @@ from maxplusprob import (
 
 from gen import (
     classical_on,
+    extreme_masses,
+    extreme_spaces,
+    extreme_weights,
     idempotent_on,
     random_classical,
     random_idempotent,
@@ -246,3 +250,41 @@ def test_merging_equal_masses_keeps_gap_zero():
     f = PointMap(AB, space_of(1), ("a", "a"))
     mu = classical_measure(AB, (0.5, 0.5))
     assert naturality_gap(f, mu) == 0.0
+
+
+# -- the gaps at the float edges -----------------------------------------------------
+
+
+def _built(call, *args):
+    # The measure, or None when building it raises (an overflowing shift or
+    # a rescale that would drop a mass); the gaps are what is tested here.
+    try:
+        return call(*args)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.integers(1, 6), extreme_spaces, st.data())
+def test_gaps_are_finite_or_name_the_underflow_at_the_float_edges(n, ys, data):
+    # Weights at -1.79e308, near -745 or BOTTOM; masses subnormal, at the
+    # float maximum or anywhere.  Conversions keep supports or raise, and
+    # pushforwards keep them, so every gap is a finite number unless
+    # ``to_classical`` names a mass that rounds to 0.
+    x, y = space_of(n), FiniteSpace(tuple(ys))
+    raw = data.draw(st.lists(extreme_weights, min_size=n, max_size=n))
+    masses = data.draw(st.lists(extreme_masses, min_size=n, max_size=n))
+    images = data.draw(st.lists(st.sampled_from(y.points), min_size=n, max_size=n))
+    f = PointMap(x, y, tuple(images))
+    mu = _built(normalize_idempotent, x, [BOTTOM if w == "-inf" else w for w in raw])
+    nu = _built(classical_measure, x, masses, True) if max(masses) > 0.0 else None
+    assume(mu is not None or nu is not None)
+    calls = [(roundtrip_gap, m) for m in (mu, nu) if m is not None]
+    calls += [(naturality_gap, f, nu)] if nu is not None else []
+    for call, *args in calls:
+        try:
+            gap = call(*args)
+        except ValueError as err:
+            assert str(err).endswith("the conversion would drop it from the support"), err
+        else:
+            assert 0.0 <= gap < math.inf, (call.__name__, args, gap)

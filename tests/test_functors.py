@@ -5,6 +5,7 @@ import math
 import random
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -27,6 +28,7 @@ from maxplusprob import (
     maxplus_combine,
     normalize_idempotent,
     pair_map_image,
+    point_mass,
     product,
     product_classical,
     product_function,
@@ -239,6 +241,43 @@ def test_pair_labels_escape_the_pair_syntax():
     assert len(set(points)) == 36
     assert ProductSpace.of(odd, odd).pair_label("\\,", "(") == "(\\\\\\,,\\()"
     assert ProductSpace.of(odd, AB).pair_label("x", "a") == "(x,a)"
+
+
+def test_product_spaces_stop_at_a_million_pairs_before_any_label(monkeypatch):
+    # 1000 x 1000 is admitted and 1001 x 1000 refused, naming both sizes,
+    # before a single pair label is built.
+    built = []
+    monkeypatch.setattr(functors, "_pair_labels", lambda xs, ys: built.append(1) or ("p",))
+    thousand = FiniteSpace(tuple(f"a{i}" for i in range(1000)))
+    more = FiniteSpace(tuple(f"b{i}" for i in range(1001)))
+    assert ProductSpace.of(thousand, thousand).space.points == ("p",)
+    for left, right in ((more, thousand), (thousand, more)):
+        with pytest.raises(ValueError) as err:
+            ProductSpace.of(left, right)
+        assert str(err.value) == (
+            f"a product space has at most 1000000 points, got {len(left)} x {len(right)}"
+        )
+    assert built == [1]
+
+
+@pytest.mark.parametrize("build", (dirac, point_mass))
+def test_a_product_past_the_budget_is_refused_without_allocating(build):
+    # Two 1e5-point factors would ask for 1e10 pair labels; every product
+    # of them is refused first, within a MiB of Python allocations.
+    space = FiniteSpace(tuple(f"x{i}" for i in range(100_000)))
+    mu, phi = build(space, "x0"), TestFunction(space, (0.0,) * len(space))
+    calls = [lambda: product(mu, mu), lambda: product_function(phi, phi)]
+    if mu.kind == "idempotent":
+        calls.append(lambda: reconstruct_product(mu, mu))
+    for call in calls:
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=r"at most 1000000 points, got 100000 x 100000"):
+                call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 def test_products_of_colliding_labels_are_built():
@@ -477,6 +516,11 @@ def test_exact_laws_hold_at_the_float_edges(xs, ys, zs, data):
         none = frozenset()
         assert support(mixed) == (
             (none if alpha is BOTTOM else support(mu)) | (none if beta is BOTTOM else support(lam))
+        )
+        # Pushforward commutes with the combination: both sides take the
+        # maximum of the same rounded sums ``alpha + w``.
+        assert pushforward(f, mixed) == maxplus_combine(
+            alpha, pushforward(f, mu), beta, pushforward(f, lam)
         )
 
 

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maxplusprob import (
     BOTTOM,
@@ -18,13 +20,22 @@ from maxplusprob import (
     dirac,
     evaluate_idempotent,
     exactness_threshold,
+    has_support_at_most,
     scalar_distance,
     segment_distance,
     support,
     support_meets,
 )
 
-from gen import random_function, random_idempotent, random_space
+from gen import (
+    FLOAT_MAX,
+    extreme_epsilons,
+    extreme_weights,
+    random_function,
+    random_idempotent,
+    random_space,
+    space_of,
+)
 
 ABC = FiniteSpace(("a", "b", "c"))
 AB = FiniteSpace(("a", "b"))
@@ -166,6 +177,35 @@ def test_mixing_toward_a_measure_unions_supports():
         eps = rng.uniform(0.01, 0.99)
         mixed = approx_toward_measure(mu, nu, eps)
         assert support(mixed) == support(mu) | support(nu)
+
+
+at_most_zero = extreme_weights.filter(lambda w: w != FLOAT_MAX)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(st.integers(2, 6), extreme_epsilons, st.data())
+def test_mixing_escapes_small_supports_at_every_rate(n, eps, data):
+    # Every rate from 5e-324 to 1, weights down to -1.79e308: the moved
+    # coefficient ``ln(eps) - peak`` is at least about -745, so no sum
+    # ``beta + w`` reaches BOTTOM.  Toward a measure of full support the
+    # result has full support; toward a point below rate 1 it keeps the
+    # support of ``mu`` and adds the point.
+    space = space_of(n)
+
+    def measure(full: bool) -> IdempotentMeasure:
+        drawn = data.draw(st.lists(at_most_zero, min_size=n, max_size=n))
+        drawn[data.draw(st.integers(0, n - 1))] = 0.0
+        return IdempotentMeasure(
+            space, tuple(w if w != "-inf" else -1.0 if full else BOTTOM for w in drawn)
+        )
+
+    mu, nu = measure(full=False), measure(full=True)
+    mixed = approx_toward_measure(mu, nu, eps)
+    assert support(mixed) == frozenset(space.points)
+    assert not has_support_at_most(mixed, n - 1)
+    target = data.draw(st.sampled_from(space.points))
+    toward = approx_toward_point(mu, target, eps)
+    assert support(toward) == ({target} if eps == 1.0 else support(mu) | {target})
 
 
 # -- distances along the mixing path ------------------------------------------------

@@ -31,6 +31,7 @@ from maxplusprob import (
     decode_measure,
     dirac,
     evaluate,
+    maxplus_combine,
     normalize_idempotent,
     point_mass,
     product_classical,
@@ -521,3 +522,19 @@ def test_product_laws_hold_at_scale():
     assert pushforward(first, both) == mu
     assert pushforward(second, both) == nu
     assert reconstruct_product(mu, nu) == both
+
+
+def test_pushforward_commutes_with_maxplus_combination_at_scale():
+    # Along 1e5 -> 1e4, pushing a max-plus combination equals combining the
+    # pushed measures, with ``==``: both sides take the maximum of the same
+    # rounded sums ``alpha + w``, at coefficients near 0, near -1e300 and
+    # at BOTTOM.
+    n = SIZES[-1]
+    rng = random.Random(f"combine laws:{n}")
+    x, y = _space("x", n), _space("y", n // 10)
+    mu, lam = _idempotent(rng, x), _idempotent(rng, x)
+    f = PointMap(x, y, tuple(y.points[rng.randrange(len(y))] for _ in x))
+    pushed_mu, pushed_lam = pushforward(f, mu), pushforward(f, lam)
+    for alpha, beta in ((0.0, -2.5), (-1e300, 0.0), (0.0, BOTTOM), _coefficients(0.375)):
+        mixed = maxplus_combine(alpha, mu, beta, lam)
+        assert pushforward(f, mixed) == maxplus_combine(alpha, pushed_mu, beta, pushed_lam)
