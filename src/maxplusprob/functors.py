@@ -6,10 +6,10 @@ weights and the sum for classical masses.  Products pair two measures of
 one kind on the product space, with atom weight the semiring product,
 ``w_x + w_y`` (idempotent) or ``w_x * w_y`` (classical).
 
-``PointMap.__post_init__`` checks every image and caches the fibers the
-pushforwards fold (``_fibers``).  Like ``FiniteSpace._index``, the label
-lookup built on a space's first lookup, the cache takes no part in
-equality, hashing or the repr.
+``PointMap.__post_init__`` checks every image and caches its codomain
+index (``_images``); a pushforward groups the weights by image in one
+pass over the domain.  Like ``FiniteSpace._index``, the space's label
+lookup, the cache takes no part in equality, hashing or the repr.
 
 ``verify_counterexample`` runs a fixed three-point scenario in which the
 pair of pushforwards under two maps separates classical measures but
@@ -31,7 +31,6 @@ from .measures import (
     Measure,
     TestFunction,
     classical_measure,  # not called here; bench/spans.py wraps functors.classical_measure
-    dirac,
     in_space_order,
 )
 from .record import Record
@@ -68,7 +67,7 @@ class PointMap(Record):
     domain: FiniteSpace
     codomain: FiniteSpace
     assignment: tuple[str, ...]
-    _fibers: tuple[tuple[int, ...], ...]
+    _images: tuple[int, ...]
 
     def __post_init__(self) -> None:
         assignment = tuple(self.assignment)
@@ -77,7 +76,7 @@ class PointMap(Record):
             raise ValueError("one image per domain point is required")
         index = _of_kind(self.codomain, FiniteSpace)._index
         try:
-            images = list(map(index.__getitem__, assignment))
+            self.__dict__["_images"] = tuple(map(index.__getitem__, assignment))
         except (KeyError, TypeError):
             # Name the first image that is not a codomain label; a failed lookup has one.
             for point, label in zip(self.domain.points, assignment):
@@ -85,10 +84,6 @@ class PointMap(Record):
                     raise ValueError(
                         f"image {_shown(label)} of point {point!r} is not in the codomain"
                     ) from None
-        fibers: list[list[int]] = [[] for _ in range(len(self.codomain))]
-        for i, j in enumerate(images):
-            fibers[j].append(i)
-        self.__dict__["_fibers"] = tuple(map(tuple, fibers))
 
     @classmethod
     def from_mapping(
@@ -114,7 +109,7 @@ def compose(outer: PointMap, inner: PointMap) -> PointMap:
     return PointMap(
         inner.domain,
         outer.codomain,
-        tuple(outer(label) for label in inner.assignment),
+        tuple(map(outer.assignment.__getitem__, inner._images)),
     )
 
 
@@ -187,9 +182,12 @@ def pushforward(f: PointMap, mu: Measure) -> Measure:
     """
     if _of_kind(mu, Measure).space != f.domain:
         raise ValueError("space mismatch: measure does not live on the map domain")
-    fold, weight = mu.semiring.sum, mu.weights.__getitem__
-    weights = [fold(map(weight, fiber)) for fiber in f._fibers]
-    return type(mu)(f.codomain, tuple(weights))
+    # One pass groups the weights by image.  Each group keeps domain order,
+    # which decides the sign that a max-plus tie of 0.0 and -0.0 keeps.
+    groups = [[] for _ in range(len(f.codomain))]
+    for j, w in zip(f._images, mu.weights):
+        groups[j].append(w)
+    return type(mu)(f.codomain, tuple(map(mu.semiring.sum, groups)))
 
 
 pushforward_idempotent = pushforward_classical = pushforward
@@ -255,21 +253,19 @@ def reconstruct_product(
     paired indicators, so a product candidate is pinned down by the
     numbers ``mu(chi_x) + nu(chi_y)``.  Computing the atoms that way,
     through the evaluation functional rather than by reading weights,
-    must reproduce ``product_idempotent`` exactly.
+    must reproduce ``product_idempotent`` exactly.  The indicator
+    ``chi_x`` is 0 at ``x`` and BOTTOM elsewhere, and BOTTOM terms are
+    neutral for the sum, so each integral's fold runs over the one term
+    ``w_x (.) 0`` at ``x``.
     """
 
-    def integral(m: IdempotentMeasure, label: str):
-        # m(chi_label): the indicator (0 at label, BOTTOM elsewhere) is
-        # the weight vector of the point measure, and it takes BOTTOM
-        # values, so it is folded here rather than passed to evaluate.
-        chi = dirac(m.space, label).weights
-        return MAX_PLUS.sum(map(MAX_PLUS.times, m.weights, chi))
+    def integral(w):
+        return MAX_PLUS.sum((MAX_PLUS.times(w, 0.0),))
 
     prod = ProductSpace.of(
         _of_kind(mu, IdempotentMeasure).space, _of_kind(nu, IdempotentMeasure).space
     )
-    left = [integral(mu, x) for x in mu.space.points]
-    right = [integral(nu, y) for y in nu.space.points]
+    left, right = (list(map(integral, m.weights)) for m in (mu, nu))
     return _product_measure(IdempotentMeasure, prod, left, right)
 
 

@@ -456,6 +456,29 @@ def test_reconstruction_from_factor_evaluations_is_exact():
         assert reconstruct_product(mu, nu) == product_idempotent(mu, nu)
 
 
+def test_reconstruction_builds_only_the_product(monkeypatch):
+    # Each indicator integral folds its one finite term, so no point
+    # measure is built per label: at 20,000 x 1 the one construction is
+    # the product itself, where a point measure per label made 20,002.
+    rng = random.Random(20_000)
+    space = FiniteSpace(tuple(f"x{i}" for i in range(20_000)))
+    weights = [BOTTOM if rng.random() < 0.25 else rng.uniform(-20.0, 0.0) for _ in space]
+    weights[rng.randrange(len(space))] = 0.0
+    mu = IdempotentMeasure(space, tuple(weights))
+    nu = dirac(FiniteSpace(("p",)), "p")
+    expected = product_idempotent(mu, nu)
+    validate = IdempotentMeasure.__post_init__
+    calls = []
+
+    def counted(self):
+        calls.append(None)
+        validate(self)
+
+    monkeypatch.setattr(IdempotentMeasure, "__post_init__", counted)
+    assert reconstruct_product(mu, nu) == expected
+    assert len(calls) == 1
+
+
 def _unless_overflow(call, *args):
     # The call's answer, or None when it raises the named overflow.
     try:

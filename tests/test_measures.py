@@ -840,13 +840,13 @@ def test_values_are_frozen_and_compared_by_their_fields():
     object.__setattr__(twin.space, "_index", {})
     assert twin == mu and hash(twin) == hash(mu)
     g = PointMap(AB, AB, ("a", "a"))
-    object.__setattr__(g, "_fibers", ())
+    object.__setattr__(g, "_images", ())
     assert g == f and hash(g) == hash(f)
     assert repr(AB) == "FiniteSpace(points=('a', 'b'))"
     assert repr(mu) == (
         "IdempotentMeasure(space=FiniteSpace(points=('a', 'b')), weights=(0.0, BOTTOM))"
     )
-    assert "_index" not in repr(mu) and "_fibers" not in repr(f)
+    assert "_index" not in repr(mu) and "_images" not in repr(f)
 
 
 def test_values_survive_pickle_and_deepcopy():

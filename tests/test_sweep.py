@@ -10,7 +10,9 @@ changes a single bit of output fails here.
 
 from __future__ import annotations
 
+import copy
 import math
+import pickle
 import random
 import sys
 
@@ -507,6 +509,23 @@ def test_exact_laws_hold_at_scale():
     psi = TestFunction(y, tuple(rng.uniform(-1.0, 1.0) * rng.choice(scale) for _ in y))
     pulled = TestFunction(x, tuple(psi.values[j] for j in images))
     assert evaluate(pushed, psi) == evaluate(mu, pulled)
+
+
+def test_point_maps_keep_their_image_indices_at_scale():
+    # A map's one cache is the codomain index of each image.  ``compose``
+    # reads the outer assignment at those indices, and the cache survives
+    # pickle and deepcopy without entering ``==`` or ``hash``.
+    n = SIZES[-1]
+    rng = random.Random(f"images:{n}")
+    x, y, z = _space("x", n), _space("y", n // 10), _space("z", n // 100)
+    f = PointMap(x, y, tuple(y.points[rng.randrange(len(y))] for _ in x))
+    g = PointMap(y, z, tuple(z.points[rng.randrange(len(z))] for _ in y))
+    position = {label: j for j, label in enumerate(y.points)}
+    assert f._images == tuple(position[label] for label in f.assignment)
+    assert compose(g, f).assignment == tuple(g(f(p)) for p in x.points)
+    for clone in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert clone == f and hash(clone) == hash(f)
+        assert clone._images == f._images
 
 
 def test_product_laws_hold_at_scale():
