@@ -34,18 +34,18 @@ from .measures import (
     in_space_order,
 )
 from .record import Record
-from .semiring import _MAX_SIZE, MAX_PLUS, _count, _of_kind, _shown, _summed
+from .semiring import _MAX_SIZE, MAX_PLUS, _count, _labels, _of_kind, _shown, _summed
 
 __all__ = [
     "CounterexampleReport",
     "PointMap",
-    "ProductSpace",
     "compose",
     "pair_map_image",
     "product",
     "product_classical",
     "product_function",
     "product_idempotent",
+    "product_space",
     "pushforward",
     "pushforward_classical",
     "pushforward_idempotent",
@@ -68,9 +68,10 @@ class PointMap(Record):
     codomain: FiniteSpace
     assignment: tuple[str, ...]
     _images: tuple[int, ...]
+    noun = "map"
 
     def __post_init__(self) -> None:
-        assignment = tuple(self.assignment)
+        assignment = _labels(self.assignment, "assignment")
         self.__dict__["assignment"] = assignment
         if len(assignment) != len(_of_kind(self.domain, FiniteSpace)):
             raise ValueError("one image per domain point is required")
@@ -104,7 +105,7 @@ class PointMap(Record):
 
 def compose(outer: PointMap, inner: PointMap) -> PointMap:
     """The map ``outer after inner``; domains must chain."""
-    if inner.codomain != outer.domain:
+    if _of_kind(outer, PointMap).domain != _of_kind(inner, PointMap).codomain:
         raise ValueError("maps do not compose: inner codomain differs from outer domain")
     return PointMap(
         inner.domain,
@@ -113,54 +114,33 @@ def compose(outer: PointMap, inner: PointMap) -> PointMap:
     )
 
 
-class ProductSpace(Record):
-    """The product of two finite spaces, with points labeled ``(x,y)``.
-
-    ``space`` is a plain ``FiniteSpace`` over the pair labels, ordered
-    left-major, so product measures live on an ordinary space and
-    serialize like any other measure.  Inside ``x`` and ``y`` each of
-    ``\\``, ``,``, ``(`` and ``)`` is escaped by a backslash, so distinct
-    pairs get distinct labels; a label with none of them is kept as is.
-    ``of`` refuses more than 10**6 pairs before it builds any label.
-    """
-
-    left: FiniteSpace
-    right: FiniteSpace
-    space: FiniteSpace
-
-    @classmethod
-    def of(cls, left: FiniteSpace, right: FiniteSpace) -> "ProductSpace":
-        n, m = len(left.points), len(right.points)
-        if n * m > _MAX_SIZE:
-            raise ValueError(f"a product space has at most {_MAX_SIZE} points, got {n} x {m}")
-        labels = _pair_labels(left.points, right.points)
-        return cls(left, right, FiniteSpace(labels))
-
-    def pair_label(self, x: str, y: str) -> str:
-        return _pair_labels((x,), (y,))[0]
-
-    def pair_index(self, i: int, j: int) -> int:
-        return i * len(self.right) + j
-
-
 # The characters that structure a pair label, and their escapes.
 _ESCAPES = str.maketrans({c: "\\" + c for c in "\\,()"})
 
 
-def _pair_labels(xs: Sequence[str], ys: Sequence[str]) -> tuple[str, ...]:
-    # "(x,y)" for every pair, left-major.
-    heads = [f"({x.translate(_ESCAPES)}," for x in xs]
-    tails = [f"{y.translate(_ESCAPES)})" for y in ys]
-    return tuple([head + tail for head in heads for tail in tails])
+def product_space(left: FiniteSpace, right: FiniteSpace) -> FiniteSpace:
+    """The product of two finite spaces, with points labeled ``(x,y)``, left-major.
+
+    Inside ``x`` and ``y`` each of ``\\``, ``,``, ``(`` and ``)`` is
+    escaped by a backslash, so distinct pairs get distinct labels; a label
+    with none of them is kept as is.  More than 10**6 pairs are refused
+    before any label is built.
+    """
+    n, m = len(_of_kind(left, FiniteSpace)), len(_of_kind(right, FiniteSpace))
+    if n * m > _MAX_SIZE:
+        raise ValueError(f"a product space has at most {_MAX_SIZE} points, got {n} x {m}")
+    heads = [f"({x.translate(_ESCAPES)}," for x in left.points]
+    tails = [f"{y.translate(_ESCAPES)})" for y in right.points]
+    return FiniteSpace(tuple([head + tail for head in heads for tail in tails]))
 
 
 def product_function(phi: TestFunction, psi: TestFunction) -> TestFunction:
     """The function ``(x, y) -> phi(x) + psi(y)`` on the product space."""
-    prod = ProductSpace.of(phi.space, psi.space)
+    space = product_space(_of_kind(phi, TestFunction).space, _of_kind(psi, TestFunction).space)
     values = tuple(a + b for a in phi.values for b in psi.values)
     m = len(psi.values)
     return _summed(
-        TestFunction, prod.space, values, "atom {} of the product function", "value",
+        TestFunction, space, values, "atom {} of the product function", "value",
         lambda i: (phi.values[i // m], psi.values[i % m]),
     )
 
@@ -180,7 +160,7 @@ def pushforward(f: PointMap, mu: Measure) -> Measure:
     (``u = 2**-53``, ``n`` the domain size), since pushing twice rounds the
     inner fiber sums and then the outer one.
     """
-    if _of_kind(mu, Measure).space != f.domain:
+    if _of_kind(mu, Measure).space != _of_kind(f, PointMap).domain:
         raise ValueError("space mismatch: measure does not live on the map domain")
     # One pass groups the weights by image.  Each group keeps domain order,
     # which decides the sign that a max-plus tie of 0.0 and -0.0 keeps.
@@ -212,12 +192,12 @@ def product(mu: Measure, nu: Measure) -> Measure:
     """
     if type(_of_kind(mu, Measure)) is not type(_of_kind(nu, Measure)):
         raise ValueError("product requires two measures of the same kind")
-    prod = ProductSpace.of(mu.space, nu.space)
-    return _product_measure(type(mu), prod, mu.weights, nu.weights)
+    space = product_space(mu.space, nu.space)
+    return _product_measure(type(mu), space, mu.weights, nu.weights)
 
 
 def _product_measure(
-    cls: type, prod: ProductSpace, left: Sequence, right: Sequence
+    cls: type, space: FiniteSpace, left: Sequence, right: Sequence
 ) -> Measure:
     # Atom (x, y) weighs w_x (.) w_y.  ``_summed`` names a max-plus sum
     # that overflows to -inf.  A classical product that underflows to 0
@@ -228,7 +208,7 @@ def _product_measure(
     weights = tuple(itertools.starmap(times, itertools.product(left, right)))
     if times(min(w for w in left if w != zero), min(w for w in right if w != zero)) == zero:
         pairs = itertools.product(left, right)
-        for label, (a, b), w in zip(prod.space.points, pairs, weights):
+        for label, (a, b), w in zip(space.points, pairs, weights):
             if a != zero and b != zero and w == zero:
                 raise ValueError(
                     f"atom {label} of the product: the mass product {a!r} * {b!r}"
@@ -236,7 +216,7 @@ def _product_measure(
                 )
     m = len(right)
     return _summed(
-        cls, prod.space, weights, "atom {} of the product", "weight",
+        cls, space, weights, "atom {} of the product", "weight",
         lambda i: (left[i // m], right[i % m]),
     )
 
@@ -262,11 +242,11 @@ def reconstruct_product(
     def integral(w):
         return MAX_PLUS.sum((MAX_PLUS.times(w, 0.0),))
 
-    prod = ProductSpace.of(
+    space = product_space(
         _of_kind(mu, IdempotentMeasure).space, _of_kind(nu, IdempotentMeasure).space
     )
     left, right = (list(map(integral, m.weights)) for m in (mu, nu))
-    return _product_measure(IdempotentMeasure, prod, left, right)
+    return _product_measure(IdempotentMeasure, space, left, right)
 
 
 # -- the paired-pushforward probe --------------------------------------------
@@ -274,7 +254,7 @@ def reconstruct_product(
 
 def pair_map_image(f: PointMap, g: PointMap, mu: Measure) -> tuple[Measure, Measure]:
     """Push ``mu`` forward under both maps, returning the pair of images."""
-    if f.domain != g.domain:
+    if _of_kind(f, PointMap).domain != _of_kind(g, PointMap).domain:
         raise ValueError("the two maps must share a domain")
     return (pushforward(f, mu), pushforward(g, mu))
 

@@ -44,7 +44,7 @@ from .measures import (
 )
 from .record import Record
 from .semiring import (
-    BOTTOM, MaxPlusValue, _floats, _of_kind, _shown, as_scalar, mp_exp, mp_ln, odot, oplus
+    BOTTOM, MaxPlusValue, _floats, _labels, _of_kind, _shown, as_scalar, mp_exp, mp_ln, odot, oplus
 )
 
 __all__ = [
@@ -165,7 +165,7 @@ def exactness_threshold(phi: TestFunction) -> float:
     ``e^{-2s} / (1 + e^{-2s})``, which underflows to 0.0 for large ``s``:
     conservative, since no rate lies below 0.
     """
-    s = phi.sup_norm
+    s = _of_kind(phi, TestFunction).sup_norm
     try:
         return 1.0 / (1.0 + math.exp(2.0 * s))
     except OverflowError:
@@ -184,9 +184,7 @@ def support_meets(mu: Measure, targets: Iterable[str]) -> bool:
     not respect intersections; the geometry tests carry a two-set
     counterexample.
     """
-    if isinstance(targets, str):
-        raise TypeError(f"targets must be a collection of labels, got the string {targets!r}")
-    given = list(targets)
+    given = _labels(targets, "targets")
     space = _of_kind(mu, Measure).space
     # Membership first, on the labels as given: an unhashable one is in no space.
     # Each label once, the first of equal ones kept, as a set keeps it.

@@ -49,6 +49,7 @@ from .semiring import (
     MaxPlusValue,
     _count,
     _floats,
+    _labels,
     _of_kind,
     _scalars,
     _shown,
@@ -95,11 +96,7 @@ class FiniteSpace(Record):
     noun = "space"
 
     def __post_init__(self) -> None:
-        if isinstance(self.points, str):
-            raise TypeError(
-                f"points must be a collection of labels, got the string {self.points!r}"
-            )
-        labels = tuple(self.points)
+        labels = _labels(self.points, "points")
         self.__dict__["points"] = labels
         if not labels:
             raise ValueError("a space needs at least one point")
@@ -148,6 +145,7 @@ class TestFunction(Record):
 
     space: FiniteSpace
     values: tuple[float, ...]
+    noun = "function"
 
     def __post_init__(self) -> None:
         values = _floats(self.values)
@@ -183,7 +181,7 @@ class TestFunction(Record):
 
     def pointwise_max(self, other: "TestFunction") -> "TestFunction":
         """Max-plus sum of two functions on the same space."""
-        if self.space != other.space:
+        if self.space != _of_kind(other, TestFunction).space:
             raise ValueError("space mismatch between functions")
         return TestFunction(
             self.space,
@@ -386,7 +384,7 @@ def evaluate(mu: Measure, phi: TestFunction) -> float:
     finite because some weight is exactly 0.  Classical: the expectation,
     exactly rounded.
     """
-    if _of_kind(mu, Measure).space != phi.space:
+    if _of_kind(mu, Measure).space != _of_kind(phi, TestFunction).space:
         raise ValueError("space mismatch between measure and function")
     return mu.semiring.dot(mu.weights, phi.values)
 
@@ -409,7 +407,12 @@ def maxplus_combine(
 
     Requires ``alpha oplus beta == 0`` exactly, which is what keeps the
     result normalized.  With one coefficient BOTTOM the other endpoint
-    is returned unchanged.
+    is returned unchanged.  With ``u = 2**-53`` and ``S`` the largest
+    ``|c| + |w_i| + |phi_i|`` over the support atoms of each side, ``c``
+    its coefficient, ``|maxplus_combine(a, mu, b, nu)(phi) - max(a + mu(phi),
+    b + nu(phi))| <= 4u * S``: an atom's term rounds as ``(c + w_i) + phi_i``
+    on the left and ``c + (w_i + phi_i)`` on the right, each within ``2u * S``
+    of exact, and a maximum moves no further than its terms.
     """
     alpha = as_scalar(alpha)
     beta = as_scalar(beta)

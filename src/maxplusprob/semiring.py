@@ -19,8 +19,9 @@ is too long to name.  ``_summed`` builds a value from max-plus sums and,
 when one of them leaves the float range, names its point and both terms:
 the one overflow rule, so no sum changes a support silently.
 ``_of_kind`` is the one kind rule: every operation that takes a measure,
-and every value built on a space, passes it there, and anything else
-raises ``TypeError`` naming the need.
+a function or a map, and every value built on a space, passes it there,
+and anything else raises ``TypeError`` naming the need; ``_labels``
+likewise refuses a bare string where a collection of labels is expected.
 """
 
 from __future__ import annotations
@@ -150,14 +151,21 @@ def _summed(cls: type, space, sums: Sequence, where: str, what: str, terms: Call
 
 
 def _of_kind(value: object, cls: type):
-    # ``value`` if it is a ``cls``: a space, any measure (neither sets a
-    # ``kind``) or the one kind ``cls.kind``.  Otherwise ``TypeError`` names
-    # the need, by the kind or by the class's ``noun``.
+    # ``value`` if it is a ``cls``: a space, a function, a map, any measure
+    # (none sets a ``kind``) or the one kind ``cls.kind``.  Otherwise
+    # ``TypeError`` names the need, by the kind or by the class's ``noun``.
     if isinstance(value, cls):
         return value
     if hasattr(cls, "kind"):
         raise TypeError(f"{cls.kind} measure required, got {type(value).__name__}")
     raise TypeError(f"not a {cls.noun}: {_shown(value)}")
+
+
+def _labels(value: object, what: str) -> tuple:
+    # ``value`` as a tuple of labels; a bare string is refused, not read as its characters.
+    if isinstance(value, str):
+        raise TypeError(f"{what} must be a collection of labels, got the string {value!r}")
+    return tuple(value)
 
 
 # The size budget of a space built from sizes: a grid's cells, a product's pairs.

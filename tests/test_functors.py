@@ -18,7 +18,6 @@ from maxplusprob import (
     FiniteSpace,
     IdempotentMeasure,
     PointMap,
-    ProductSpace,
     TestFunction,
     classical_measure,
     compose,
@@ -33,6 +32,7 @@ from maxplusprob import (
     product_classical,
     product_function,
     product_idempotent,
+    product_space,
     pushforward,
     pushforward_classical,
     pushforward_idempotent,
@@ -212,13 +212,23 @@ def test_pushforward_characterizes_by_composition_with_functions():
 # -- products ------------------------------------------------------------------
 
 
+def test_an_assignment_is_not_read_from_a_string():
+    # "ab" is one image label's text, not the two images "a" and "b".
+    message = r"^assignment must be a collection of labels, got the string 'ab'$"
+    with pytest.raises(TypeError, match=message):
+        PointMap(AB, AB, "ab")
+    assert PointMap(AB, AB, ["a", "b"]) == PointMap.identity(AB)
+
+
 def test_product_space_layout():
-    prod = ProductSpace.of(AB, ABC)
-    assert prod.space.points == (
+    space = product_space(AB, ABC)
+    assert isinstance(space, FiniteSpace)
+    assert space.points == (
         "(a,a)", "(a,b)", "(a,c)", "(b,a)", "(b,b)", "(b,c)",
     )
-    assert prod.pair_label("b", "c") == "(b,c)"
-    assert prod.pair_index(1, 2) == prod.space.index("(b,c)")
+    assert IdempotentMeasure(space, (0.0,) * 6).space is space
+    with pytest.raises(TypeError, match=r"^not a space: \('a', 'b'\)$"):
+        product_space(("a", "b"), AB)
 
 
 # Labels that spell the pair syntax: unescaped, ("a,b", "c") and ("a", "b,c")
@@ -228,36 +238,39 @@ COMMA_RIGHT = FiniteSpace(("c", "b,c"))
 COMMA_PAIRS = ("(a\\,b,c)", "(a\\,b,b\\,c)", "(a,c)", "(a,b\\,c)")
 
 
-def test_pair_labels_escape_the_pair_syntax():
-    prod = ProductSpace.of(COMMA_LEFT, COMMA_RIGHT)
-    assert prod.space.points == COMMA_PAIRS
-    assert prod.pair_label("a,b", "c") == "(a\\,b,c)"
-    assert prod.pair_label("a", "b,c") == "(a,b\\,c)"
-    assert prod.pair_label("a", "b") == "(a,b)"
+def test_product_labels_escape_the_pair_syntax():
+    assert product_space(COMMA_LEFT, COMMA_RIGHT).points == COMMA_PAIRS
+    assert product_space(FiniteSpace(("a",)), FiniteSpace(("b",))).points == ("(a,b)",)
     # Each of the four characters is escaped, the backslash included, so
     # no two pairs of these labels share one.
     odd = FiniteSpace(("\\", ",", "(", ")", "\\,", "x"))
-    points = ProductSpace.of(odd, odd).space.points
+    points = product_space(odd, odd).points
     assert len(set(points)) == 36
-    assert ProductSpace.of(odd, odd).pair_label("\\,", "(") == "(\\\\\\,,\\()"
-    assert ProductSpace.of(odd, AB).pair_label("x", "a") == "(x,a)"
+    assert points[4 * 6 + 2] == "(\\\\\\,,\\()"
+    assert product_space(odd, AB).points[5 * 2] == "(x,a)"
 
 
-def test_product_spaces_stop_at_a_million_pairs_before_any_label(monkeypatch):
+def test_product_spaces_stop_at_a_million_pairs_before_any_label():
     # 1000 x 1000 is admitted and 1001 x 1000 refused, naming both sizes,
-    # before a single pair label is built.
-    built = []
-    monkeypatch.setattr(functors, "_pair_labels", lambda xs, ys: built.append(1) or ("p",))
+    # before a single pair label is built: the refusal allocates less than
+    # one factor's 1,000 labels would.
     thousand = FiniteSpace(tuple(f"a{i}" for i in range(1000)))
     more = FiniteSpace(tuple(f"b{i}" for i in range(1001)))
-    assert ProductSpace.of(thousand, thousand).space.points == ("p",)
+    square = product_space(thousand, thousand)
+    assert len(square) == 10**6
+    assert square.points[-1] == "(a999,a999)"
     for left, right in ((more, thousand), (thousand, more)):
-        with pytest.raises(ValueError) as err:
-            ProductSpace.of(left, right)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                product_space(left, right)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert str(err.value) == (
             f"a product space has at most 1000000 points, got {len(left)} x {len(right)}"
         )
-    assert built == [1]
+        assert peak < 2**14
 
 
 @pytest.mark.parametrize("build", (dirac, point_mass))
@@ -377,9 +390,9 @@ def test_products_name_the_first_pair_whose_sum_overflows():
 
     outcomes = set()
     for _ in range(300):
-        prod = ProductSpace.of(space_of(rng.randint(1, 4)), space_of(rng.randint(1, 4)))
-        mu, nu = measure(prod.left), measure(prod.right)
-        phi, psi = function(prod.left), function(prod.right)
+        x, y = space_of(rng.randint(1, 4)), space_of(rng.randint(1, 4))
+        mu, nu, phi, psi = measure(x), measure(y), function(x), function(y)
+        points = product_space(x, y).points
         for build, left, right, where, what in (
             (product, mu.weights, nu.weights, "product", "weight"),
             (reconstruct_product, mu.weights, nu.weights, "product", "weight"),
@@ -390,13 +403,13 @@ def test_products_name_the_first_pair_whose_sum_overflows():
             sums = tuple(BOTTOM if BOTTOM in pair else pair[0] + pair[1] for pair in pairs)
             lost = [
                 (label, *pair)
-                for label, pair, out in zip(prod.space.points, pairs, sums)
+                for label, pair, out in zip(points, pairs, sums)
                 if out is not BOTTOM and math.isinf(out)
             ]
             outcomes.add((build, bool(lost)))
             if not lost:
                 out = build(*factors)
-                assert out.space == prod.space
+                assert out.space.points == points
                 assert (out.weights if what == "weight" else out.values) == sums
                 continue
             label, a, b = lost[0]

@@ -9,6 +9,7 @@ import random
 import re
 from array import array
 from collections import UserList, defaultdict
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -22,7 +23,6 @@ from maxplusprob import (
     IdempotentMeasure,
     Measure,
     PointMap,
-    ProductSpace,
     TestFunction,
     classical_measure,
     decode_function,
@@ -39,6 +39,7 @@ from maxplusprob import (
     point_mass,
     product,
     product_function,
+    product_space,
     pushforward,
     support,
     to_classical,
@@ -47,6 +48,7 @@ from maxplusprob import (
 from maxplusprob import measures
 
 from gen import (
+    LEAST_NORMAL,
     awkward_spaces,
     extreme_masses,
     extreme_spaces,
@@ -378,10 +380,8 @@ def test_awkward_labels_align_round_trip_and_pair_apart(space, other, data):
     )
     assert decode_function(json.loads(json.dumps(docs[0]))) == phi
     assert decode_point_map(json.loads(json.dumps(docs[1]))) == f
-    prod = ProductSpace.of(space, other)
     pairs = [(x, y) for x in points for y in other.points]
-    assert [_unpair(label) for label in prod.space.points] == pairs
-    assert [prod.pair_label(x, y) for x, y in pairs] == list(prod.space.points)
+    assert [_unpair(label) for label in product_space(space, other).points] == pairs
 
 
 # -- idempotent measures -------------------------------------------------------
@@ -693,13 +693,13 @@ def test_library_calls_at_the_float_edges_answer_or_name_the_problem(labels, dat
     valid(_at_the_edge(phi.shift, data.draw(extreme_values)))
     valid(_at_the_edge(product_function, phi, phi))
     f = PointMap.from_mapping(space, XY, table(st.sampled_from(XY.points)))
-    pairs = ProductSpace.of(space, space)
+    pairs, n = product_space(space, space).points, len(space)
     for m in (mu, rho):
         if m is None:
             continue
         valid(_at_the_edge(evaluate, m, phi))
         valid(_at_the_edge(pushforward, f, m), {f(p) for p in m.support})
-        square = {pairs.pair_label(x, y) for x in m.support for y in m.support}
+        square = {pairs[space.index(x) * n + space.index(y)] for x in m.support for y in m.support}
         valid(_at_the_edge(product, m, m), square)
         convert = to_classical if m is mu else to_idempotent
         valid(_at_the_edge(convert, m), m.support)
@@ -770,6 +770,55 @@ def test_combine_support_is_the_union_for_finite_coefficients():
         alpha, beta = (0.0, t) if rng.random() < 0.5 else (t, 0.0)
         combined = maxplus_combine(alpha, mu, beta, nu)
         assert support(combined) == support(mu) | support(nu)
+
+
+def test_evaluation_is_affine_in_each_side_within_four_ulps_of_the_largest_term():
+    # |combine(a, mu, b, nu)(phi) - max(a + mu(phi), b + nu(phi))| <= 4u * S,
+    # S the largest |c| + |w_i| + |phi_i| over the support atoms of each side.
+    # S and the gap are exact rationals, so neither overflows nor rounds.
+    rng = random.Random(7)
+    u = Fraction(1, 2**53)
+
+    def magnitude() -> float:
+        k = rng.randrange(8)
+        if k < 4:
+            return (MAX, 745.0, 5e-324, rng.random() * LEAST_NORMAL)[k]
+        return rng.random() * 10.0 ** (rng.randint(-1, 3) if k < 7 else rng.randint(-10, 307))
+
+    def measure(space: FiniteSpace) -> IdempotentMeasure:
+        weights = [rng.choice((BOTTOM, 0.0, -magnitude())) for _ in space.points]
+        weights[rng.randrange(len(space))] = 0.0
+        return IdempotentMeasure(space, tuple(weights))
+
+    def coefficients():
+        eps = 10.0 ** rng.uniform(-323.4, 0.0)  # a mixing rate, 5e-324 to 1
+        c = rng.choice((BOTTOM, -MAX, -745.0, -5e-324, 0.0, math.log(max(eps, 5e-324))))
+        return (0.0, c) if rng.random() < 0.5 else (c, 0.0)
+
+    checked = differed = 0
+    for _ in range(20_000):
+        space = space_of(rng.randint(1, 4))
+        mu, nu = measure(space), measure(space)
+        phi = TestFunction(space, tuple(rng.choice((-1.0, 1.0)) * magnitude() for _ in space))
+        alpha, beta = coefficients()
+        try:
+            combined = evaluate(maxplus_combine(alpha, mu, beta, nu), phi)
+        except ValueError:  # a combined weight overflows, and is named
+            continue
+        sides = [(c, m) for c, m in ((alpha, mu), (beta, nu)) if c is not BOTTOM]
+        separate = max(c + evaluate(m, phi) for c, m in sides)
+        checked += 1
+        if combined == separate:
+            continue
+        differed += 1
+        largest = max(
+            abs(Fraction(c)) + abs(Fraction(w)) + abs(Fraction(v))
+            for c, m in sides
+            for w, v in zip(m.weights, phi.values)
+            if w is not BOTTOM
+        )
+        assert abs(Fraction(combined) - Fraction(separate)) <= 4 * u * largest
+    assert checked > 19_000 and differed > 0
 
 
 def test_has_support_at_most():

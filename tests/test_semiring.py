@@ -3,6 +3,7 @@ from __future__ import annotations
 import ast
 import inspect
 import math
+import operator
 import random
 import re
 from pathlib import Path
@@ -379,6 +380,84 @@ def test_the_kind_rule_covers_every_operation_that_takes_a_measure():
         and any(p.annotation in MEASURE_TYPES for p in inspect.signature(op).parameters.values())
     }
     assert takers == {name for name, _, _ in KIND_RULE}
+
+
+X = object()  # marks the function or map slot under test
+CLASSICAL = point_mass(AB, "a")
+# Every public operation that takes a function or a map, once per such slot,
+# with the class that slot needs.
+VALUE_KIND_RULE = [
+    ("evaluate", (MU, X), TestFunction),
+    ("evaluate_idempotent", (MU, X), TestFunction),
+    ("evaluate_classical", (CLASSICAL, X), TestFunction),
+    ("TestFunction.pointwise_max", (PHI, X), TestFunction),
+    ("product_function", (X, PHI), TestFunction),
+    ("product_function", (PHI, X), TestFunction),
+    ("exactness_threshold", (X,), TestFunction),
+    ("pushforward", (X, MU), PointMap),
+    ("pushforward_idempotent", (X, MU), PointMap),
+    ("pushforward_classical", (X, CLASSICAL), PointMap),
+    ("compose", (X, F), PointMap),
+    ("compose", (F, X), PointMap),
+    ("pair_map_image", (X, F, MU), PointMap),
+    ("pair_map_image", (F, X, MU), PointMap),
+    ("naturality_gap", (X, CLASSICAL), PointMap),
+]
+
+
+@pytest.mark.parametrize(
+    "name, args, cls", VALUE_KIND_RULE, ids=[f"{n}-{a.index(X)}" for n, a, _ in VALUE_KIND_RULE]
+)
+def test_every_operation_states_the_function_or_map_it_needs(name, args, cls):
+    # No attribute of a non-function or non-map is looked up: the answer is
+    # a TypeError naming what was needed.
+    op = operator.attrgetter(name)(maxplusprob)
+    good = PHI if cls is TestFunction else F
+    assert op(*(good if a is X else a for a in args)) is not None
+    for bad in ("x", HUGE, None, MU, F if cls is TestFunction else PHI):
+        needed = f"not a {cls.noun}: {semiring._shown(bad)}"
+        with pytest.raises(TypeError, match=f"^{re.escape(needed)}$"):
+            op(*(bad if a is X else a for a in args))
+
+
+def test_the_kind_rule_covers_every_operation_that_takes_a_function_or_a_map():
+    takers = {
+        name
+        for name in maxplusprob.__all__
+        if inspect.isfunction(op := getattr(maxplusprob, name))
+        and any(
+            p.annotation in ("TestFunction", "PointMap")
+            for p in inspect.signature(op).parameters.values()
+        )
+    }
+    assert takers == {name for name, _, _ in VALUE_KIND_RULE if "." not in name}
+
+
+# The public names, in one literal: a change to them shows up in one diff.
+PUBLIC_NAMES = [
+    "BOTTOM", "BottomType", "ClassicalMeasure", "ContinuousTestFunction",
+    "ConvergenceReport", "ConvergenceRow", "CounterexampleReport", "DensityMeasure",
+    "FiniteSpace", "IdempotentMeasure", "MAX_PLUS", "MaxPlusValue", "Measure",
+    "PiecewiseLinear", "PointMap", "SUM_PRODUCT", "SchemaError", "SegmentPoint",
+    "Semiring", "TestFunction", "approx_coefficients", "approx_distance_closed_form",
+    "approx_toward_measure", "approx_toward_point", "as_scalar", "big_oplus",
+    "classical_measure", "compose", "convergence_report", "decode_continuous_function",
+    "decode_density", "decode_function", "decode_measure", "decode_point_map", "dirac",
+    "discretize", "encode_convergence_report", "encode_counterexample_report",
+    "encode_measure", "encode_scalar", "eval_density_measure", "evaluate",
+    "evaluate_classical", "evaluate_idempotent", "exactness_threshold", "grid_points",
+    "grid_space", "has_support_at_most", "is_bottom", "maxplus_combine", "mp_exp",
+    "mp_ln", "naturality_gap", "normalize_idempotent", "odot", "oplus",
+    "pair_map_image", "point_mass", "product", "product_classical", "product_function",
+    "product_idempotent", "product_space", "pushforward", "pushforward_classical",
+    "pushforward_idempotent", "reconstruct_product", "roundtrip_gap", "sample_function",
+    "scalar_distance", "segment_distance", "support", "support_meets", "to_classical",
+    "to_idempotent", "verify_counterexample",
+]
+
+
+def test_the_public_names_are_pinned():
+    assert sorted(maxplusprob.__all__) == PUBLIC_NAMES
 
 
 # -- labels ----------------------------------------------------------------------
