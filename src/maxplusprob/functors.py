@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 from .measures import (
     ClassicalMeasure,
@@ -31,7 +31,6 @@ from .measures import (
     Measure,
     TestFunction,
     classical_measure,  # not called here; bench/spans.py wraps functors.classical_measure
-    in_space_order,
 )
 from .record import Record
 from .semiring import _MAX_SIZE, MAX_PLUS, _count, _labels, _of_kind, _shown, _summed
@@ -87,17 +86,8 @@ class PointMap(Record):
                     ) from None
 
     @classmethod
-    def from_mapping(
-        cls,
-        domain: FiniteSpace,
-        codomain: FiniteSpace,
-        mapping: Mapping[str, str],
-    ) -> "PointMap":
-        return cls(domain, codomain, in_space_order(domain, mapping, "images"))
-
-    @classmethod
     def identity(cls, space: FiniteSpace) -> "PointMap":
-        return cls(space, space, space.points)
+        return cls(space, space, _of_kind(space, FiniteSpace).points)
 
     def __call__(self, label: str) -> str:
         return self.assignment[self.domain.index(label)]
@@ -189,6 +179,14 @@ def product(mu: Measure, nu: Measure) -> Measure:
     products that already meet 1e-12 bit for bit.  A pair of support
     atoms whose weight sum overflows, or whose mass product underflows
     to 0, raises ``ValueError`` naming the pair.
+
+    An idempotent product is affine in each factor: ``product(maxplus_combine(a,
+    mu, b, nu), rho)`` and ``maxplus_combine(a, product(mu, rho), b, product(nu,
+    rho))``, or the same with ``rho`` on the left, have one support and agree per
+    atom within ``4u * S`` (``u = 2**-53``, ``S`` the largest ``|c| + |w_x| + |r_y|``
+    over the support atoms of each side, ``c`` its coefficient).  Rounding is
+    monotone, so a left atom is ``max(fl(fl(a + w) + r), fl(fl(b + v) + r))``,
+    each term within ``4u * S`` of its twin ``fl(a + fl(w + r))`` on the right.
     """
     if type(_of_kind(mu, Measure)) is not type(_of_kind(nu, Measure)):
         raise ValueError("product requires two measures of the same kind")

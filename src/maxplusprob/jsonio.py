@@ -23,7 +23,6 @@ they decoded one by one, to name the first bad one at its own path.
 from __future__ import annotations
 
 import math
-from typing import Union
 
 from .density import ContinuousTestFunction, ConvergenceReport, DensityMeasure
 from .functors import CounterexampleReport, PointMap
@@ -47,7 +46,6 @@ __all__ = [
     "encode_convergence_report",
     "encode_counterexample_report",
     "encode_measure",
-    "encode_scalar",
 ]
 
 
@@ -133,7 +131,7 @@ def _decode_space(node: object, path: str) -> FiniteSpace:
 def _decode_entries(node: object, path: str, space: FiniteSpace, decode, build, *args):
     # ``build(*args, values)``, the values in space order; ``decode`` checks one.
     table = _expect_object(node, path)
-    listed = _built(path, in_space_order, space, table, "entries")
+    listed = _built(path, in_space_order, space, table)
 
     def elements() -> None:
         for p, value in zip(space.points, listed):
@@ -210,13 +208,6 @@ def decode_continuous_function(doc: object) -> ContinuousTestFunction:
 
 
 # -- encoding ----------------------------------------------------------------
-
-
-def encode_scalar(value: MaxPlusValue) -> Union[float, str]:
-    """A finite float as itself, BOTTOM as the string ``"-inf"``."""
-    if value is BOTTOM:
-        return _BOTTOM_WIRE
-    return float(value)
 
 
 def encode_measure(mu: Measure) -> dict:

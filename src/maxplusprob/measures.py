@@ -26,10 +26,10 @@ built on the first lookup.  For a measure kind ``__post_init__`` is the
 only place its weights are checked, by the number rules of ``semiring``:
 ``_scalars`` for max-plus weights, ``_floats`` for masses, so
 ``ClassicalMeasure`` is the only check on masses.  ``normalize_idempotent``
-and ``classical_measure`` only align raw weights (a table keyed by label,
-which ``in_space_order`` alone reads and checks to be a mapping) and shift
+and ``classical_measure`` take raw weights in space order and only shift
 or rescale them (``classical_measure`` reads masses only to rescale them);
 other operations build their results through the same constructors.
+``in_space_order`` aligns a JSON table keyed by label.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from collections.abc import Mapping, Sequence
 from functools import cached_property
 from itertools import repeat
 from operator import is_
-from typing import Union
 
 from .record import Record
 from .semiring import (
@@ -155,10 +154,6 @@ class TestFunction(Record):
             bad = next(v for v in values if not math.isfinite(v))
             raise ValueError(f"test function values must be finite: {bad!r}")
         self.__dict__["values"] = values
-
-    @classmethod
-    def from_mapping(cls, space: FiniteSpace, values: Mapping[str, float]) -> "TestFunction":
-        return cls(space, in_space_order(space, values, "function values"))
 
     def __call__(self, label: str) -> float:
         return self.values[self.space.index(label)]
@@ -302,29 +297,25 @@ class ClassicalMeasure(Measure):
 
 def dirac(space: FiniteSpace, point: str) -> IdempotentMeasure:
     """The idempotent point measure: weight 0 at ``point``, BOTTOM elsewhere."""
-    weights = [BOTTOM] * len(space)
+    weights = [BOTTOM] * len(_of_kind(space, FiniteSpace))
     weights[space.index(point)] = 0.0
     return IdempotentMeasure(space, tuple(weights))
 
 
 def point_mass(space: FiniteSpace, point: str) -> ClassicalMeasure:
     """The classical point measure: mass 1 at ``point``, 0 elsewhere."""
-    weights = [0.0] * len(space)
+    weights = [0.0] * len(_of_kind(space, FiniteSpace))
     weights[space.index(point)] = 1.0
     return ClassicalMeasure(space, tuple(weights))
 
 
-def normalize_idempotent(
-    space: FiniteSpace,
-    raw: Union[Mapping[str, object], Sequence[object]],
-) -> IdempotentMeasure:
-    """Shift raw max-plus weights so their maximum is exactly 0.
+def normalize_idempotent(space: FiniteSpace, raw: Sequence[object]) -> IdempotentMeasure:
+    """Shift raw max-plus weights, in space order, so their maximum is exactly 0.
 
-    ``raw`` is either a mapping keyed by every point label or a sequence
-    aligned with the space order.  All-BOTTOM input stays all-BOTTOM,
-    which the constructor rejects as empty support.
+    All-BOTTOM input stays all-BOTTOM, which the constructor rejects as
+    empty support.
     """
-    values, peak = _scalars(_aligned(space, raw))
+    values, peak = _scalars(raw)
     weights = tuple([BOTTOM if v is BOTTOM else v - peak for v in values])
     return _summed(
         IdempotentMeasure, space, weights, "point {!r} of the normalization", "weight",
@@ -333,11 +324,9 @@ def normalize_idempotent(
 
 
 def classical_measure(
-    space: FiniteSpace,
-    weights: Union[Mapping[str, object], Sequence[object]],
-    renormalize: bool = False,
+    space: FiniteSpace, weights: Sequence[object], renormalize: bool = False
 ) -> ClassicalMeasure:
-    """Build a classical measure from masses keyed by label or in order.
+    """Build a classical measure from masses in space order.
 
     ``ClassicalMeasure`` checks the masses: sums further than 1e-9 from 1
     are rejected, since silent rescaling of malformed input tends to
@@ -348,8 +337,8 @@ def classical_measure(
     else goes to the constructor as given, so its error names the value
     passed.
     """
-    values = _aligned(space, weights)
-    if renormalize and len(values := _floats(values)) == len(space.points) and (
+    values = weights
+    if renormalize and len(_of_kind(space, FiniteSpace)) == len(values := _floats(weights)) and (
         0.0 <= min(values) <= max(values) < math.inf
     ):
         given, top = values, 1.0
@@ -450,14 +439,12 @@ def has_support_at_most(mu: Measure, n: int) -> bool:
 _ABSENT = object()  # what ``in_space_order`` reads for a missing point
 
 
-def in_space_order(space: FiniteSpace, table: Mapping, what: str) -> list:
+def in_space_order(space: FiniteSpace, table: Mapping) -> list:
     """The values of a table keyed by exactly the points of ``space``, in order.
 
     An in-order table is read without lookups, any other by ``get``,
     which never inserts a key; missing or unknown keys raise ``ValueError``.
     """
-    if not isinstance(table, Mapping):
-        raise TypeError(f"{what} must be a mapping, got {type(table).__name__}")
     points = space.points
     if len(table) == len(points):
         if tuple(table) == points:
@@ -467,15 +454,6 @@ def in_space_order(space: FiniteSpace, table: Mapping, what: str) -> list:
             return values
     missing = [p for p in points if p not in table]
     if missing:
-        raise ValueError(f"missing {what} for points: {missing!r}")
+        raise ValueError(f"missing entries for points: {missing!r}")
     extra = [k for k in table if k not in space]
-    raise ValueError(f"{what} given for unknown points: {_shown(extra)}")
-
-
-def _aligned(
-    space: FiniteSpace, raw: Union[Mapping[str, object], Sequence[object]]
-) -> Sequence[object]:
-    # Raw weights keyed by label, in space order; a sequence as given.
-    if isinstance(raw, Mapping):
-        return in_space_order(space, raw, "weights")
-    return raw
+    raise ValueError(f"entries given for unknown points: {_shown(extra)}")

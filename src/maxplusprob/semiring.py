@@ -18,16 +18,18 @@ what it rejects.  ``_shown`` formats a rejected value or label, so no int
 is too long to name.  ``_summed`` builds a value from max-plus sums and,
 when one of them leaves the float range, names its point and both terms:
 the one overflow rule, so no sum changes a support silently.
-``_of_kind`` is the one kind rule: every operation that takes a measure,
-a function or a map, and every value built on a space, passes it there,
-and anything else raises ``TypeError`` naming the need; ``_labels``
-likewise refuses a bare string where a collection of labels is expected.
+``_of_kind`` is the one kind rule: every operation that takes a space, a
+measure, a function or a map, and every value built on a space, passes it
+there, and anything else raises ``TypeError`` naming the need; ``_labels``
+likewise refuses a bare string or a mapping where a collection of labels
+is expected.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Mapping
 from typing import Callable, Iterable, Sequence, Union
 
 from .record import Record
@@ -41,7 +43,6 @@ __all__ = [
     "Semiring",
     "as_scalar",
     "big_oplus",
-    "is_bottom",
     "mp_exp",
     "mp_ln",
     "odot",
@@ -68,11 +69,6 @@ BOTTOM = BottomType()
 
 # A max-plus scalar: a finite float, or BOTTOM.
 MaxPlusValue = Union[float, BottomType]
-
-
-def is_bottom(value: MaxPlusValue) -> bool:
-    """True when ``value`` is the BOTTOM (minus infinity) scalar."""
-    return value is BOTTOM
 
 
 def as_scalar(value: object) -> MaxPlusValue:
@@ -162,9 +158,11 @@ def _of_kind(value: object, cls: type):
 
 
 def _labels(value: object, what: str) -> tuple:
-    # ``value`` as a tuple of labels; a bare string is refused, not read as its characters.
+    # ``value`` as a tuple of labels, never a bare string's characters or a mapping's keys.
     if isinstance(value, str):
         raise TypeError(f"{what} must be a collection of labels, got the string {value!r}")
+    if isinstance(value, Mapping):
+        raise TypeError(f"{what} must be a collection of labels, got a {type(value).__name__}")
     return tuple(value)
 
 

@@ -172,6 +172,15 @@ extreme_epsilons = st.one_of(
 extreme_spaces = st.integers(min_value=1, max_value=3).map(lambda n: list(_LABELS[:n]))
 
 
+def edge_magnitude(rng: random.Random) -> float:
+    # Half the time the float maximum, where ``exp`` underflows or a
+    # subnormal; otherwise up to 1e3, or up to 1e307 one time in eight.
+    k = rng.randrange(8)
+    if k < 4:
+        return (FLOAT_MAX, 745.0, LEAST_SUBNORMAL, rng.random() * LEAST_NORMAL)[k]
+    return rng.random() * 10.0 ** (rng.randint(-1, 3) if k < 7 else rng.randint(-10, 307))
+
+
 def _table(draw, labels: list[str], values) -> dict:
     n = len(labels)
     return dict(zip(labels, draw(st.lists(values, min_size=n, max_size=n))))

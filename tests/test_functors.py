@@ -7,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
@@ -46,6 +47,7 @@ from maxplusprob.functors import _fixture, _full_rank, _paired_image
 from gen import (
     FLOAT_MAX,
     LEAST_NORMAL,
+    edge_magnitude,
     extreme_masses,
     extreme_spaces,
     extreme_values,
@@ -75,22 +77,6 @@ def test_point_map_validation():
     # An unhashable image is named like any other label outside the codomain.
     with pytest.raises(ValueError, match=r"^image \['b'\] of point 'b' is not in"):
         PointMap(ABC, AB, ("a", ["b"], "z"))
-
-
-def test_point_map_from_mapping():
-    f = PointMap.from_mapping(AB, ABC, {"a": "c", "b": "c"})
-    assert f.assignment == ("c", "c")
-    with pytest.raises(ValueError, match="missing"):
-        PointMap.from_mapping(AB, ABC, {"a": "c"})
-    with pytest.raises(ValueError, match="unknown"):
-        PointMap.from_mapping(AB, ABC, {"a": "c", "b": "c", "z": "a"})
-
-
-def test_point_map_from_mapping_names_a_non_mapping():
-    for table in (["c", "c"], ("c", "c"), "cc", None):
-        message = rf"^images must be a mapping, got {type(table).__name__}$"
-        with pytest.raises(TypeError, match=message):
-            PointMap.from_mapping(AB, ABC, table)
 
 
 def test_identity_and_compose():
@@ -431,6 +417,58 @@ def test_product_names_the_pair_whose_mass_product_underflows():
     # A massless atom pairs to mass 0, not to an underflow.
     out = product(ClassicalMeasure(AB, (1.0, 0.0)), mu)
     assert out.weights == (1.0, 1e-200, 0.0, 0.0)
+
+
+def test_products_are_affine_in_each_factor_within_four_ulps_of_the_largest_term():
+    # product(combine(a, mu, b, nu), rho) and combine(a, product(mu, rho), b,
+    # product(nu, rho)), with rho as either factor, have one support and agree
+    # per atom within 4u * S, S the largest |c| + |w_x| + |r_y| over the
+    # support atoms of each side.  S and the gaps are exact rationals.
+    rng = random.Random(7)
+    u = Fraction(1, 2**53)
+
+    def measure(space: FiniteSpace) -> IdempotentMeasure:
+        weights = [
+            rng.choice((BOTTOM, 0.0, -edge_magnitude(rng), -edge_magnitude(rng)))
+            for _ in space.points
+        ]
+        weights[rng.randrange(len(space))] = 0.0
+        return IdempotentMeasure(space, tuple(weights))
+
+    def coefficients():
+        magnitudes = (edge_magnitude(rng), edge_magnitude(rng))
+        c = rng.choice((BOTTOM, -FLOAT_MAX, -745.0, -5e-324, 0.0, *(-m for m in magnitudes)))
+        return (0.0, c) if rng.random() < 0.5 else (c, 0.0)
+
+    checked = raised = differed = 0
+    for _ in range(10_000):
+        space = space_of(rng.randint(1, 3))
+        mu, nu, rho = measure(space), measure(space), measure(space_of(rng.randint(1, 3)))
+        alpha, beta = coefficients()
+        for times in (lambda m: product(m, rho), lambda m: product(rho, m)):
+            try:
+                left = times(maxplus_combine(alpha, mu, beta, nu))
+                right = maxplus_combine(alpha, times(mu), beta, times(nu))
+            except ValueError:  # a weight sum overflows, and is named
+                raised += 1
+                continue
+            checked += 1
+            assert left.support == right.support
+            if left == right:
+                continue
+            largest = max(
+                abs(Fraction(c)) + abs(Fraction(w)) + abs(Fraction(r))
+                for c, m in ((alpha, mu), (beta, nu))
+                if c is not BOTTOM
+                for w in m.weights
+                for r in rho.weights
+                if w is not BOTTOM and r is not BOTTOM
+            )
+            for a, b in zip(left.weights, right.weights):
+                if a != b:
+                    differed += 1
+                    assert abs(Fraction(a) - Fraction(b)) <= 4 * u * largest
+    assert checked > 19_000 and raised > 0 and differed > 0
 
 
 def test_product_requires_one_kind():

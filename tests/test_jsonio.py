@@ -8,6 +8,8 @@ import pytest
 
 from maxplusprob import (
     BOTTOM,
+    FiniteSpace,
+    IdempotentMeasure,
     SchemaError,
     convergence_report,
     decode_continuous_function,
@@ -18,7 +20,6 @@ from maxplusprob import (
     encode_convergence_report,
     encode_counterexample_report,
     encode_measure,
-    encode_scalar,
     verify_counterexample,
 )
 from maxplusprob import jsonio
@@ -72,6 +73,9 @@ def test_decode_rejects_weight_table_problems():
         decode_measure(
             {"space": ["a", "b"], "kind": "idempotent", "weights": {"a": 0}}
         )
+    # A table is an object keyed by label, never a list in space order.
+    with pytest.raises(SchemaError, match=r"^weights: expected an object, got list$"):
+        decode_measure({"space": ["a", "b"], "kind": "classical", "weights": [0.5, 0.5]})
     with pytest.raises(SchemaError, match="unknown points"):
         decode_measure(
             {
@@ -256,9 +260,9 @@ def test_space_errors_carry_their_path():
 # -- encoding ------------------------------------------------------------------
 
 
-def test_encode_scalar():
-    assert encode_scalar(BOTTOM) == "-inf"
-    assert encode_scalar(-1.5) == -1.5
+def test_encode_measure_writes_floats_and_bottom_as_minus_inf():
+    mu = IdempotentMeasure(FiniteSpace(("a", "b", "c")), (0.0, -1.5, BOTTOM))
+    assert encode_measure(mu)["weights"] == {"a": 0.0, "b": -1.5, "c": "-inf"}
 
 
 def test_encode_decode_roundtrip_on_random_measures():

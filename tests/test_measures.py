@@ -48,8 +48,8 @@ from maxplusprob import (
 from maxplusprob import measures
 
 from gen import (
-    LEAST_NORMAL,
     awkward_spaces,
+    edge_magnitude,
     extreme_masses,
     extreme_spaces,
     extreme_values,
@@ -161,7 +161,7 @@ def test_ints_beyond_the_float_range_are_not_finite():
     with pytest.raises(ValueError, match="not a max-plus scalar"):
         IdempotentMeasure(AB, (0.0, -huge))
     with pytest.raises(ValueError, match="not a max-plus scalar"):
-        normalize_idempotent(AB, {"a": 0.0, "b": huge})
+        normalize_idempotent(AB, (0.0, huge))
 
 
 def test_idempotent_weights_are_coerced_when_not_all_floats():
@@ -189,7 +189,7 @@ def test_idempotent_weights_are_coerced_when_not_all_floats():
     for build, ints, floats in (
         (IdempotentMeasure, (0, -1.5, BOTTOM), (0.0, -1.5, BOTTOM)),
         (IdempotentMeasure, (0, -2, -5), (0.0, -2.0, -5.0)),
-        (normalize_idempotent, {"a": 3, "b": -1.5, "c": BOTTOM}, {"a": 3.0, "b": -1.5, "c": BOTTOM}),
+        (normalize_idempotent, (3, -1.5, BOTTOM), (3.0, -1.5, BOTTOM)),
         (normalize_idempotent, (3, -2, 1), (3.0, -2.0, 1.0)),
         (TestFunction, (3, -2, 1), (3.0, -2.0, 1.0)),
         (classical_measure, (0, 1, 0), (0.0, 1.0, 0.0)),
@@ -244,30 +244,14 @@ def test_function_validation_and_norm():
         phi.pointwise_max(TestFunction(space_of(3), (0.0, 0.0, 0.0)))
 
 
-def test_function_from_mapping_requires_exact_keys():
-    phi = TestFunction.from_mapping(AB, {"a": 1.0, "b": 2.0})
-    assert phi.values == (1.0, 2.0)
-    with pytest.raises(ValueError):
-        TestFunction.from_mapping(AB, {"a": 1.0})
-    with pytest.raises(ValueError):
-        TestFunction.from_mapping(AB, {"a": 1.0, "b": 2.0, "c": 3.0})
-
-
-def test_function_from_mapping_names_a_non_mapping():
-    for table in ([1.0, 2.0], (1.0, 2.0), "ab", None):
-        message = rf"^function values must be a mapping, got {type(table).__name__}$"
-        with pytest.raises(TypeError, match=message):
-            TestFunction.from_mapping(AB, table)
-
-
-def test_function_from_mapping_checks_numbers_like_the_constructor():
+def test_function_values_are_checked_as_numbers_in_space_order():
     with pytest.raises(ValueError, match="not a real number: '1.5'"):
-        TestFunction.from_mapping(AB, {"a": "1.5", "b": True})
+        TestFunction(AB, ("1.5", True))
     with pytest.raises(ValueError, match="not a real number: True"):
-        TestFunction.from_mapping(AB, {"a": 1.5, "b": True})
+        TestFunction(AB, (1.5, True))
     with pytest.raises(ValueError, match="must be finite: inf"):
-        TestFunction.from_mapping(AB, {"a": 10**400, "b": 0.0})
-    phi = TestFunction.from_mapping(AB, {"a": 1, "b": 2.5})
+        TestFunction(AB, (10**400, 0.0))
+    phi = TestFunction(AB, (1, 2.5))
     assert phi.values == (1.0, 2.5)
     assert all(type(v) is float for v in phi.values)
 
@@ -304,35 +288,48 @@ def test_a_table_in_space_order_is_read_without_lookups():
             lookups.append(key)
             return super().__getitem__(key)
 
+        def get(self, key, default=None):
+            lookups.append(key)
+            return super().get(key, default)
+
     abc = space_of(3)
-    mu = normalize_idempotent(abc, Table(a=0.0, b=-1.0, c=BOTTOM))
-    nu = classical_measure(abc, Table(a=0.5, b=0.25, c=0.25))
-    phi = TestFunction.from_mapping(abc, Table(a=1.0, b=2.0, c=3.0))
-    f = PointMap.from_mapping(abc, XY, Table(a="x", b="y", c="x"))
-    assert mu.weights == (0.0, -1.0, BOTTOM) and nu.weights == (0.5, 0.25, 0.25)
-    assert phi.values == (1.0, 2.0, 3.0) and f.assignment == ("x", "y", "x")
+    assert measures.in_space_order(abc, Table(a=0.0, b=-1.0, c=BOTTOM)) == [0.0, -1.0, BOTTOM]
+    assert measures.in_space_order(abc, Table(a="x", b="y", c="x")) == ["x", "y", "x"]
     assert lookups == []
+    # Any other order is read by lookups.
+    assert measures.in_space_order(abc, Table(c=3.0, a=1.0, b=2.0)) == [1.0, 2.0, 3.0]
+    assert lookups == ["a", "b", "c"]
 
 
 def test_a_defaultdict_with_wrong_keys_is_rejected_and_left_alone():
     # A lookup by ``[]`` would insert the missing point into the caller's table.
     abc = space_of(3)
-    calls = (
-        (lambda t: normalize_idempotent(abc, t), "weights", float, (0.0, -1.0)),
-        (lambda t: classical_measure(abc, t), "weights", float, (0.5, 0.5)),
-        (lambda t: TestFunction.from_mapping(abc, t), "function values", float, (1.0, 2.0)),
-        (lambda t: PointMap.from_mapping(abc, XY, t), "images", lambda: "x", ("x", "y")),
-    )
-    for call, what, default, (u, v) in calls:
+    for default, (u, v) in ((float, (0.0, -1.0)), (lambda: "x", ("x", "y"))):
         for given_table, message in (
-            ({"a": u, "b": v}, f"missing {what} for points: ['c']"),
-            ({"b": v, "z": u, "a": u}, f"missing {what} for points: ['c']"),
-            ({"a": u, "b": v, "c": u, "z": v}, f"{what} given for unknown points: ['z']"),
+            ({"a": u, "b": v}, "missing entries for points: ['c']"),
+            ({"b": v, "z": u, "a": u}, "missing entries for points: ['c']"),
+            ({"a": u, "b": v, "c": u, "z": v}, "entries given for unknown points: ['z']"),
         ):
             table = defaultdict(default, given_table)
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                call(table)
+                measures.in_space_order(abc, table)
             assert list(table.items()) == list(given_table.items())
+
+
+def test_a_table_keyed_by_label_is_no_sequence_of_values():
+    # Weights, masses and values are given in space order: a dict's keys are
+    # labels, and the number check names the first.
+    scalar = r"^not a max-plus scalar \(finite number or BOTTOM\): 'a'$"
+    for build, message in (
+        (normalize_idempotent, scalar),
+        (IdempotentMeasure, scalar),
+        (classical_measure, "^not a real number: 'a'$"),
+        (ClassicalMeasure, "^not a real number: 'a'$"),
+        (TestFunction, "^not a real number: 'a'$"),
+        (lambda s, t: classical_measure(s, t, renormalize=True), "^not a real number: 'a'$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            build(AB, {"a": 0.0, "b": 0.0})
 
 
 def _unpair(label: str) -> tuple:
@@ -362,13 +359,13 @@ def test_awkward_labels_align_round_trip_and_pair_apart(space, other, data):
     weights = dict(zip(points, [0.0, *(-k / 2 for k in range(1, len(points)))]))
     masses = dict.fromkeys(points, 1.0 / len(points))
     images = dict(zip(points, itertools.cycle(other.points)))
-    mu = normalize_idempotent(space, shuffled(weights))
-    nu = classical_measure(space, shuffled(masses))
-    phi = TestFunction.from_mapping(space, shuffled(weights))
-    f = PointMap.from_mapping(space, other, shuffled(images))
+    mu = normalize_idempotent(space, tuple(weights.values()))
+    nu = classical_measure(space, tuple(masses.values()))
+    phi = TestFunction(space, tuple(weights.values()))
+    f = PointMap(space, other, tuple(images.values()))
     assert mu.weights == phi.values == tuple(weights.values())
     assert nu.weights == tuple(masses.values())
-    assert f.assignment == tuple(images.values())
+    assert [f(p) for p in points] == [images[p] for p in points]
     for m in (mu, nu):
         doc = json.loads(json.dumps(encode_measure(m)))
         assert decode_measure(doc) == m
@@ -422,7 +419,7 @@ def test_dirac_and_support():
 def test_normalize_shifts_to_zero_max():
     mu = normalize_idempotent(AB, (5.0, 5.0))
     assert mu.weights == (0.0, 0.0)
-    nu = normalize_idempotent(AB, {"a": -3.0, "b": BOTTOM})
+    nu = normalize_idempotent(AB, (-3.0, BOTTOM))
     assert nu.weights == (0.0, BOTTOM)
     with pytest.raises(ValueError, match="empty support"):
         normalize_idempotent(AB, (BOTTOM, BOTTOM))
@@ -435,7 +432,7 @@ def test_normalization_names_the_point_whose_weight_sum_overflows():
         match=r"^point 'a' of the normalization: the weight sum "
         r"-1\.7e\+308 \+ -1\.7e\+308 overflows the float range$",
     ):
-        normalize_idempotent(AB, {"a": -1.7e308, "b": 1.7e308})
+        normalize_idempotent(AB, (-1.7e308, 1.7e308))
     # Within the float range the same shift keeps every point.
     assert normalize_idempotent(AB, (-MAX / 2, MAX / 2)).weights == (-MAX, 0.0)
 
@@ -507,7 +504,6 @@ def test_classical_measure_checks_masses_once(monkeypatch):
     cases = (
         ((0.25, 0.75), (0.25, 0.75)),
         ([1, 0], (1.0, 0.0)),
-        ({"b": 0.75, "a": 0.25}, (0.25, 0.75)),
     )
     for raw, stored in cases:
         calls.clear()
@@ -684,15 +680,15 @@ def test_library_calls_at_the_float_edges_answer_or_name_the_problem(labels, dat
             assert type(out) is float and math.isfinite(out)
 
     raw = {p: BOTTOM if w == "-inf" else w for p, w in table(extreme_weights).items()}
-    mu = _at_the_edge(normalize_idempotent, space, raw)
+    mu = _at_the_edge(normalize_idempotent, space, tuple(raw.values()))
     valid(mu, {p for p, w in raw.items() if w is not BOTTOM})
     masses = table(extreme_masses)
-    rho = _at_the_edge(classical_measure, space, masses, True)
+    rho = _at_the_edge(classical_measure, space, tuple(masses.values()), True)
     valid(rho, {p for p, m in masses.items() if m > 0.0})
     phi = TestFunction(space, tuple(table(extreme_values).values()))
     valid(_at_the_edge(phi.shift, data.draw(extreme_values)))
     valid(_at_the_edge(product_function, phi, phi))
-    f = PointMap.from_mapping(space, XY, table(st.sampled_from(XY.points)))
+    f = PointMap(space, XY, tuple(table(st.sampled_from(XY.points)).values()))
     pairs, n = product_space(space, space).points, len(space)
     for m in (mu, rho):
         if m is None:
@@ -779,14 +775,8 @@ def test_evaluation_is_affine_in_each_side_within_four_ulps_of_the_largest_term(
     rng = random.Random(7)
     u = Fraction(1, 2**53)
 
-    def magnitude() -> float:
-        k = rng.randrange(8)
-        if k < 4:
-            return (MAX, 745.0, 5e-324, rng.random() * LEAST_NORMAL)[k]
-        return rng.random() * 10.0 ** (rng.randint(-1, 3) if k < 7 else rng.randint(-10, 307))
-
     def measure(space: FiniteSpace) -> IdempotentMeasure:
-        weights = [rng.choice((BOTTOM, 0.0, -magnitude())) for _ in space.points]
+        weights = [rng.choice((BOTTOM, 0.0, -edge_magnitude(rng))) for _ in space.points]
         weights[rng.randrange(len(space))] = 0.0
         return IdempotentMeasure(space, tuple(weights))
 
@@ -799,7 +789,9 @@ def test_evaluation_is_affine_in_each_side_within_four_ulps_of_the_largest_term(
     for _ in range(20_000):
         space = space_of(rng.randint(1, 4))
         mu, nu = measure(space), measure(space)
-        phi = TestFunction(space, tuple(rng.choice((-1.0, 1.0)) * magnitude() for _ in space))
+        phi = TestFunction(
+            space, tuple(rng.choice((-1.0, 1.0)) * edge_magnitude(rng) for _ in space)
+        )
         alpha, beta = coefficients()
         try:
             combined = evaluate(maxplus_combine(alpha, mu, beta, nu), phi)
@@ -953,8 +945,7 @@ def test_measures_survive_pickle_and_deepcopy():
 
 
 def test_classical_measure_reads_every_container_alike():
-    # Lists and tuples skip the ``Mapping`` check; a label mapping and any
-    # other sequence take it.  All four give one result or one error.
+    # Masses in space order give one result or one error in any sequence.
     abc = space_of(3)
 
     def outcome(raw, renormalize):
@@ -978,7 +969,7 @@ def test_classical_measure_reads_every_container_alike():
          " the rescale would drop it from the support"),
     )
     for values, plain, rescaled in cases:
-        forms = [list(values), tuple(values), dict(zip(abc.points, values)), UserList(values)]
+        forms = [list(values), tuple(values), UserList(values)]
         if not any(isinstance(v, bool) or v is None for v in values):
             forms.append(array("d", values))
         for renormalize, expected in ((False, plain), (True, rescaled)):

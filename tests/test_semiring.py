@@ -6,13 +6,14 @@ import math
 import operator
 import random
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 
 import maxplusprob
-from maxplusprob import semiring
+from maxplusprob import measures, semiring
 from maxplusprob import (
     BOTTOM,
     MAX_PLUS,
@@ -39,7 +40,6 @@ from maxplusprob import (
     eval_density_measure,
     grid_points,
     has_support_at_most,
-    is_bottom,
     maxplus_combine,
     mp_exp,
     mp_ln,
@@ -57,8 +57,6 @@ from gen import finite_values, scalars
 
 def test_bottom_is_a_singleton():
     assert BottomType() is BOTTOM
-    assert is_bottom(BOTTOM)
-    assert not is_bottom(0.0)
     assert repr(BOTTOM) == "BOTTOM"
 
 
@@ -433,6 +431,75 @@ def test_the_kind_rule_covers_every_operation_that_takes_a_function_or_a_map():
     assert takers == {name for name, _, _ in VALUE_KIND_RULE if "." not in name}
 
 
+S = object()  # marks the space slot under test
+# Every public operation that takes a space, once per space slot.
+SPACE_KIND_RULE = [
+    ("dirac", (S, "a"), {}),
+    ("point_mass", (S, "a"), {}),
+    ("normalize_idempotent", (S, (1.0, 0.0)), {}),
+    ("classical_measure", (S, (0.5, 0.5)), {}),
+    ("classical_measure", (S, (1.0, 1.0)), {"renormalize": True}),
+    ("product_space", (S, AB), {}),
+    ("product_space", (AB, S), {}),
+    ("PointMap.identity", (S,), {}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, args, options",
+    SPACE_KIND_RULE,
+    ids=[f"{n}-{a.index(S)}{''.join(f'-{k}' for k in o)}" for n, a, o in SPACE_KIND_RULE],
+)
+def test_every_operation_states_the_space_it_needs(name, args, options):
+    # No attribute of a non-space is looked up, nor its length taken: the
+    # answer is a TypeError naming what was needed.
+    op = operator.attrgetter(name)(maxplusprob)
+    assert op(*(AB if a is S else a for a in args), **options) is not None
+    for bad in (("a", "b"), ["a", "b"], "ab", None, HUGE, MU):
+        needed = f"not a space: {semiring._shown(bad)}"
+        with pytest.raises(TypeError, match=f"^{re.escape(needed)}$"):
+            op(*(bad if a is S else a for a in args), **options)
+
+
+def _public_callables():
+    # ``(name, callable)`` for each public function and each public method of
+    # a public class.
+    for name in maxplusprob.__all__:
+        value = getattr(maxplusprob, name)
+        if inspect.isfunction(value):
+            yield name, value
+        elif inspect.isclass(value):
+            for attr in vars(value):
+                if not attr.startswith("_") and callable(method := getattr(value, attr)):
+                    yield f"{name}.{attr}", method
+
+
+def test_the_kind_rule_covers_every_operation_that_takes_a_space():
+    takers = {
+        name
+        for name, op in _public_callables()
+        if any(p.annotation == "FiniteSpace" for p in inspect.signature(op).parameters.values())
+    }
+    assert takers == {name for name, _, _ in SPACE_KIND_RULE}
+
+
+# Every public parameter with a default, and the default, in one literal: a new
+# option shows up in one diff.
+PUBLIC_OPTIONS = {
+    "classical_measure": {"renormalize": False},
+    "verify_counterexample": {"random_pairs": 10_000, "seed": 0},
+}
+
+
+def test_the_public_options_are_pinned():
+    options = {}
+    for name, op in _public_callables():
+        parameters = inspect.signature(op).parameters.values()
+        if defaults := {p.name: p.default for p in parameters if p.default is not p.empty}:
+            options[name] = defaults
+    assert options == PUBLIC_OPTIONS
+
+
 # The public names, in one literal: a change to them shows up in one diff.
 PUBLIC_NAMES = [
     "BOTTOM", "BottomType", "ClassicalMeasure", "ContinuousTestFunction",
@@ -444,10 +511,10 @@ PUBLIC_NAMES = [
     "classical_measure", "compose", "convergence_report", "decode_continuous_function",
     "decode_density", "decode_function", "decode_measure", "decode_point_map", "dirac",
     "discretize", "encode_convergence_report", "encode_counterexample_report",
-    "encode_measure", "encode_scalar", "eval_density_measure", "evaluate",
-    "evaluate_classical", "evaluate_idempotent", "exactness_threshold", "grid_points",
-    "grid_space", "has_support_at_most", "is_bottom", "maxplus_combine", "mp_exp",
-    "mp_ln", "naturality_gap", "normalize_idempotent", "odot", "oplus",
+    "encode_measure", "eval_density_measure", "evaluate", "evaluate_classical",
+    "evaluate_idempotent", "exactness_threshold", "grid_points", "grid_space",
+    "has_support_at_most", "maxplus_combine", "mp_exp", "mp_ln", "naturality_gap",
+    "normalize_idempotent", "odot", "oplus",
     "pair_map_image", "point_mass", "product", "product_classical", "product_function",
     "product_idempotent", "product_space", "pushforward", "pushforward_classical",
     "pushforward_idempotent", "reconstruct_product", "roundtrip_gap", "sample_function",
@@ -469,9 +536,7 @@ LABEL_ENTRY_POINTS = {
     "dirac": lambda v: dirac(AB, v),
     "point_mass": lambda v: point_mass(AB, v),
     "TestFunction.__call__": PHI,
-    "TestFunction.from_mapping": lambda v: TestFunction.from_mapping(
-        AB, {"a": 0.0, "b": 0.0, v: 1.0}
-    ),
+    "in_space_order": lambda v: measures.in_space_order(AB, {"a": 0.0, "b": 0.0, v: 1.0}),
     "PointMap": lambda v: PointMap(AB, AB, ("a", v)),
     "PointMap.__call__": F,
     "approx_toward_point": lambda v: approx_toward_point(MU, v, 0.25),
@@ -502,6 +567,46 @@ def test_an_unhashable_target_is_named_once():
         support_meets(dirac(AB, "a"), [["a"]])
     with pytest.raises(ValueError, match=r"^points not in space: \['z', 1, \['a'\]\]$"):
         support_meets(MU, [["a"], "z", "a", ["a"], 1, "z", True])
+    # A set equals the frozenset of its labels: the first of the two is named.
+    with pytest.raises(ValueError, match=r"^points not in space: \[\{'x'\}\]$"):
+        support_meets(MU, [{"x"}, frozenset("x"), {"x"}])
+    with pytest.raises(ValueError, match=r"^points not in space: \[frozenset\(\{'x'\}\)\]$"):
+        support_meets(MU, [frozenset("x"), {"x"}])
+
+
+def test_unknown_targets_are_told_apart_by_their_hash():
+    # 2,000 unknown targets, each given twice, cost a few ``__eq__`` calls,
+    # not one per pair of targets (about two million).
+    calls = 0
+
+    class Label(str):
+        __hash__ = str.__hash__
+
+        def __eq__(self, other):
+            nonlocal calls
+            calls += 1
+            return str.__eq__(self, other)
+
+    labels = [f"z{i}" for i in range(2_000)]
+    with pytest.raises(ValueError) as err:
+        support_meets(MU, [*map(Label, labels), "a", *map(Label, labels)])
+    assert str(err.value) == f"points not in space: {sorted(labels)!r}"
+    assert calls <= 2 * len(labels), calls
+
+
+def test_no_collection_of_labels_is_read_from_a_mapping():
+    # Read as its keys, this dict of images would give the identity map.
+    table = {"a": "b", "b": "a"}
+    for what, call in (
+        ("points", FiniteSpace),
+        ("assignment", lambda t: PointMap(AB, AB, t)),
+        ("targets", lambda t: support_meets(MU, t)),
+    ):
+        for given_table in (table, defaultdict(str, table)):
+            message = f"{what} must be a collection of labels, got a {type(given_table).__name__}"
+            with pytest.raises(TypeError, match=f"^{message}$"):
+                call(given_table)
+    assert PointMap(AB, AB, tuple(table.values()))("a") == "b"
 
 
 def test_unknown_targets_of_mixed_types_are_named_in_order():
@@ -518,12 +623,11 @@ def test_unknown_targets_of_mixed_types_are_named_in_order():
 
 
 SRC = Path(maxplusprob.__file__).resolve().parent
-# Outside ``semiring``, only these call ``float``: the scalar encoder and the
-# CLI printer convert the package's own values.  A measure's stored weights
-# are already exact floats, so ``encode_measure`` writes them as they are.
+# Outside ``semiring``, only the CLI printer calls ``float``, on the package's
+# own values.  A measure's stored weights are already exact floats, so
+# ``encode_measure`` writes them as they are.
 OWN_FLOATS = {
     "cli._present",
-    "jsonio.encode_scalar",
 }
 # The number rules, the overflow rule and the kind rule, each defined in
 # ``semiring`` only.
@@ -609,27 +713,6 @@ def test_only_in_space_order_puts_a_table_in_space_order():
         for site in _table_reads(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     ]
     assert set(reads) <= {"measures.in_space_order"}, reads
-
-
-def _strings(node: ast.AST, scope: str):
-    # ``(scope, text)`` for each string constant, f-string parts included.
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield from _strings(child, f"{scope}.{child.name}")
-            continue
-        if isinstance(child, ast.Constant) and isinstance(child.value, str):
-            yield scope, child.value
-        yield from _strings(child, scope)
-
-
-def test_only_in_space_order_checks_that_a_table_is_a_mapping():
-    writers = {
-        scope
-        for path in sorted(SRC.glob("*.py"))
-        for scope, text in _strings(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-        if "must be a mapping" in text
-    }
-    assert writers == {"measures.in_space_order"}, sorted(writers)
 
 
 def test_jsonio_runs_element_checks_only_after_a_rejection():
