@@ -180,13 +180,16 @@ def product(mu: Measure, nu: Measure) -> Measure:
     atoms whose weight sum overflows, or whose mass product underflows
     to 0, raises ``ValueError`` naming the pair.
 
-    An idempotent product is affine in each factor: ``product(maxplus_combine(a,
-    mu, b, nu), rho)`` and ``maxplus_combine(a, product(mu, rho), b, product(nu,
-    rho))``, or the same with ``rho`` on the left, have one support and agree per
-    atom within ``4u * S`` (``u = 2**-53``, ``S`` the largest ``|c| + |w_x| + |r_y|``
-    over the support atoms of each side, ``c`` its coefficient).  Rounding is
-    monotone, so a left atom is ``max(fl(fl(a + w) + r), fl(fl(b + v) + r))``,
-    each term within ``4u * S`` of its twin ``fl(a + fl(w + r))`` on the right.
+    An idempotent product is affine in each factor: where both
+    ``product(maxplus_combine(a, mu, b, nu), rho)`` and ``maxplus_combine(a,
+    product(mu, rho), b, product(nu, rho))``, or the same with ``rho`` on the
+    left, answer, they have one support and agree per atom within ``4u * S``
+    (``u = 2**-53``, ``S`` the largest ``|c| + |w_x| + |r_y|`` over the support
+    atoms of each side, ``c`` its coefficient).  Rounding is monotone, so a
+    left atom is ``max(fl(fl(a + w) + r), fl(fl(b + v) + r))``, each term within
+    ``4u * S`` of its twin ``fl(a + fl(w + r))`` on the right.  One side may
+    raise while the other answers: the right one forms every ``w + r``, even
+    one whose ``w`` a larger term hides on the left.
     """
     if type(_of_kind(mu, Measure)) is not type(_of_kind(nu, Measure)):
         raise ValueError("product requires two measures of the same kind")

@@ -187,22 +187,14 @@ def support_meets(mu: Measure, targets: Iterable[str]) -> bool:
     """
     given = _labels(targets, "targets")
     space = _of_kind(mu, Measure).space
-    # Membership is asked of the labels as given: an unhashable one is in no space.
-    # Each label once, the first of equal ones kept: a hashable one is looked up
-    # by hash and among the unhashable ones, an unhashable one among those kept.
-    unknown, hashed, unhashable = [], set(), []
+    # Membership first, on the labels as given: an unhashable one is in no space.
+    # Each label once, the first of equal ones kept, as a set keeps it.
+    unknown = []
     for label in given:
-        try:
-            fresh = label not in hashed and label not in unhashable
-            hashed.add(label)
-        except TypeError:
-            fresh = label not in unknown
-            unhashable.append(label)
-        if fresh and label not in space:
+        if label not in space and label not in unknown:
             unknown.append(label)
-    # Strings in order, then other labels by their text, as plain strings: no
-    # two types are compared, nor a label's ``__eq__`` called.
-    unknown.sort(key=lambda label: "0" + label if isinstance(label, str) else "1" + _shown(label))
+    # Strings in order, then other labels by their text: no two types are compared.
+    unknown.sort(key=lambda label: (0, label) if isinstance(label, str) else (1, _shown(label)))
     if unknown:
         raise ValueError(f"points not in space: {_shown(unknown)}")
     return not support(mu).isdisjoint(given)

@@ -12,7 +12,7 @@ Wire formats:
   ``{"breakpoints": [[x, y], ...], "lipschitz": number}``
 
 Decoders validate shape first and report the offending path.  A table's
-keys may come in any order (``measures.in_space_order`` aligns them).
+keys may come in any order (``_in_space_order`` aligns them).
 Value invariants (normalization, mass sums) are then enforced by the
 type constructors and re-raised with the same path prefix.  A
 constructor is also the bulk check of its elements, a table's values or
@@ -23,6 +23,8 @@ they decoded one by one, to name the first bad one at its own path.
 from __future__ import annotations
 
 import math
+from itertools import repeat
+from operator import is_
 
 from .density import ContinuousTestFunction, ConvergenceReport, DensityMeasure
 from .functors import CounterexampleReport, PointMap
@@ -32,9 +34,8 @@ from .measures import (
     Measure,
     TestFunction,
     classical_measure,
-    in_space_order,
 )
-from .semiring import BOTTOM, MaxPlusValue, _floats, _of_kind
+from .semiring import BOTTOM, MaxPlusValue, _floats, _of_kind, _shown
 
 __all__ = [
     "SchemaError",
@@ -128,10 +129,31 @@ def _decode_space(node: object, path: str) -> FiniteSpace:
     return _built(path, FiniteSpace, tuple(node), elements=elements)
 
 
+_ABSENT = object()  # what ``_in_space_order`` reads for a missing point
+
+
+def _in_space_order(space: FiniteSpace, table: dict) -> list:
+    # The values of a table keyed by exactly the points of ``space``, in order.
+    # An in-order table is read without lookups, any other by ``get``, which
+    # never inserts a key; missing or unknown keys raise ``ValueError``.
+    points = space.points
+    if len(table) == len(points):
+        if tuple(table) == points:
+            return list(table.values())
+        values = list(map(table.get, points, repeat(_ABSENT)))
+        if not any(map(is_, values, repeat(_ABSENT))):
+            return values
+    missing = [p for p in points if p not in table]
+    if missing:
+        raise ValueError(f"missing entries for points: {missing!r}")
+    extra = [k for k in table if k not in space]
+    raise ValueError(f"entries given for unknown points: {_shown(extra)}")
+
+
 def _decode_entries(node: object, path: str, space: FiniteSpace, decode, build, *args):
     # ``build(*args, values)``, the values in space order; ``decode`` checks one.
     table = _expect_object(node, path)
-    listed = _built(path, in_space_order, space, table)
+    listed = _built(path, _in_space_order, space, table)
 
     def elements() -> None:
         for p, value in zip(space.points, listed):

@@ -29,16 +29,14 @@ only place its weights are checked, by the number rules of ``semiring``:
 and ``classical_measure`` take raw weights in space order and only shift
 or rescale them (``classical_measure`` reads masses only to rescale them);
 other operations build their results through the same constructors.
-``in_space_order`` aligns a JSON table keyed by label.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from functools import cached_property
 from itertools import repeat
-from operator import is_
 
 from .record import Record
 from .semiring import (
@@ -432,28 +430,3 @@ def has_support_at_most(mu: Measure, n: int) -> bool:
     """Whether the support of ``mu`` has at most ``n`` atoms (n >= 1)."""
     return len(support(mu)) <= _count(n, "the atom budget")
 
-
-# -- helpers -----------------------------------------------------------------
-
-
-_ABSENT = object()  # what ``in_space_order`` reads for a missing point
-
-
-def in_space_order(space: FiniteSpace, table: Mapping) -> list:
-    """The values of a table keyed by exactly the points of ``space``, in order.
-
-    An in-order table is read without lookups, any other by ``get``,
-    which never inserts a key; missing or unknown keys raise ``ValueError``.
-    """
-    points = space.points
-    if len(table) == len(points):
-        if tuple(table) == points:
-            return list(table.values())
-        values = list(map(table.get, points, repeat(_ABSENT)))
-        if not any(map(is_, values, repeat(_ABSENT))):
-            return values
-    missing = [p for p in points if p not in table]
-    if missing:
-        raise ValueError(f"missing entries for points: {missing!r}")
-    extra = [k for k in table if k not in space]
-    raise ValueError(f"entries given for unknown points: {_shown(extra)}")

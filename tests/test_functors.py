@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -421,9 +422,12 @@ def test_product_names_the_pair_whose_mass_product_underflows():
 
 def test_products_are_affine_in_each_factor_within_four_ulps_of_the_largest_term():
     # product(combine(a, mu, b, nu), rho) and combine(a, product(mu, rho), b,
-    # product(nu, rho)), with rho as either factor, have one support and agree
-    # per atom within 4u * S, S the largest |c| + |w_x| + |r_y| over the
-    # support atoms of each side.  S and the gaps are exact rationals.
+    # product(nu, rho)), with rho as either factor: where both answer they have
+    # one support and agree per atom within 4u * S, S the largest
+    # |c| + |w_x| + |r_y| over the support atoms of each side.  One side may
+    # raise while the other answers: the right one forms every w + r, even one
+    # whose w a larger term hides on the left.  S and the gaps are exact
+    # rationals.
     rng = random.Random(7)
     u = Fraction(1, 2**53)
 
@@ -440,19 +444,26 @@ def test_products_are_affine_in_each_factor_within_four_ulps_of_the_largest_term
         c = rng.choice((BOTTOM, -FLOAT_MAX, -745.0, -5e-324, 0.0, *(-m for m in magnitudes)))
         return (0.0, c) if rng.random() < 0.5 else (c, 0.0)
 
-    checked = raised = differed = 0
+    def answer(call):
+        # The measure, or None where a weight sum overflows and is named.
+        try:
+            return call()
+        except ValueError as err:
+            assert str(err).endswith(" overflows the float range"), err
+            return None
+
+    seen = collections.Counter()
+    differed = 0
     for _ in range(10_000):
         space = space_of(rng.randint(1, 3))
         mu, nu, rho = measure(space), measure(space), measure(space_of(rng.randint(1, 3)))
         alpha, beta = coefficients()
         for times in (lambda m: product(m, rho), lambda m: product(rho, m)):
-            try:
-                left = times(maxplus_combine(alpha, mu, beta, nu))
-                right = maxplus_combine(alpha, times(mu), beta, times(nu))
-            except ValueError:  # a weight sum overflows, and is named
-                raised += 1
+            left = answer(lambda: times(maxplus_combine(alpha, mu, beta, nu)))
+            right = answer(lambda: maxplus_combine(alpha, times(mu), beta, times(nu)))
+            seen[left is not None, right is not None] += 1
+            if left is None or right is None:
                 continue
-            checked += 1
             assert left.support == right.support
             if left == right:
                 continue
@@ -468,7 +479,14 @@ def test_products_are_affine_in_each_factor_within_four_ulps_of_the_largest_term
                 if a != b:
                     differed += 1
                     assert abs(Fraction(a) - Fraction(b)) <= 4 * u * largest
-    assert checked > 19_000 and raised > 0 and differed > 0
+    assert seen[True, True] > 19_000 and differed > 0
+    assert seen[False, False] > 0 and seen[True, False] > 0
+    # The smallest one-sided case: nu hides mu's -M on the left.
+    mu = IdempotentMeasure(AB, (-FLOAT_MAX, 0.0))
+    nu, rho = IdempotentMeasure(AB, (0.0, 0.0)), IdempotentMeasure(AB, (0.0, -FLOAT_MAX))
+    assert product(maxplus_combine(0.0, mu, 0.0, nu), rho) == product(nu, rho)
+    with pytest.raises(ValueError, match=r"^atom \(a,b\) of the product: .* overflows the float range$"):
+        product(mu, rho)
 
 
 def test_product_requires_one_kind():

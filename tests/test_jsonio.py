@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
+from collections import defaultdict
 
 import pytest
 
@@ -25,7 +27,7 @@ from maxplusprob import (
 from maxplusprob import jsonio
 from maxplusprob.density import ContinuousTestFunction, DensityMeasure
 
-from gen import random_classical, random_idempotent, random_space
+from gen import random_classical, random_idempotent, random_space, space_of
 
 IDEMPOTENT_DOC = {
     "space": ["a", "b"],
@@ -153,6 +155,42 @@ def test_tables_out_of_space_order_decode_alike():
     assert decode_point_map(maps[0]) == decode_point_map(maps[1])
     with pytest.raises(SchemaError, match=r"^map\.b: expected a string, got int$"):
         decode_point_map({**maps[0], "map": {"a": "x", "b": 1, "c": "y"}})
+
+
+def test_a_table_in_space_order_is_read_without_lookups():
+    lookups = []
+
+    class Table(dict):
+        def __getitem__(self, key):
+            lookups.append(key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            lookups.append(key)
+            return super().get(key, default)
+
+    abc = space_of(3)
+    assert jsonio._in_space_order(abc, Table(a=0.0, b=-1.0, c=BOTTOM)) == [0.0, -1.0, BOTTOM]
+    assert jsonio._in_space_order(abc, Table(a="x", b="y", c="x")) == ["x", "y", "x"]
+    assert lookups == []
+    # Any other order is read by lookups.
+    assert jsonio._in_space_order(abc, Table(c=3.0, a=1.0, b=2.0)) == [1.0, 2.0, 3.0]
+    assert lookups == ["a", "b", "c"]
+
+
+def test_a_defaultdict_with_wrong_keys_is_rejected_and_left_alone():
+    # A lookup by ``[]`` would insert the missing point into the caller's table.
+    abc = space_of(3)
+    for default, (u, v) in ((float, (0.0, -1.0)), (lambda: "x", ("x", "y"))):
+        for given_table, message in (
+            ({"a": u, "b": v}, "missing entries for points: ['c']"),
+            ({"b": v, "z": u, "a": u}, "missing entries for points: ['c']"),
+            ({"a": u, "b": v, "c": u, "z": v}, "entries given for unknown points: ['z']"),
+        ):
+            table = defaultdict(default, given_table)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                jsonio._in_space_order(abc, table)
+            assert list(table.items()) == list(given_table.items())
 
 
 def test_kind_must_be_one_of_the_two_strings():

@@ -8,7 +8,7 @@ import pickle
 import random
 import re
 from array import array
-from collections import UserList, defaultdict
+from collections import UserList
 from fractions import Fraction
 
 import pytest
@@ -278,42 +278,6 @@ def test_a_rejected_shift_is_named_as_given():
 # -- tables keyed by label --------------------------------------------------------
 
 XY = FiniteSpace(("x", "y"))
-
-
-def test_a_table_in_space_order_is_read_without_lookups():
-    lookups = []
-
-    class Table(dict):
-        def __getitem__(self, key):
-            lookups.append(key)
-            return super().__getitem__(key)
-
-        def get(self, key, default=None):
-            lookups.append(key)
-            return super().get(key, default)
-
-    abc = space_of(3)
-    assert measures.in_space_order(abc, Table(a=0.0, b=-1.0, c=BOTTOM)) == [0.0, -1.0, BOTTOM]
-    assert measures.in_space_order(abc, Table(a="x", b="y", c="x")) == ["x", "y", "x"]
-    assert lookups == []
-    # Any other order is read by lookups.
-    assert measures.in_space_order(abc, Table(c=3.0, a=1.0, b=2.0)) == [1.0, 2.0, 3.0]
-    assert lookups == ["a", "b", "c"]
-
-
-def test_a_defaultdict_with_wrong_keys_is_rejected_and_left_alone():
-    # A lookup by ``[]`` would insert the missing point into the caller's table.
-    abc = space_of(3)
-    for default, (u, v) in ((float, (0.0, -1.0)), (lambda: "x", ("x", "y"))):
-        for given_table, message in (
-            ({"a": u, "b": v}, "missing entries for points: ['c']"),
-            ({"b": v, "z": u, "a": u}, "missing entries for points: ['c']"),
-            ({"a": u, "b": v, "c": u, "z": v}, "entries given for unknown points: ['z']"),
-        ):
-            table = defaultdict(default, given_table)
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                measures.in_space_order(abc, table)
-            assert list(table.items()) == list(given_table.items())
 
 
 def test_a_table_keyed_by_label_is_no_sequence_of_values():
