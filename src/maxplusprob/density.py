@@ -180,7 +180,7 @@ def grid_space(n: int) -> FiniteSpace:
 
 
 def discretize(d: DensityMeasure, n: int) -> IdempotentMeasure:
-    """Sample a density on the ``n``-grid and renormalize the weights."""
+    """Sample a density on the ``n``-grid and normalize the weights."""
     return normalize_idempotent(grid_space(n), d.sample(grid_points(n)))
 
 

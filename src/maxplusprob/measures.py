@@ -25,10 +25,10 @@ may normalize them.  ``FiniteSpace._index``, the label lookup, is a cache
 built on the first lookup.  For a measure kind ``__post_init__`` is the
 only place its weights are checked, by the number rules of ``semiring``:
 ``_scalars`` for max-plus weights, ``_floats`` for masses, so
-``ClassicalMeasure`` is the only check on masses.  ``normalize_idempotent``
-and ``classical_measure`` take raw weights in space order and only shift
-or rescale them (``classical_measure`` reads masses only to rescale them);
-other operations build their results through the same constructors.
+``ClassicalMeasure`` is the only check on masses, and ``classical_measure``
+is the same constructor under a function's name.  ``normalize_idempotent``
+takes raw weights in space order and only shifts them; other operations
+build their results through the same constructors.
 """
 
 from __future__ import annotations
@@ -75,7 +75,8 @@ __all__ = [
 
 # A classical mass vector must sum to 1 this tightly once constructed.
 _SUM_TOL = 1e-12
-# Looser gate for raw input: beyond this the caller must ask for rescaling.
+# Looser gate for raw input: masses within it are divided by their sum,
+# masses beyond it are rejected.
 _INPUT_SUM_TOL = 1e-9
 
 
@@ -321,44 +322,7 @@ def normalize_idempotent(space: FiniteSpace, raw: Sequence[object]) -> Idempoten
     )
 
 
-def classical_measure(
-    space: FiniteSpace, weights: Sequence[object], renormalize: bool = False
-) -> ClassicalMeasure:
-    """Build a classical measure from masses in space order.
-
-    ``ClassicalMeasure`` checks the masses: sums further than 1e-9 from 1
-    are rejected, since silent rescaling of malformed input tends to
-    hide ingestion bugs.  With ``renormalize`` set, valid masses outside
-    that gate are divided by their sum first (by the largest mass before
-    that, when the sum overflows), and a positive mass that the
-    division rounds to 0 raises ``ValueError`` naming its point; anything
-    else goes to the constructor as given, so its error names the value
-    passed.
-    """
-    values = weights
-    if renormalize and len(_of_kind(space, FiniteSpace)) == len(values := _floats(weights)) and (
-        0.0 <= min(values) <= max(values) < math.inf
-    ):
-        given, top = values, 1.0
-        try:
-            total = math.fsum(values)
-        except OverflowError:  # finite masses summing beyond the float range
-            top = max(values)
-            values = tuple([v / top for v in values])
-            total = math.fsum(values)
-        if 0.0 < total < math.inf and abs(total - 1.0) > _INPUT_SUM_TOL:
-            values = tuple([v / total for v in values])
-        if values is not given and values.count(0.0) != given.count(0.0):
-            label, mass = next(
-                (p, v) for p, v, r in zip(space.points, given, values) if r == 0.0 < v
-            )
-            # A total beyond the float range is shown as its two factors.
-            shown = repr(top * total) if top * total < math.inf else f"{top!r} * {total!r}"
-            raise ValueError(
-                f"mass {mass!r} of point {label!r} underflows to 0 when divided by"
-                f" the total {shown}; the rescale would drop it from the support"
-            )
-    return ClassicalMeasure(space, values)
+classical_measure = ClassicalMeasure
 
 
 # -- evaluation and support --------------------------------------------------

@@ -21,8 +21,8 @@ the one overflow rule, so no sum changes a support silently.
 ``_of_kind`` is the one kind rule: every operation that takes a space, a
 measure, a function or a map, and every value built on a space, passes it
 there, and anything else raises ``TypeError`` naming the need; ``_labels``
-likewise refuses a bare string or a mapping where a collection of labels
-is expected.
+likewise refuses a bare string, a mapping or a non-collection where a
+collection of labels is expected.
 """
 
 from __future__ import annotations
@@ -163,7 +163,10 @@ def _labels(value: object, what: str) -> tuple:
         raise TypeError(f"{what} must be a collection of labels, got the string {value!r}")
     if isinstance(value, Mapping):
         raise TypeError(f"{what} must be a collection of labels, got a {type(value).__name__}")
-    return tuple(value)
+    try:
+        return tuple(value)
+    except TypeError:
+        raise TypeError(f"{what} must be a collection of labels, got {_shown(value)}") from None
 
 
 # The size budget of a space built from sizes: a grid's cells, a product's pairs.

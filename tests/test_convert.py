@@ -23,6 +23,7 @@ from maxplusprob import (
 )
 
 from gen import (
+    EDGE_REFUSALS,
     classical_on,
     extreme_masses,
     extreme_spaces,
@@ -31,6 +32,7 @@ from gen import (
     random_classical,
     random_idempotent,
     random_space,
+    rescaled,
     space_of,
     spaces,
 )
@@ -201,7 +203,7 @@ def test_log_ratio_is_continuous_along_a_mass_sequence():
     limit = to_idempotent(classical_measure(ABC, base))
     for t in (1, 2, 5, 10, 100, 1000, 10_000):
         masses = tuple(b + d / t for b, d in zip(base, direction))
-        step = to_idempotent(classical_measure(ABC, masses, renormalize=True))
+        step = to_idempotent(rescaled(ABC, masses))
         gap = max(abs(x - y) for x, y in zip(step.weights, limit.weights))
         assert gap <= 0.5 / t
 
@@ -246,7 +248,7 @@ def test_injective_maps_have_zero_gap(mu, rng):
 
 def test_merging_equal_masses_keeps_gap_zero():
     # The mismatch needs unequal masses in one fiber; a tie merges
-    # without error because max and sum then renormalize identically.
+    # without error because max and sum then normalize identically.
     f = PointMap(AB, space_of(1), ("a", "a"))
     mu = classical_measure(AB, (0.5, 0.5))
     assert naturality_gap(f, mu) == 0.0
@@ -256,11 +258,12 @@ def test_merging_equal_masses_keeps_gap_zero():
 
 
 def _built(call, *args):
-    # The measure, or None when building it raises (an overflowing shift or
-    # a rescale that would drop a mass); the gaps are what is tested here.
+    # The measure, or None when building it is refused at the float's edges
+    # (an overflowing shift, no support); the gaps are what is tested here.
     try:
         return call(*args)
-    except ValueError:
+    except ValueError as err:
+        assert EDGE_REFUSALS.search(str(err)), str(err)
         return None
 
 
@@ -277,7 +280,7 @@ def test_gaps_are_finite_or_name_the_underflow_at_the_float_edges(n, ys, data):
     images = data.draw(st.lists(st.sampled_from(y.points), min_size=n, max_size=n))
     f = PointMap(x, y, tuple(images))
     mu = _built(normalize_idempotent, x, [BOTTOM if w == "-inf" else w for w in raw])
-    nu = _built(classical_measure, x, masses, True) if max(masses) > 0.0 else None
+    nu = rescaled(x, masses) if max(masses) > 0.0 else None
     assume(mu is not None or nu is not None)
     calls = [(roundtrip_gap, m) for m in (mu, nu) if m is not None]
     calls += [(naturality_gap, f, nu)] if nu is not None else []

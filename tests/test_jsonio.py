@@ -321,7 +321,7 @@ def test_encoded_measures_are_json_serializable():
 
 
 def test_counterexample_report_document_shape():
-    report = verify_counterexample(random_pairs=50)
+    report = verify_counterexample()
     doc = encode_counterexample_report(report)
     assert set(doc) == {"classical_injective", "idempotent_witness", "naturality_gap"}
     witness = doc["idempotent_witness"]

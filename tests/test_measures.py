@@ -48,6 +48,7 @@ from maxplusprob import (
 from maxplusprob import measures
 
 from gen import (
+    EDGE_REFUSALS,
     awkward_spaces,
     edge_magnitude,
     extreme_masses,
@@ -58,6 +59,7 @@ from gen import (
     random_function,
     random_idempotent,
     random_space,
+    rescaled,
     space_of,
 )
 
@@ -152,10 +154,10 @@ def test_ints_beyond_the_float_range_are_not_finite():
     with pytest.raises(ValueError, match="finite and >= 0, got inf$"):
         ClassicalMeasure(AB, (1.0, huge))
     with pytest.raises(ValueError, match="finite and >= 0, got -inf$"):
-        classical_measure(AB, (1.0, -huge), renormalize=True)
-    # Beside finite masses whose sum overflows, too: no rescale is tried.
+        classical_measure(AB, (1.0, -huge))
+    # Beside finite masses whose sum overflows, too.
     with pytest.raises(ValueError, match="finite and >= 0, got inf$"):
-        classical_measure(space_of(3), (huge, 1e308, 1e308), renormalize=True)
+        classical_measure(space_of(3), (huge, 1e308, 1e308))
     with pytest.raises(ValueError, match="must be finite: inf$"):
         TestFunction(AB, (1, huge))
     with pytest.raises(ValueError, match="not a max-plus scalar"):
@@ -182,9 +184,6 @@ def test_idempotent_weights_are_coerced_when_not_all_floats():
         values = value.values if isinstance(value, TestFunction) else value.weights
         return [v if v is BOTTOM else (type(v), v.hex()) for v in values]
 
-    def rescaled(space, masses):
-        return classical_measure(space, masses, renormalize=True)
-
     abc = space_of(3)
     for build, ints, floats in (
         (IdempotentMeasure, (0, -1.5, BOTTOM), (0.0, -1.5, BOTTOM)),
@@ -193,7 +192,6 @@ def test_idempotent_weights_are_coerced_when_not_all_floats():
         (normalize_idempotent, (3, -2, 1), (3.0, -2.0, 1.0)),
         (TestFunction, (3, -2, 1), (3.0, -2.0, 1.0)),
         (classical_measure, (0, 1, 0), (0.0, 1.0, 0.0)),
-        (rescaled, (1, 1, 2), (1.0, 1.0, 2.0)),
     ):
         assert bits(build(abc, ints)) == bits(build(abc, floats))
     doc = {"space": list("abc"), "kind": "idempotent", "weights": {"a": 0, "b": -2, "c": "-inf"}}
@@ -290,7 +288,6 @@ def test_a_table_keyed_by_label_is_no_sequence_of_values():
         (classical_measure, "^not a real number: 'a'$"),
         (ClassicalMeasure, "^not a real number: 'a'$"),
         (TestFunction, "^not a real number: 'a'$"),
-        (lambda s, t: classical_measure(s, t, renormalize=True), "^not a real number: 'a'$"),
     ):
         with pytest.raises(ValueError, match=message):
             build(AB, {"a": 0.0, "b": 0.0})
@@ -435,28 +432,24 @@ def test_classical_validation_gate():
     assert mu.weights == (0.5, 0.5)
     with pytest.raises(ValueError, match=r"^weights sum to 1\.1, not 1$"):
         classical_measure(AB, (0.5, 0.6))
-    rescaled = classical_measure(AB, (0.5, 0.6), renormalize=True)
-    assert math.isclose(sum(rescaled.weights), 1.0, abs_tol=1e-15)
     with pytest.raises(ValueError):
         classical_measure(AB, (-0.1, 1.1))
     with pytest.raises(ValueError, match="empty support"):
-        classical_measure(AB, (0.0, 0.0), renormalize=True)
+        classical_measure(AB, (0.0, 0.0))
     # A length mismatch is caught by the aligner and by the constructor.
     with pytest.raises(ValueError, match="one weight per point"):
         classical_measure(AB, (1.0,))
     with pytest.raises(ValueError, match="one weight per point"):
         ClassicalMeasure(AB, (1.0,))
-    # Rescaling is asked for, but the constructor still rejects invalid
-    # masses, naming the value that was passed rather than a quotient.
+    # Invalid masses are named as passed, whatever their sum.
     cases = (((-0.5, 2.0), "-0.5"), ((math.nan, 1.0), "nan"), ((math.inf, 1.0), "inf"))
     for raw, shown in cases:
         with pytest.raises(ValueError, match=f"finite and >= 0, got {shown}$"):
-            classical_measure(AB, raw, renormalize=True)
+            classical_measure(AB, raw)
 
 
 def test_classical_measure_checks_masses_once(monkeypatch):
-    # Within the gate the masses meet one number check, the constructor's;
-    # only a rescale reads them as numbers before it.
+    # The masses meet one number check, the constructor's.
     calls = []
     original = measures._floats
 
@@ -473,9 +466,6 @@ def test_classical_measure_checks_masses_once(monkeypatch):
         calls.clear()
         assert classical_measure(AB, raw).weights == stored
         assert len(calls) == 1, raw
-    calls.clear()
-    classical_measure(AB, (0.5, 0.6), renormalize=True)
-    assert len(calls) == 2
 
 
 def test_classical_constructor_names_the_first_bad_weight():
@@ -504,10 +494,9 @@ def test_classical_within_gate_is_rescaled_to_invariant():
     direct = ClassicalMeasure(AB, raw)
     assert abs(math.fsum(direct.weights) - 1.0) <= 1e-12
     assert direct.weights == tuple(w / math.fsum(raw) for w in raw)
-    # Masses that already meet 1e-12 are kept bit for bit, even when
-    # rescaling is asked for.
+    # Masses that already meet 1e-12 are kept bit for bit.
     kept = (0.5, 0.5 + 5e-13)
-    assert classical_measure(AB, kept, renormalize=True).weights == kept
+    assert classical_measure(AB, kept).weights == kept
 
 
 def test_classical_constructor_is_idempotent():
@@ -517,21 +506,8 @@ def test_classical_constructor_is_idempotent():
         raw = [rng.uniform(0.0, 1.0) for _ in space.points]
         if max(raw) == 0.0:
             raw[0] = 1.0
-        mu = classical_measure(space, raw, renormalize=True)
+        mu = rescaled(space, raw)
         assert classical_measure(space, mu.weights) == mu
-
-
-def test_rescale_that_rounds_a_mass_to_zero_names_the_point():
-    # 1e-300 / 1e308 underflows: the rescale would drop b from the support.
-    with pytest.raises(ValueError, match="mass 1e-300 of point 'b' underflows to 0"):
-        classical_measure(AB, (1e308, 1e-300), renormalize=True)
-    # A total beyond the float range is named by its two factors, not as inf.
-    with pytest.raises(
-        ValueError,
-        match=r"^mass 5e-324 of point 'a' underflows to 0 when divided by the total "
-        r"1\.7976931348623157e\+308 \* 2\.0; the rescale",
-    ):
-        classical_measure(space_of(3), (5e-324, MAX, MAX), renormalize=True)
 
 
 def test_masses_summing_beyond_the_float_range():
@@ -540,29 +516,10 @@ def test_masses_summing_beyond_the_float_range():
     with pytest.raises(ValueError, match="^the weights' sum exceeds the float range$"):
         ClassicalMeasure(AB, (1e308, 1e308))
     with pytest.raises(ValueError, match="^the weights' sum exceeds the float range$"):
-        classical_measure(AB, (1e308, 1e308))
-    assert classical_measure(AB, (1e308, 1e308), renormalize=True).weights == (0.5, 0.5)
-    abc = space_of(3)
-    mu = classical_measure(abc, (1.7e308, 1.7e308, 3.0), renormalize=True)
-    assert mu.weights[:2] == (0.5, 0.5) and 0.0 < mu.weights[2] < 1e-307
-    with pytest.raises(ValueError, match="mass 5e-324 of point .* underflows to 0"):
-        classical_measure(abc, (1e308, 1e308, 5e-324), renormalize=True)
-
-
-def test_rescale_of_a_sum_within_the_float_range_divides_by_fsum():
-    rng = random.Random(83)
-    for _ in range(200):
-        space = random_space(rng)
-        scale = 10.0 ** rng.randint(-300, 300)
-        raw = [rng.uniform(0.0, 10.0) * scale for _ in space.points]
-        total = math.fsum(raw)
-        want = tuple(v / total for v in raw)
-        if abs(math.fsum(want) - 1.0) > 1e-12:
-            want = tuple(v / math.fsum(want) for v in want)
-        assert classical_measure(space, raw, renormalize=True).weights == want
+        classical_measure(space_of(3), (1.7e308, 1.7e308, 3.0))
 
 def test_classical_support_and_evaluation():
-    mu = classical_measure(AB, (1.0, 0.0), renormalize=True)
+    mu = classical_measure(AB, (1.0, 0.0))
     assert support(mu) == frozenset({"a"})
     phi = TestFunction(AB, (2.0, 4.0))
     assert evaluate_classical(point_mass(AB, "a"), phi) == 2.0
@@ -596,7 +553,7 @@ def test_classical_evaluate_never_overflows_on_random_masses():
     for _ in range(2_000):
         space = space_of(rng.randint(2, 6))
         raw = [rng.random() for _ in space.points]
-        mu = classical_measure(space, raw, renormalize=True)
+        mu = rescaled(space, raw)
         constant = evaluate(mu, TestFunction(space, (MAX,) * len(space)))
         assert constant <= MAX and constant == pytest.approx(MAX, rel=1e-12)
         values = tuple(rng.choice((MAX, -MAX, MAX / 3, 1.0)) for _ in space.points)
@@ -612,12 +569,12 @@ _INFINITY = re.compile(r"(?<![\w.])-?inf\b")
 
 
 def _at_the_edge(call, *args):
-    # The call's answer, or None for a ValueError that names no infinity:
-    # every input here is finite.  Any other exception fails the test.
+    # The call's answer, or None for a float-edge refusal that names no
+    # infinity: every input here is finite.  Any other exception fails the test.
     try:
         return call(*args)
     except ValueError as err:
-        assert not _INFINITY.search(str(err)), str(err)
+        assert EDGE_REFUSALS.search(str(err)) and not _INFINITY.search(str(err)), str(err)
         return None
 
 
@@ -647,7 +604,7 @@ def test_library_calls_at_the_float_edges_answer_or_name_the_problem(labels, dat
     mu = _at_the_edge(normalize_idempotent, space, tuple(raw.values()))
     valid(mu, {p for p, w in raw.items() if w is not BOTTOM})
     masses = table(extreme_masses)
-    rho = _at_the_edge(classical_measure, space, tuple(masses.values()), True)
+    rho = _at_the_edge(rescaled, space, tuple(masses.values()))
     valid(rho, {p for p, m in masses.items() if m > 0.0})
     phi = TestFunction(space, tuple(table(extreme_values).values()))
     valid(_at_the_edge(phi.shift, data.draw(extreme_values)))
@@ -912,29 +869,25 @@ def test_classical_measure_reads_every_container_alike():
     # Masses in space order give one result or one error in any sequence.
     abc = space_of(3)
 
-    def outcome(raw, renormalize):
+    def outcome(raw):
         try:
-            mu = classical_measure(abc, raw, renormalize=renormalize)
+            mu = classical_measure(abc, raw)
         except ValueError as error:
             return str(error)
         return tuple(map(repr, mu.weights))  # keeps -0.0 apart from 0.0
 
     cases = (
-        ((1, 0, 0), ("1.0", "0.0", "0.0"), ("1.0", "0.0", "0.0")),
-        ((1, 1, 2), "weights sum to 4.0, not 1", ("0.25", "0.25", "0.5")),
-        ((True, 0.0, 0.0), "not a real number: True", "not a real number: True"),
-        ((0.5, None, 0.5), "not a real number: None", "not a real number: None"),
-        ((0.5, math.nan, 0.5), "classical weights must be finite and >= 0, got nan",
-         "classical weights must be finite and >= 0, got nan"),
-        ((-0.0, 0.5, 0.5), ("-0.0", "0.5", "0.5"), ("-0.0", "0.5", "0.5")),
-        ((-0.0, 1.0, 1.0), "weights sum to 2.0, not 1", ("-0.0", "0.5", "0.5")),
-        ((5e-324, 1.0, 1.0), "weights sum to 2.0, not 1",
-         "mass 5e-324 of point 'a' underflows to 0 when divided by the total 2.0;"
-         " the rescale would drop it from the support"),
+        ((1, 0, 0), ("1.0", "0.0", "0.0")),
+        ((1, 1, 2), "weights sum to 4.0, not 1"),
+        ((True, 0.0, 0.0), "not a real number: True"),
+        ((0.5, None, 0.5), "not a real number: None"),
+        ((0.5, math.nan, 0.5), "classical weights must be finite and >= 0, got nan"),
+        ((-0.0, 0.5, 0.5), ("-0.0", "0.5", "0.5")),
+        ((-0.0, 1.0, 1.0), "weights sum to 2.0, not 1"),
+        ((5e-324, 1.0, 1.0), "weights sum to 2.0, not 1"),
     )
-    for values, plain, rescaled in cases:
+    for values, expected in cases:
         forms = [list(values), tuple(values), UserList(values)]
         if not any(isinstance(v, bool) or v is None for v in values):
             forms.append(array("d", values))
-        for renormalize, expected in ((False, plain), (True, rescaled)):
-            assert [outcome(raw, renormalize) for raw in forms] == [expected] * len(forms)
+        assert [outcome(raw) for raw in forms] == [expected] * len(forms)

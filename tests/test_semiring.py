@@ -49,10 +49,9 @@ from maxplusprob import (
     point_mass,
     scalar_distance,
     support_meets,
-    verify_counterexample,
 )
 
-from gen import finite_values, scalars
+from gen import finite_values, rescaled, scalars
 
 
 def test_bottom_is_a_singleton():
@@ -185,7 +184,7 @@ def test_halved_fold_undoes_its_scaling():
     for _ in range(2_000):
         n = rng.randint(1, 6)
         raw = [rng.random() for _ in range(n)]
-        masses = classical_measure(FiniteSpace(tuple("abcdef"[:n])), raw, renormalize=True)
+        masses = rescaled(FiniteSpace(tuple("abcdef"[:n])), raw)
         values = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-290, 300) for _ in range(n)]
         fast = semiring._sum_product_dot(masses.weights, values)
         if min(values) <= fast <= max(values):
@@ -201,8 +200,8 @@ LINE = ContinuousTestFunction(((0.0, 0.0), (1.0, 1.0)), 1.0)
 DENSITY = DensityMeasure(((0.0, 0.0), (1.0, -1.0)), 1.0)
 
 NOT_REALS = ("0.5", True, None, 10**400, -(10**400), math.nan, math.inf, -math.inf)
-# A huge positive count would be honoured (a grid of that many points, or
-# that many sampled pairs), so none is passed.
+# A huge positive count would be honoured (a grid of that many points), so
+# none is passed.
 NOT_COUNTS = ("0.5", True, None, -(10**400), math.nan, math.inf, 2.5, -1)
 
 ENTRY_POINTS = {
@@ -210,10 +209,7 @@ ENTRY_POINTS = {
     "TestFunction.shift": (PHI.shift, NOT_REALS),
     "IdempotentMeasure": (lambda v: IdempotentMeasure(AB, (0.0, v)), NOT_REALS),
     "ClassicalMeasure": (lambda v: ClassicalMeasure(AB, (1.0, v)), NOT_REALS),
-    "classical_measure": (
-        lambda v: classical_measure(AB, {"a": v, "b": 1.0}, renormalize=True),
-        NOT_REALS,
-    ),
+    "classical_measure": (lambda v: classical_measure(AB, (1.0, v)), NOT_REALS),
     "normalize_idempotent": (lambda v: normalize_idempotent(AB, [v, 0.0]), NOT_REALS),
     "as_scalar": (as_scalar, NOT_REALS),
     "SegmentPoint": (lambda v: SegmentPoint(0.0, v), NOT_REALS),
@@ -250,12 +246,6 @@ ENTRY_POINTS = {
     "eval_density_measure": (
         lambda v: eval_density_measure(DENSITY, LINE, v), NOT_COUNTS
     ),
-    "verify_counterexample": (
-        lambda v: verify_counterexample(random_pairs=v), NOT_COUNTS
-    ),
-    "verify_counterexample seed": (
-        lambda v: verify_counterexample(random_pairs=0, seed=v), NOT_COUNTS
-    ),
 }
 # Sampling reads a non-finite real as numpy.interp does (+-inf, NaN).
 READS_NON_FINITE = {"PiecewiseLinear.sample", "PiecewiseLinear.__call__"}
@@ -276,7 +266,7 @@ def test_every_number_entry_point_answers_a_bad_value_with_value_error(name):
 
 # Entry points that reject an int past Python's 4,300-digit limit for
 # int-to-string conversion, by the signs they reject: a huge atom budget
-# or seed is valid.
+# is valid.
 LONG_INT_SIGNS = {
     "grid_points": (1, -1),
     "approx_coefficients": (1, -1),
@@ -286,7 +276,6 @@ LONG_INT_SIGNS = {
     "as_scalar": (1, -1),
     "maxplus_combine": (1, -1),
     "has_support_at_most": (-1,),
-    "verify_counterexample seed": (-1,),
     "eval_density_measure": (1, -1),
 }
 
@@ -437,8 +426,6 @@ SPACE_KIND_RULE = [
     ("dirac", (S, "a"), {}),
     ("point_mass", (S, "a"), {}),
     ("normalize_idempotent", (S, (1.0, 0.0)), {}),
-    ("classical_measure", (S, (0.5, 0.5)), {}),
-    ("classical_measure", (S, (1.0, 1.0)), {"renormalize": True}),
     ("product_space", (S, AB), {}),
     ("product_space", (AB, S), {}),
     ("PointMap.identity", (S,), {}),
@@ -483,21 +470,15 @@ def test_the_kind_rule_covers_every_operation_that_takes_a_space():
     assert takers == {name for name, _, _ in SPACE_KIND_RULE}
 
 
-# Every public parameter with a default, and the default, in one literal: a new
-# option shows up in one diff.
-PUBLIC_OPTIONS = {
-    "classical_measure": {"renormalize": False},
-    "verify_counterexample": {"random_pairs": 10_000, "seed": 0},
-}
-
-
-def test_the_public_options_are_pinned():
+def test_the_library_has_no_public_options():
+    # Every public callable takes what it needs and nothing else: a parameter
+    # with a default is a knob, and a new one fails here by name.
     options = {}
     for name, op in _public_callables():
         parameters = inspect.signature(op).parameters.values()
         if defaults := {p.name: p.default for p in parameters if p.default is not p.empty}:
             options[name] = defaults
-    assert options == PUBLIC_OPTIONS
+    assert options == {}
 
 
 # The public names, in one literal: a change to them shows up in one diff.
@@ -581,6 +562,10 @@ def test_no_collection_of_labels_is_read_from_a_mapping():
             message = f"{what} must be a collection of labels, got a {type(given_table).__name__}"
             with pytest.raises(TypeError, match=f"^{message}$"):
                 call(given_table)
+        # Nor from a value that is no collection: named, not "not iterable".
+        for bad in (None, 5):
+            with pytest.raises(TypeError, match=f"^{what} must be a collection of labels, got {bad}$"):
+                call(bad)
     assert PointMap(AB, AB, tuple(table.values()))("a") == "b"
 
 

@@ -28,7 +28,6 @@ from maxplusprob import (
     TestFunction,
     approx_toward_measure,
     approx_toward_point,
-    classical_measure,
     compose,
     decode_measure,
     dirac,
@@ -45,6 +44,8 @@ from maxplusprob import (
     to_idempotent,
 )
 from maxplusprob import jsonio, measures
+
+from gen import rescaled
 
 SIZES = (10, 1_000, 100_000)
 
@@ -64,7 +65,7 @@ def _classical(rng: random.Random, space: FiniteSpace):
     # A fifth of the atoms without mass, the rest in [0.05, 1], rescaled.
     raw = [0.0 if rng.random() < 0.2 else rng.uniform(0.05, 1.0) for _ in space]
     raw[rng.randrange(len(raw))] = 1.0
-    return classical_measure(space, raw, renormalize=True)
+    return rescaled(space, raw)
 
 
 def _stored(masses: list[float]) -> tuple[float, ...]:
@@ -377,7 +378,7 @@ def test_conversion_and_mixing_match_reference_loops(n):
         space, _with_negative_zero(rng, _idempotent(rng, space).weights)
     )
     masses = _with_negative_zero(rng, _classical(rng, space).weights)
-    nu = classical_measure(space, masses, renormalize=True)
+    nu = rescaled(space, masses)
     phi = TestFunction(
         space, _with_negative_zero(rng, tuple(rng.uniform(-10.0, 10.0) for _ in space))
     )
