@@ -765,9 +765,32 @@ def test_counterexample_validates_every_classical_construction(monkeypatch):
     assert report.grid_pairs_checked == 4186 and report.classical_injective
 
 
-def test_counterexample_samples_exact_points_of_the_simplex(monkeypatch):
+def _drawn_from(monkeypatch, seed):
+    # The probe draws from ``random.Random(0)``; here it draws from ``seed``
+    # instead, so its verdicts are checked on other draws as well.
+    fixed = random.Random
+
+    def seeded(given):
+        assert given == 0
+        return fixed(seed)
+
+    monkeypatch.setattr(random, "Random", seeded)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_counterexample_holds_for_other_seeds(monkeypatch, seed):
+    _drawn_from(monkeypatch, seed)
+    report = verify_counterexample()
+    assert report.random_pairs_checked == 10_000
+    assert report.grid_pairs_checked == 4186
+    assert report.classical_injective
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_counterexample_samples_exact_points_of_the_simplex(monkeypatch, seed):
     # Each sample is the spacings of two sorted draws: three exact masses
     # summing to exactly 1, which the constructor stores bit for bit.
+    _drawn_from(monkeypatch, seed)
     validate = ClassicalMeasure.__post_init__
     built = []
 

@@ -518,6 +518,33 @@ def test_masses_summing_beyond_the_float_range():
     with pytest.raises(ValueError, match="^the weights' sum exceeds the float range$"):
         classical_measure(space_of(3), (1.7e308, 1.7e308, 3.0))
 
+
+def test_rescale_of_a_sum_within_the_float_range_divides_by_fsum():
+    # The tests' rescale divides by the sum; the constructor then moves a
+    # sum within its gate to 1 as it does for any masses.
+    rng = random.Random(83)
+    for _ in range(200):
+        space = random_space(rng)
+        scale = 10.0 ** rng.randint(-300, 300)
+        raw = [rng.uniform(0.0, 10.0) * scale for _ in space.points]
+        total = math.fsum(raw)
+        want = tuple(v / total for v in raw)
+        if abs(math.fsum(want) - 1.0) > 1e-12:
+            want = tuple(v / math.fsum(want) for v in want)
+        assert rescaled(space, raw).weights == want
+
+
+def test_rescale_that_would_drop_a_mass_builds_nothing():
+    # 1e-300 / 1e308 underflows to 0, and a sum past the float range gives
+    # no quotient: each would take a point out of the support.
+    assert rescaled(AB, (1e308, 1e-300)) is None
+    assert rescaled(AB, (1e308, 1e308)) is None
+    assert rescaled(space_of(3), (5e-324, MAX, MAX)) is None
+    # Within the range, a subnormal mass that survives the division is kept.
+    mu = rescaled(space_of(3), (1e-300, 1.0, 1.0))
+    assert mu.weights[0] > 0.0 and support(mu) == frozenset(space_of(3).points)
+
+
 def test_classical_support_and_evaluation():
     mu = classical_measure(AB, (1.0, 0.0))
     assert support(mu) == frozenset({"a"})

@@ -429,6 +429,9 @@ SPACE_KIND_RULE = [
     ("product_space", (S, AB), {}),
     ("product_space", (AB, S), {}),
     ("PointMap.identity", (S,), {}),
+    ("classical_measure", (S, (0.5, 0.5)), {}),
+    ("ClassicalMeasure", (S, (0.5, 0.5)), {}),
+    ("IdempotentMeasure", (S, (0.0, -1.0)), {}),
 ]
 
 
@@ -449,13 +452,14 @@ def test_every_operation_states_the_space_it_needs(name, args, options):
 
 
 def _public_callables():
-    # ``(name, callable)`` for each public function and each public method of
-    # a public class.
+    # ``(name, callable)`` for each public function, each public class (its
+    # constructor) and each public method of a public class.
     for name in maxplusprob.__all__:
         value = getattr(maxplusprob, name)
         if inspect.isfunction(value):
             yield name, value
         elif inspect.isclass(value):
+            yield name, value
             for attr in vars(value):
                 if not attr.startswith("_") and callable(method := getattr(value, attr)):
                     yield f"{name}.{attr}", method
@@ -467,7 +471,8 @@ def test_the_kind_rule_covers_every_operation_that_takes_a_space():
         for name, op in _public_callables()
         if any(p.annotation == "FiniteSpace" for p in inspect.signature(op).parameters.values())
     }
-    assert takers == {name for name, _, _ in SPACE_KIND_RULE}
+    # ``Measure`` itself builds nothing: it names the two kinds to build.
+    assert takers - {"Measure"} == {name for name, _, _ in SPACE_KIND_RULE}
 
 
 def test_the_library_has_no_public_options():
@@ -562,11 +567,23 @@ def test_no_collection_of_labels_is_read_from_a_mapping():
             message = f"{what} must be a collection of labels, got a {type(given_table).__name__}"
             with pytest.raises(TypeError, match=f"^{message}$"):
                 call(given_table)
-        # Nor from a value that is no collection: named, not "not iterable".
-        for bad in (None, 5):
-            with pytest.raises(TypeError, match=f"^{what} must be a collection of labels, got {bad}$"):
-                call(bad)
     assert PointMap(AB, AB, tuple(table.values()))("a") == "b"
+
+
+@pytest.mark.parametrize("bad", [None, 5])
+@pytest.mark.parametrize(
+    "what, call",
+    [
+        ("points", FiniteSpace),
+        ("assignment", lambda t: PointMap(AB, AB, t)),
+        ("targets", lambda t: support_meets(MU, t)),
+    ],
+    ids=["FiniteSpace", "PointMap", "support_meets"],
+)
+def test_a_value_that_is_no_collection_of_labels_is_named(what, call, bad):
+    # Named with the rule it breaks, not as Python's bare "not iterable".
+    with pytest.raises(TypeError, match=f"^{what} must be a collection of labels, got {bad}$"):
+        call(bad)
 
 
 def test_unknown_targets_of_mixed_types_are_named_in_order():
