@@ -40,7 +40,7 @@ from .measures import (
     normalize_idempotent,
 )
 from .record import Record
-from .semiring import _MAX_SIZE, _count, _floats, _shown
+from .semiring import _MAX_SIZE, _collection, _count, _floats, _of_kind, _shown
 
 __all__ = [
     "ContinuousTestFunction",
@@ -147,6 +147,8 @@ class DensityMeasure(PiecewiseLinear):
     on a probe grid.
     """
 
+    noun = "density"
+
     def __post_init__(self) -> None:
         super().__post_init__()
         top = self.peak
@@ -160,6 +162,8 @@ class DensityMeasure(PiecewiseLinear):
 
 class ContinuousTestFunction(PiecewiseLinear):
     """A piecewise-linear test function on ``[0, 1]``."""
+
+    noun = "continuous function"
 
 
 def _grid_size(n: object, what: str = "the grid size", least: int = 1) -> int:
@@ -181,12 +185,14 @@ def grid_space(n: int) -> FiniteSpace:
 
 def discretize(d: DensityMeasure, n: int) -> IdempotentMeasure:
     """Sample a density on the ``n``-grid and normalize the weights."""
-    return normalize_idempotent(grid_space(n), d.sample(grid_points(n)))
+    weights = _of_kind(d, DensityMeasure).sample(grid_points(n))
+    return normalize_idempotent(grid_space(n), weights)
 
 
 def sample_function(phi: ContinuousTestFunction, n: int) -> TestFunction:
     """Restrict a continuous test function to the ``n``-grid."""
-    return TestFunction(grid_space(n), tuple(phi.sample(grid_points(n))))
+    values = _of_kind(phi, ContinuousTestFunction).sample(grid_points(n))
+    return TestFunction(grid_space(n), tuple(values))
 
 
 def eval_density_measure(
@@ -197,6 +203,7 @@ def eval_density_measure(
     ``resolution`` is the cell count, from 10000 to 10**6; the value is
     ``numpy.interp``'s fine-grid maximum bit for bit.
     """
+    d, phi = _of_kind(d, DensityMeasure), _of_kind(phi, ContinuousTestFunction)
     _grid_size(resolution, "the resolution", _MIN_RESOLUTION)
     xs = grid_points(resolution)
     return max(map(add, d.sample(xs), phi.sample(xs)))
@@ -222,6 +229,7 @@ class ConvergenceReport(Record):
     reference: float
     within_bound: bool
     non_increasing: bool
+    noun = "convergence report"
 
 
 def convergence_report(
@@ -234,7 +242,8 @@ def convergence_report(
     the largest sum at a breakpoint of ``d`` or ``phi``.  Lipschitz bounds
     whose sum leaves the float range raise ``ValueError``.
     """
-    sizes = sorted({_grid_size(n) for n in ns})
+    d, phi = _of_kind(d, DensityMeasure), _of_kind(phi, ContinuousTestFunction)
+    sizes = sorted({_grid_size(n) for n in _collection(ns, "the grid sizes", "integers")})
     if not sizes:
         raise ValueError("at least one grid size is required")
     if not math.isfinite(phi.lipschitz + d.lipschitz):

@@ -33,7 +33,7 @@ from .measures import (
     classical_measure,  # not called here; bench/spans.py wraps functors.classical_measure
 )
 from .record import Record
-from .semiring import _MAX_SIZE, MAX_PLUS, _labels, _of_kind, _shown, _summed
+from .semiring import _MAX_SIZE, MAX_PLUS, _collection, _of_kind, _shown, _summed
 
 __all__ = [
     "CounterexampleReport",
@@ -70,7 +70,7 @@ class PointMap(Record):
     noun = "map"
 
     def __post_init__(self) -> None:
-        assignment = _labels(self.assignment, "assignment")
+        assignment = _collection(self.assignment, "assignment", "labels")
         self.__dict__["assignment"] = assignment
         if len(assignment) != len(_of_kind(self.domain, FiniteSpace)):
             raise ValueError("one image per domain point is required")
@@ -280,6 +280,7 @@ class CounterexampleReport(Record):
     witness_image_under_g: IdempotentMeasure
     witness_images_equal: bool
     naturality_gap: float
+    noun = "counterexample report"
 
 
 def _fixture() -> tuple[FiniteSpace, PointMap, PointMap]:

@@ -44,7 +44,8 @@ from .measures import (
 )
 from .record import Record
 from .semiring import (
-    BOTTOM, MaxPlusValue, _floats, _labels, _of_kind, _shown, as_scalar, mp_exp, mp_ln, odot, oplus
+    BOTTOM, MaxPlusValue, _collection, _floats, _of_kind, _shown, as_scalar, mp_exp, mp_ln,
+    odot, oplus,
 )
 
 __all__ = [
@@ -69,6 +70,7 @@ class SegmentPoint(Record):
 
     alpha: MaxPlusValue
     beta: MaxPlusValue
+    noun = "segment point"
 
     def __post_init__(self) -> None:
         alpha = as_scalar(self.alpha)
@@ -94,6 +96,7 @@ def scalar_distance(x: MaxPlusValue, y: MaxPlusValue) -> float:
 
 def segment_distance(p: SegmentPoint, q: SegmentPoint) -> float:
     """Coefficientwise metric on a common segment (see the module notes)."""
+    p, q = _of_kind(p, SegmentPoint), _of_kind(q, SegmentPoint)
     return scalar_distance(p.alpha, q.alpha) + scalar_distance(p.beta, q.beta)
 
 
@@ -185,7 +188,7 @@ def support_meets(mu: Measure, targets: Iterable[str]) -> bool:
     not respect intersections; the geometry tests carry a two-set
     counterexample.
     """
-    given = _labels(targets, "targets")
+    given = _collection(targets, "targets", "labels")
     space = _of_kind(mu, Measure).space
     # Membership first, on the labels as given: an unhashable one is in no space.
     # Each label once, the first of equal ones kept, as a set keeps it.

@@ -244,7 +244,7 @@ def encode_measure(mu: Measure) -> dict:
 def encode_counterexample_report(report: CounterexampleReport) -> dict:
     """The three-field report document for the separation probe."""
     return {
-        "classical_injective": report.classical_injective,
+        "classical_injective": _of_kind(report, CounterexampleReport).classical_injective,
         "idempotent_witness": {
             "mu": encode_measure(report.witness_mu),
             "nu": encode_measure(report.witness_nu),
@@ -262,7 +262,7 @@ def encode_convergence_report(report: ConvergenceReport) -> dict:
     return {
         "rows": [
             {"n": row.n, "error": row.error, "bound": row.bound}
-            for row in report.rows
+            for row in _of_kind(report, ConvergenceReport).rows
         ],
         "reference": report.reference,
         "within_bound": report.within_bound,

@@ -44,9 +44,9 @@ from .semiring import (
     MAX_PLUS,
     SUM_PRODUCT,
     MaxPlusValue,
+    _collection,
     _count,
     _floats,
-    _labels,
     _of_kind,
     _scalars,
     _shown,
@@ -94,7 +94,7 @@ class FiniteSpace(Record):
     noun = "space"
 
     def __post_init__(self) -> None:
-        labels = _labels(self.points, "points")
+        labels = _collection(self.points, "points", "labels")
         self.__dict__["points"] = labels
         if not labels:
             raise ValueError("a space needs at least one point")

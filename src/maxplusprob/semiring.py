@@ -18,11 +18,11 @@ what it rejects.  ``_shown`` formats a rejected value or label, so no int
 is too long to name.  ``_summed`` builds a value from max-plus sums and,
 when one of them leaves the float range, names its point and both terms:
 the one overflow rule, so no sum changes a support silently.
-``_of_kind`` is the one kind rule: every operation that takes a space, a
-measure, a function or a map, and every value built on a space, passes it
-there, and anything else raises ``TypeError`` naming the need; ``_labels``
-likewise refuses a bare string, a mapping or a non-collection where a
-collection of labels is expected.
+``_of_kind`` is the one kind rule: every public parameter annotated with
+a package class, and every space a value is built on, passes it there,
+and anything else raises ``TypeError`` naming the measure kind or the
+class's ``noun``; ``_collection`` likewise refuses a bare string, a
+mapping or a non-collection where labels or grid sizes are expected.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ def _floats(values: Sequence[object]) -> tuple[float, ...]:
     if not {float, int}.issuperset(map(type, values)):
         for v in values:
             if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValueError(f"not a real number: {v!r}")
+                raise ValueError(f"not a real number: {_shown(v)}")
     return tuple(map(as_float, values))
 
 
@@ -147,9 +147,9 @@ def _summed(cls: type, space, sums: Sequence, where: str, what: str, terms: Call
 
 
 def _of_kind(value: object, cls: type):
-    # ``value`` if it is a ``cls``: a space, a function, a map, any measure
-    # (none sets a ``kind``) or the one kind ``cls.kind``.  Otherwise
-    # ``TypeError`` names the need, by the kind or by the class's ``noun``.
+    # ``value`` if it is a ``cls``, for any package class ``cls``; ``Measure``
+    # sets no ``kind``, so it takes either measure kind.  Otherwise
+    # ``TypeError`` names the need, by the kind ``cls.kind`` or by ``cls.noun``.
     if isinstance(value, cls):
         return value
     if hasattr(cls, "kind"):
@@ -157,16 +157,18 @@ def _of_kind(value: object, cls: type):
     raise TypeError(f"not a {cls.noun}: {_shown(value)}")
 
 
-def _labels(value: object, what: str) -> tuple:
-    # ``value`` as a tuple of labels, never a bare string's characters or a mapping's keys.
+def _collection(value: object, what: str, of: str) -> tuple:
+    # ``value`` as a tuple of ``of`` (labels, grid sizes), never a bare
+    # string's characters or a mapping's keys.
+    needed = f"{what} must be a collection of {of}, got"
     if isinstance(value, str):
-        raise TypeError(f"{what} must be a collection of labels, got the string {value!r}")
+        raise TypeError(f"{needed} the string {value!r}")
     if isinstance(value, Mapping):
-        raise TypeError(f"{what} must be a collection of labels, got a {type(value).__name__}")
+        raise TypeError(f"{needed} a {type(value).__name__}")
     try:
         return tuple(value)
     except TypeError:
-        raise TypeError(f"{what} must be a collection of labels, got {_shown(value)}") from None
+        raise TypeError(f"{needed} {_shown(value)}") from None
 
 
 # The size budget of a space built from sizes: a grid's cells, a product's pairs.
@@ -186,13 +188,22 @@ def _shown(value: object) -> str:
 
     Python refuses the repr of an int past 4,300 digits (its int-to-string
     limit) with a message that names neither the check nor the value.  A
-    list holding such an int is shown item by item.
+    list, tuple, set, frozenset or mapping holding such an int is shown
+    item by item.
     """
     try:
         return repr(value)
     except ValueError:
-        if isinstance(value, list):
-            return f"[{', '.join(map(_shown, value))}]"
+        if isinstance(value, (list, tuple, set, frozenset, Mapping)):
+            items = ", ".join(
+                f"{_shown(k)}: {_shown(value[k])}" if isinstance(value, Mapping) else _shown(k)
+                for k in value
+            )
+            if isinstance(value, tuple):
+                return f"({items},)" if len(value) == 1 else f"({items})"
+            if isinstance(value, list):
+                return f"[{items}]"
+            return f"frozenset({{{items}}})" if isinstance(value, frozenset) else f"{{{items}}}"
         size = abs(value)
     digits = int(math.log10(size)) + 1
     digits += (size >= 10**digits) - (size < 10 ** (digits - 1))
@@ -231,7 +242,7 @@ def mp_exp(value: MaxPlusValue) -> float:
 def mp_ln(x: float) -> MaxPlusValue:
     """Logarithm extended by ``ln(0) = BOTTOM``; negative input is an error."""
     if x < 0.0:
-        raise ValueError(f"ln of a negative number: {x!r}")
+        raise ValueError(f"ln of a negative number: {_shown(x)}")
     if x == 0.0:
         return BOTTOM
     return math.log(x)

@@ -21,6 +21,7 @@ from maxplusprob import (
     BottomType,
     ClassicalMeasure,
     ContinuousTestFunction,
+    CounterexampleReport,
     DensityMeasure,
     FiniteSpace,
     IdempotentMeasure,
@@ -199,6 +200,8 @@ PHI = TestFunction(AB, (1.0, 2.0))
 LINE = ContinuousTestFunction(((0.0, 0.0), (1.0, 1.0)), 1.0)
 DENSITY = DensityMeasure(((0.0, 0.0), (1.0, -1.0)), 1.0)
 
+HUGE = 10**5000
+LONG = "100000000000... (5001 digits)"  # how ``_shown`` names HUGE
 NOT_REALS = ("0.5", True, None, 10**400, -(10**400), math.nan, math.inf, -math.inf)
 # A huge positive count would be honoured (a grid of that many points), so
 # none is passed.
@@ -300,155 +303,148 @@ def test_shown_spells_out_every_int_that_has_a_repr():
     assert semiring._shown(2**16000) == "301946933723... (4817 digits)"
     assert semiring._shown(True) == "True"
     assert semiring._shown(2.5) == "2.5"
-    assert semiring._shown(["a", 10**5000]) == "['a', 100000000000... (5001 digits)]"
+    assert semiring._shown(["a", HUGE]) == f"['a', {LONG}]"
+    # Whatever container holds one, with that container's brackets.
+    assert semiring._shown((HUGE,)) == f"({LONG},)"
+    assert semiring._shown(("a", HUGE)) == f"('a', {LONG})"
+    assert semiring._shown({HUGE}) == f"{{{LONG}}}"
+    assert semiring._shown(frozenset({HUGE})) == f"frozenset({{{LONG}}})"
+    assert semiring._shown({"a": HUGE, HUGE: ()}) == f"{{'a': {LONG}, {LONG}: ()}}"
+    assert semiring._shown([(1.0, {HUGE})]) == f"[(1.0, {{{LONG}}})]"
+
+
+# Calls given an int past the digit limit inside a value, each with the
+# message that names the value: a container shows it item by item, and the
+# real-number and logarithm checks show it through ``_shown`` too.
+HELD_LONG_INTS = {
+    "IdempotentMeasure": (
+        lambda: IdempotentMeasure(AB, (0.0, (HUGE,))),
+        f"not a max-plus scalar (finite number or BOTTOM): ({LONG},)",
+    ),
+    "as_scalar": (
+        lambda: as_scalar({"a": HUGE}),
+        f"not a max-plus scalar (finite number or BOTTOM): {{'a': {LONG}}}",
+    ),
+    "grid_points": (
+        lambda: grid_points((HUGE,)),
+        f"the grid size must be an integer of at least 1, got ({LONG},)",
+    ),
+    "PiecewiseLinear pair": (
+        lambda: PiecewiseLinear(((0.0, 0.0), (1.0, 0.0, HUGE)), 1.0),
+        f"a breakpoint must be an (x, y) pair, got (1.0, 0.0, {LONG})",
+    ),
+    "TestFunction": (lambda: TestFunction(AB, (0.0, [HUGE])), f"not a real number: [{LONG}]"),
+    "TestFunction.shift": (lambda: PHI.shift([HUGE]), f"not a real number: [{LONG}]"),
+    "ClassicalMeasure": (
+        lambda: ClassicalMeasure(AB, (1.0, [HUGE])), f"not a real number: [{LONG}]"
+    ),
+    "PiecewiseLinear": (
+        lambda: PiecewiseLinear(((0.0, 0.0), (1.0, [HUGE])), 1.0), f"not a real number: [{LONG}]"
+    ),
+    "approx_coefficients": (lambda: approx_coefficients([HUGE]), f"not a real number: [{LONG}]"),
+    "mp_ln": (lambda: mp_ln(-HUGE), f"ln of a negative number: -{LONG}"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HELD_LONG_INTS))
+def test_a_value_holding_a_long_int_is_named(name):
+    # Not Python's bare limit message, nor a TypeError from the error path.
+    call, message = HELD_LONG_INTS[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 # -- the kind rule ---------------------------------------------------------------
 
-HUGE = 10**5000
-M = object()  # marks the measure slot under test
 F = PointMap.identity(AB)
-# Every public operation that takes a measure, once per measure slot, with
-# the kind that slot needs (None: either kind will do).
-KIND_RULE = [
-    ("evaluate", (M, PHI), None),
-    ("evaluate_idempotent", (M, PHI), None),
-    ("evaluate_classical", (M, PHI), None),
-    ("support", (M,), None),
-    ("has_support_at_most", (M, 1), None),
-    ("pushforward", (F, M), None),
-    ("pushforward_idempotent", (F, M), None),
-    ("pushforward_classical", (F, M), None),
-    ("pair_map_image", (F, F, M), None),
-    ("product", (M, MU), None),
-    ("product_idempotent", (M, MU), None),
-    ("product_classical", (M, MU), None),
-    ("product", (MU, M), None),
-    ("product_idempotent", (MU, M), None),
-    ("product_classical", (MU, M), None),
-    ("roundtrip_gap", (M,), None),
-    ("encode_measure", (M,), None),
-    ("support_meets", (M, {"a"}), None),
-    ("maxplus_combine", (0.0, M, 0.0, MU), "idempotent"),
-    ("maxplus_combine", (0.0, MU, 0.0, M), "idempotent"),
-    ("reconstruct_product", (M, MU), "idempotent"),
-    ("reconstruct_product", (MU, M), "idempotent"),
-    ("approx_toward_point", (M, "b", 0.25), "idempotent"),
-    ("approx_toward_measure", (M, MU, 0.25), "idempotent"),
-    ("approx_toward_measure", (MU, M, 0.25), "idempotent"),
-    ("to_classical", (M,), "idempotent"),
-    ("to_idempotent", (M,), "classical"),
-    ("naturality_gap", (F, M), "classical"),
-]
-MEASURE_TYPES = {"Measure", "IdempotentMeasure", "ClassicalMeasure"}
-
-
-@pytest.mark.parametrize(
-    "name, args, kind", KIND_RULE, ids=[f"{n}-{a.index(M)}" for n, a, _ in KIND_RULE]
-)
-def test_every_operation_states_the_measure_kind_it_needs(name, args, kind):
-    # Masses are never read as weights, nor a non-measure's attributes looked
-    # up: the answer is a TypeError naming what was needed.
-    other = () if kind is None else (MU if kind == "classical" else point_mass(AB, "a"),)
-    for bad in ("x", HUGE, *other):
-        if kind is None:
-            needed = f"not a measure: {semiring._shown(bad)}"
-        else:
-            needed = f"{kind} measure required, got {type(bad).__name__}"
-        with pytest.raises(TypeError, match=f"^{re.escape(needed)}$"):
-            getattr(maxplusprob, name)(*(bad if a is M else a for a in args))
-
-
-def test_the_kind_rule_covers_every_operation_that_takes_a_measure():
-    takers = {
-        name
-        for name in maxplusprob.__all__
-        if inspect.isfunction(op := getattr(maxplusprob, name))
-        and any(p.annotation in MEASURE_TYPES for p in inspect.signature(op).parameters.values())
-    }
-    assert takers == {name for name, _, _ in KIND_RULE}
-
-
-X = object()  # marks the function or map slot under test
 CLASSICAL = point_mass(AB, "a")
-# Every public operation that takes a function or a map, once per such slot,
-# with the class that slot needs.
-VALUE_KIND_RULE = [
-    ("evaluate", (MU, X), TestFunction),
-    ("evaluate_idempotent", (MU, X), TestFunction),
-    ("evaluate_classical", (CLASSICAL, X), TestFunction),
-    ("TestFunction.pointwise_max", (PHI, X), TestFunction),
-    ("product_function", (X, PHI), TestFunction),
-    ("product_function", (PHI, X), TestFunction),
-    ("exactness_threshold", (X,), TestFunction),
-    ("pushforward", (X, MU), PointMap),
-    ("pushforward_idempotent", (X, MU), PointMap),
-    ("pushforward_classical", (X, CLASSICAL), PointMap),
-    ("compose", (X, F), PointMap),
-    ("compose", (F, X), PointMap),
-    ("pair_map_image", (X, F, MU), PointMap),
-    ("pair_map_image", (F, X, MU), PointMap),
-    ("naturality_gap", (X, CLASSICAL), PointMap),
+POINT = SegmentPoint(0.0, -1.0)
+CONVERGENCE = convergence_report(DENSITY, LINE, [10])
+COUNTEREXAMPLE = CounterexampleReport(True, True, 0, 0, MU, MU, MU, MU, True, 0.0)
+# A value of each package class that a public parameter is typed with.
+SAMPLES = (AB, MU, CLASSICAL, PHI, F, POINT, DENSITY, LINE, CONVERGENCE, COUNTEREXAMPLE)
+# One row per public parameter typed with a package class: a call that
+# succeeds, and the parameter that the test gives every other value.
+KIND_RULE = [
+    ("naturality_gap", (F, CLASSICAL), "f"),
+    ("naturality_gap", (F, CLASSICAL), "mu"),
+    ("roundtrip_gap", (MU,), "mu"),
+    ("to_classical", (MU,), "mu"),
+    ("to_idempotent", (CLASSICAL,), "mu"),
+    ("convergence_report", (DENSITY, LINE, [10]), "d"),
+    ("convergence_report", (DENSITY, LINE, [10]), "phi"),
+    ("discretize", (DENSITY, 10), "d"),
+    ("eval_density_measure", (DENSITY, LINE, 10_000), "d"),
+    ("eval_density_measure", (DENSITY, LINE, 10_000), "phi"),
+    ("sample_function", (LINE, 10), "phi"),
+    ("PointMap.identity", (AB,), "space"),
+    ("compose", (F, F), "outer"),
+    ("compose", (F, F), "inner"),
+    ("pair_map_image", (F, F, MU), "f"),
+    ("pair_map_image", (F, F, MU), "g"),
+    ("pair_map_image", (F, F, MU), "mu"),
+    ("product", (MU, MU), "mu"),
+    ("product", (MU, MU), "nu"),
+    ("product_function", (PHI, PHI), "phi"),
+    ("product_function", (PHI, PHI), "psi"),
+    ("product_space", (AB, AB), "left"),
+    ("product_space", (AB, AB), "right"),
+    ("pushforward", (F, MU), "f"),
+    ("pushforward", (F, MU), "mu"),
+    ("reconstruct_product", (MU, MU), "mu"),
+    ("reconstruct_product", (MU, MU), "nu"),
+    ("approx_toward_measure", (MU, MU, 0.25), "mu"),
+    ("approx_toward_measure", (MU, MU, 0.25), "nu"),
+    ("approx_toward_point", (MU, "b", 0.25), "mu"),
+    ("exactness_threshold", (PHI,), "phi"),
+    ("segment_distance", (POINT, POINT), "p"),
+    ("segment_distance", (POINT, POINT), "q"),
+    ("support_meets", (MU, {"a"}), "mu"),
+    ("encode_convergence_report", (CONVERGENCE,), "report"),
+    ("encode_counterexample_report", (COUNTEREXAMPLE,), "report"),
+    ("encode_measure", (MU,), "mu"),
+    ("ClassicalMeasure", (AB, (0.5, 0.5)), "space"),
+    ("IdempotentMeasure", (AB, (0.0, -1.0)), "space"),
+    ("TestFunction.pointwise_max", (PHI, PHI), "other"),
+    ("dirac", (AB, "a"), "space"),
+    ("evaluate", (MU, PHI), "mu"),
+    ("evaluate", (MU, PHI), "phi"),
+    ("has_support_at_most", (MU, 1), "mu"),
+    ("maxplus_combine", (0.0, MU, 0.0, MU), "mu"),
+    ("maxplus_combine", (0.0, MU, 0.0, MU), "nu"),
+    ("normalize_idempotent", (AB, (1.0, 0.0)), "space"),
+    ("point_mass", (AB, "a"), "space"),
+    ("support", (MU,), "mu"),
 ]
+# The public classes by name; a parameter annotated with one needs it.
+CLASSES = {
+    name: value
+    for name in maxplusprob.__all__
+    if inspect.isclass(value := getattr(maxplusprob, name))
+}
 
 
-@pytest.mark.parametrize(
-    "name, args, cls", VALUE_KIND_RULE, ids=[f"{n}-{a.index(X)}" for n, a, _ in VALUE_KIND_RULE]
-)
-def test_every_operation_states_the_function_or_map_it_needs(name, args, cls):
-    # No attribute of a non-function or non-map is looked up: the answer is
-    # a TypeError naming what was needed.
+def _needed(op, slot: str):
+    # The package class that parameter ``slot`` of ``op`` is annotated with
+    # (quoted or not), or None.
+    return CLASSES.get(str(inspect.signature(op).parameters[slot].annotation).strip("'\""))
+
+
+@pytest.mark.parametrize("name, args, slot", KIND_RULE, ids=[f"{n}-{s}" for n, _, s in KIND_RULE])
+def test_every_parameter_typed_with_a_package_class_refuses_anything_else(name, args, slot):
+    # No attribute of a wrong value is looked up, nor masses read as weights:
+    # the answer is a TypeError naming the measure kind or the class's noun.
     op = operator.attrgetter(name)(maxplusprob)
-    good = PHI if cls is TestFunction else F
-    assert op(*(good if a is X else a for a in args)) is not None
-    for bad in ("x", HUGE, None, MU, F if cls is TestFunction else PHI):
-        needed = f"not a {cls.noun}: {semiring._shown(bad)}"
+    cls, at = _needed(op, slot), list(inspect.signature(op).parameters).index(slot)
+    assert op(*args) is not None
+    others = [value for value in SAMPLES if not isinstance(value, cls)]
+    for bad in ("x", ("a", "b"), ["a", "b"], None, HUGE, *others):
+        if kind := getattr(cls, "kind", None):
+            needed = f"{kind} measure required, got {type(bad).__name__}"
+        else:
+            needed = f"not a {cls.noun}: {semiring._shown(bad)}"
         with pytest.raises(TypeError, match=f"^{re.escape(needed)}$"):
-            op(*(bad if a is X else a for a in args))
-
-
-def test_the_kind_rule_covers_every_operation_that_takes_a_function_or_a_map():
-    takers = {
-        name
-        for name in maxplusprob.__all__
-        if inspect.isfunction(op := getattr(maxplusprob, name))
-        and any(
-            p.annotation in ("TestFunction", "PointMap")
-            for p in inspect.signature(op).parameters.values()
-        )
-    }
-    assert takers == {name for name, _, _ in VALUE_KIND_RULE if "." not in name}
-
-
-S = object()  # marks the space slot under test
-# Every public operation that takes a space, once per space slot.
-SPACE_KIND_RULE = [
-    ("dirac", (S, "a"), {}),
-    ("point_mass", (S, "a"), {}),
-    ("normalize_idempotent", (S, (1.0, 0.0)), {}),
-    ("product_space", (S, AB), {}),
-    ("product_space", (AB, S), {}),
-    ("PointMap.identity", (S,), {}),
-    ("classical_measure", (S, (0.5, 0.5)), {}),
-    ("ClassicalMeasure", (S, (0.5, 0.5)), {}),
-    ("IdempotentMeasure", (S, (0.0, -1.0)), {}),
-]
-
-
-@pytest.mark.parametrize(
-    "name, args, options",
-    SPACE_KIND_RULE,
-    ids=[f"{n}-{a.index(S)}{''.join(f'-{k}' for k in o)}" for n, a, o in SPACE_KIND_RULE],
-)
-def test_every_operation_states_the_space_it_needs(name, args, options):
-    # No attribute of a non-space is looked up, nor its length taken: the
-    # answer is a TypeError naming what was needed.
-    op = operator.attrgetter(name)(maxplusprob)
-    assert op(*(AB if a is S else a for a in args), **options) is not None
-    for bad in (("a", "b"), ["a", "b"], "ab", None, HUGE, MU):
-        needed = f"not a space: {semiring._shown(bad)}"
-        with pytest.raises(TypeError, match=f"^{re.escape(needed)}$"):
-            op(*(bad if a is S else a for a in args), **options)
+            op(*args[:at], bad, *args[at + 1 :])
 
 
 def _public_callables():
@@ -465,14 +461,16 @@ def _public_callables():
                     yield f"{name}.{attr}", method
 
 
-def test_the_kind_rule_covers_every_operation_that_takes_a_space():
-    takers = {
-        name
-        for name, op in _public_callables()
-        if any(p.annotation == "FiniteSpace" for p in inspect.signature(op).parameters.values())
-    }
-    # ``Measure`` itself builds nothing: it names the two kinds to build.
-    assert takers - {"Measure"} == {name for name, _, _ in SPACE_KIND_RULE}
+def test_the_kind_rule_covers_every_parameter_typed_with_a_package_class():
+    # An alias is the same object as the callable it names, so it counts
+    # once, under its first public name.  ``Measure`` itself builds nothing:
+    # it names the two kinds to build.
+    seen, slots = set(), set()
+    for name, op in _public_callables():
+        if op not in seen and name != "Measure":
+            slots |= {(name, p) for p in inspect.signature(op).parameters if _needed(op, p)}
+        seen.add(op)
+    assert slots == {(name, slot) for name, _, slot in KIND_RULE}
 
 
 def test_the_library_has_no_public_options():
@@ -515,7 +513,8 @@ def test_the_public_names_are_pinned():
 
 # -- labels ----------------------------------------------------------------------
 
-# Each place that rejects a label, given an int past the digit limit.
+# Each place that rejects a label, given an int past the digit limit (alone or
+# in a tuple).
 LABEL_ENTRY_POINTS = {
     "FiniteSpace": lambda v: FiniteSpace(("a", v)),
     "FiniteSpace.index": lambda v: AB.index(v),
@@ -527,6 +526,11 @@ LABEL_ENTRY_POINTS = {
     "PointMap.__call__": F,
     "approx_toward_point": lambda v: approx_toward_point(MU, v, 0.25),
     "support_meets": lambda v: support_meets(MU, {v}),
+    "FiniteSpace, in a tuple": lambda v: FiniteSpace(("a", (v,))),
+    "FiniteSpace.index, in a tuple": lambda v: AB.index((v,)),
+    "dirac, in a tuple": lambda v: dirac(AB, (v,)),
+    "PointMap, in a tuple": lambda v: PointMap(AB, AB, ("a", (v,))),
+    "support_meets, in a tuple": lambda v: support_meets(MU, [(v,)]),
 }
 
 
@@ -584,6 +588,16 @@ def test_a_value_that_is_no_collection_of_labels_is_named(what, call, bad):
     # Named with the rule it breaks, not as Python's bare "not iterable".
     with pytest.raises(TypeError, match=f"^{what} must be a collection of labels, got {bad}$"):
         call(bad)
+
+
+@pytest.mark.parametrize(
+    "sizes, got", [("10", "the string '10'"), ({10: "x"}, "a dict"), (10, "10"), (None, "None")]
+)
+def test_grid_sizes_follow_the_collection_rule(sizes, got):
+    # Never a string's characters, a mapping's keys or Python's bare "not iterable".
+    message = f"the grid sizes must be a collection of integers, got {got}"
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        convergence_report(DENSITY, LINE, sizes)
 
 
 def test_unknown_targets_of_mixed_types_are_named_in_order():
@@ -711,8 +725,8 @@ def test_no_source_file_holds_an_assert():
     assert not asserts, asserts
 
 
-def test_only_of_kind_checks_a_measure_kind():
-    # No ``isinstance`` call names a measure class outside ``semiring._of_kind``.
+def test_only_of_kind_checks_a_package_class():
+    # No ``isinstance`` call names a public class outside ``semiring._of_kind``.
     checks = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -722,7 +736,7 @@ def test_only_of_kind_checks_a_measure_kind():
                 for arg in call.args[1:]
                 for node in ast.walk(arg)
             }
-            if named & MEASURE_TYPES and scope != "semiring._of_kind":
+            if named & CLASSES.keys() and scope != "semiring._of_kind":
                 checks.append(scope)
     assert not checks, checks
 
