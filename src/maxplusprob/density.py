@@ -6,7 +6,7 @@ idempotent measure, acting on a continuous test function ``phi`` by
 ``sup_x (d(x) + phi(x))``.
 
 Discretization samples ``d`` on the uniform grid ``{k/n : k = 0..n}``
-and renormalizes.  Evaluating the discretized measure against the
+and normalizes.  Evaluating the discretized measure against the
 sampled test function approximates the continuous supremum with error
 at most ``(L_phi + L_d) / n`` where the ``L`` are the declared
 Lipschitz bounds: the true argmax lies within ``1/(2n)`` of a grid
@@ -80,7 +80,7 @@ class PiecewiseLinear(Record):
     _lines: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self) -> None:
-        given = tuple(self.breakpoints)
+        given = _collection(self.breakpoints, "breakpoints", "(x, y) pairs")
         for item in given:
             if not isinstance(item, (tuple, list)) or len(item) != 2:
                 raise ValueError(f"a breakpoint must be an (x, y) pair, got {_shown(item)}")
@@ -121,7 +121,7 @@ class PiecewiseLinear(Record):
         ``slope * (x - x0) + y0``; the first value below 0 and the last
         from 1 on.
         """
-        xs = _floats(xs)
+        xs = _floats(_collection(xs, "the points", "real numbers"))
         knots = [x for x, _ in self.breakpoints]
         first, last = self.breakpoints[0][1], self.breakpoints[-1][1]
         # Row i serves the x with i breakpoints at or below it; a NaN x
@@ -215,6 +215,7 @@ class ConvergenceRow(Record):
     n: int
     error: float
     bound: float
+    noun = "convergence row"
 
 
 class ConvergenceReport(Record):
@@ -231,6 +232,10 @@ class ConvergenceReport(Record):
     non_increasing: bool
     noun = "convergence report"
 
+    def __post_init__(self) -> None:
+        rows = _collection(self.rows, "rows", "convergence rows")
+        self.__dict__["rows"] = tuple([_of_kind(row, ConvergenceRow) for row in rows])
+
 
 def convergence_report(
     d: DensityMeasure, phi: ContinuousTestFunction, ns: list[int]
@@ -243,7 +248,8 @@ def convergence_report(
     whose sum leaves the float range raise ``ValueError``.
     """
     d, phi = _of_kind(d, DensityMeasure), _of_kind(phi, ContinuousTestFunction)
-    sizes = sorted({_grid_size(n) for n in _collection(ns, "the grid sizes", "integers")})
+    given = _collection(ns, "the grid sizes", "integers", ordered=False)
+    sizes = sorted({_grid_size(n) for n in given})
     if not sizes:
         raise ValueError("at least one grid size is required")
     if not math.isfinite(phi.lipschitz + d.lipschitz):

@@ -282,6 +282,10 @@ class CounterexampleReport(Record):
     naturality_gap: float
     noun = "counterexample report"
 
+    def __post_init__(self) -> None:
+        for name in ("witness_mu", "witness_nu", "witness_image_under_f", "witness_image_under_g"):
+            _of_kind(getattr(self, name), IdempotentMeasure)
+
 
 def _fixture() -> tuple[FiniteSpace, PointMap, PointMap]:
     domain = FiniteSpace(("a", "b", "c"))

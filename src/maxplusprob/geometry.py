@@ -188,7 +188,7 @@ def support_meets(mu: Measure, targets: Iterable[str]) -> bool:
     not respect intersections; the geometry tests carry a two-set
     counterexample.
     """
-    given = _collection(targets, "targets", "labels")
+    given = _collection(targets, "targets", "labels", ordered=False)
     space = _of_kind(mu, Measure).space
     # Membership first, on the labels as given: an unhashable one is in no space.
     # Each label once, the first of equal ones kept, as a set keeps it.

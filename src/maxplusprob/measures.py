@@ -146,7 +146,7 @@ class TestFunction(Record):
     noun = "function"
 
     def __post_init__(self) -> None:
-        values = _floats(self.values)
+        values = _floats(_collection(self.values, "values", "real numbers"))
         if len(values) != len(_of_kind(self.space, FiniteSpace)):
             raise ValueError("one value per point of the space is required")
         if not all(map(math.isfinite, values)):
@@ -236,7 +236,7 @@ class IdempotentMeasure(Measure):
     kind = "idempotent"
 
     def __post_init__(self) -> None:
-        weights, peak = _scalars(self.weights)
+        weights, peak = _scalars(_collection(self.weights, "weights", "max-plus scalars"))
         if len(weights) != len(self.space):
             raise ValueError("one weight per point of the space is required")
         if peak is BOTTOM:
@@ -265,7 +265,7 @@ class ClassicalMeasure(Measure):
     kind = "classical"
 
     def __post_init__(self) -> None:
-        weights = _floats(self.weights)
+        weights = _floats(_collection(self.weights, "weights", "real numbers"))
         if len(weights) != len(self.space.points):
             raise ValueError("one weight per point of the space is required")
         # ``min`` skips a NaN that is not first, but the sum then is NaN;
@@ -314,7 +314,7 @@ def normalize_idempotent(space: FiniteSpace, raw: Sequence[object]) -> Idempoten
     All-BOTTOM input stays all-BOTTOM, which the constructor rejects as
     empty support.
     """
-    values, peak = _scalars(raw)
+    values, peak = _scalars(_collection(raw, "weights", "max-plus scalars"))
     weights = tuple([BOTTOM if v is BOTTOM else v - peak for v in values])
     return _summed(
         IdempotentMeasure, space, weights, "point {!r} of the normalization", "weight",

@@ -18,11 +18,14 @@ what it rejects.  ``_shown`` formats a rejected value or label, so no int
 is too long to name.  ``_summed`` builds a value from max-plus sums and,
 when one of them leaves the float range, names its point and both terms:
 the one overflow rule, so no sum changes a support silently.
-``_of_kind`` is the one kind rule: every public parameter annotated with
-a package class, and every space a value is built on, passes it there,
-and anything else raises ``TypeError`` naming the measure kind or the
-class's ``noun``; ``_collection`` likewise refuses a bare string, a
-mapping or a non-collection where labels or grid sizes are expected.
+``_of_kind`` is the one kind rule: every public parameter and ``Record``
+field annotated with a package class passes it there, and anything else
+raises ``TypeError`` naming the measure kind or the class's ``noun``.
+``_collection`` is the one collection rule: it reads every collection a
+caller passes, and a bare string, a mapping, a non-collection or, where
+order matters, a set raises ``TypeError`` naming what was expected.
+``oplus``, ``odot`` and ``big_oplus`` check nothing: they are the inner
+steps of the product and pushforward kernels, given checked weights.
 """
 
 from __future__ import annotations
@@ -105,7 +108,8 @@ _FLOAT = frozenset((float,))
 def _floats(values: Sequence[object]) -> tuple[float, ...]:
     # Ints and floats (never bools) as floats; anything else is named.
     # An int beyond the float range becomes +-inf, so the caller's
-    # finiteness check rejects it by name.
+    # finiteness check rejects it by name.  A caller's collection reaches
+    # it through ``_collection``.
     values = tuple(values)
     if _FLOAT.issuperset(map(type, values)):
         return values
@@ -116,11 +120,10 @@ def _floats(values: Sequence[object]) -> tuple[float, ...]:
     return tuple(map(as_float, values))
 
 
-def _scalars(values: Iterable[object]) -> tuple[tuple, MaxPlusValue]:
+def _scalars(values: tuple) -> tuple[tuple, MaxPlusValue]:
     # The values as max-plus scalars, and their peak (BOTTOM if all are).
     # Finite floats pass in one bulk check; anything else is coerced one
     # by one, so ``as_scalar`` names the first value it rejects.
-    values = tuple(values)
     finite = [w for w in values if w is not BOTTOM]
     if not (_FLOAT.issuperset(map(type, finite)) and all(map(math.isfinite, finite))):
         values = tuple(map(as_scalar, values))
@@ -157,13 +160,15 @@ def _of_kind(value: object, cls: type):
     raise TypeError(f"not a {cls.noun}: {_shown(value)}")
 
 
-def _collection(value: object, what: str, of: str) -> tuple:
-    # ``value`` as a tuple of ``of`` (labels, grid sizes), never a bare
-    # string's characters or a mapping's keys.
+def _collection(value: object, what: str, of: str, ordered: bool = True) -> tuple:
+    # ``value`` as a tuple of ``of``, never a bare string's characters, a
+    # mapping's keys or, where order matters, a set's items in hash order.
+    if type(value) is tuple:
+        return value
     needed = f"{what} must be a collection of {of}, got"
     if isinstance(value, str):
         raise TypeError(f"{needed} the string {value!r}")
-    if isinstance(value, Mapping):
+    if isinstance(value, Mapping) or ordered and isinstance(value, (set, frozenset)):
         raise TypeError(f"{needed} a {type(value).__name__}")
     try:
         return tuple(value)
@@ -233,19 +238,22 @@ def big_oplus(values: Iterable[MaxPlusValue]) -> MaxPlusValue:
 
 
 def mp_exp(value: MaxPlusValue) -> float:
-    """Exponential extended by ``exp(BOTTOM) = 0``."""
-    if value is BOTTOM:
-        return 0.0
-    return math.exp(value)
+    """Exponential extended by ``exp(BOTTOM) = 0``; a result past the float range is an error."""
+    x = as_scalar(value)
+    try:
+        return 0.0 if x is BOTTOM else math.exp(x)
+    except OverflowError:
+        raise ValueError(f"exp of {_shown(value)} overflows the float range") from None
 
 
 def mp_ln(x: float) -> MaxPlusValue:
-    """Logarithm extended by ``ln(0) = BOTTOM``; negative input is an error."""
-    if x < 0.0:
+    """Logarithm extended by ``ln(0) = BOTTOM``; negative or non-finite input is an error."""
+    (value,) = _floats((x,))
+    if value < 0.0:
         raise ValueError(f"ln of a negative number: {_shown(x)}")
-    if x == 0.0:
-        return BOTTOM
-    return math.log(x)
+    if not value < math.inf:
+        raise ValueError(f"ln of a non-finite number: {_shown(x)}")
+    return BOTTOM if value == 0.0 else math.log(value)
 
 
 class Semiring(Record):

@@ -476,7 +476,8 @@ def test_reference_matches_numpy_when_the_peak_is_a_grid_point():
     zero = ContinuousTestFunction(((0.0, 0.0), (1.0, 0.0)), 0.0)
     for resolution in (10_000, 100_000):
         for m in range(1, 1000):
-            pairs = ((0.0, rng.uniform(-3.0, -0.1)), (m / 1000, 0.0), (1.0, rng.uniform(-3.0, -0.1)))
+            left, right = rng.uniform(-3.0, -0.1), rng.uniform(-3.0, -0.1)
+            pairs = ((0.0, left), (m / 1000, 0.0), (1.0, right))
             d = DensityMeasure(pairs, _steepest(pairs))
             want = _numpy_grid_max(np, d, zero, resolution)
             assert convergence_report(d, zero, [10]).reference.hex() == want.hex(), pairs

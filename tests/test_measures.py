@@ -98,32 +98,6 @@ def test_space_names_the_first_bad_label():
     assert FiniteSpace(("b", "a"))._index == {"b": 0, "a": 1}
 
 
-# Each value built on a space, and the space slot under test.
-SPACE_TAKERS = {
-    "IdempotentMeasure": lambda s: IdempotentMeasure(s, (0.0, -1.0)),
-    "ClassicalMeasure": lambda s: ClassicalMeasure(s, (0.5, 0.5)),
-    "TestFunction": lambda s: TestFunction(s, (1.0, 2.0)),
-    "PointMap.domain": lambda s: PointMap(s, AB, ("a", "b")),
-    "PointMap.codomain": lambda s: PointMap(AB, s, ("a", "b")),
-}
-
-
-@pytest.mark.parametrize("build", SPACE_TAKERS.values(), ids=SPACE_TAKERS.keys())
-def test_only_a_finite_space_is_a_space(build):
-    # A tuple or list of labels is not read as a space, nor None looked into.
-    assert build(AB)
-    for bad in (("a", "b"), ["a", "b"], None):
-        with pytest.raises(TypeError, match=f"^not a space: {re.escape(repr(bad))}$"):
-            build(bad)
-
-
-def test_a_space_is_not_read_from_a_string():
-    # "ab" is one label's text, not the two points "a" and "b".
-    message = r"^points must be a collection of labels, got the string 'ab'$"
-    with pytest.raises(TypeError, match=message):
-        FiniteSpace("ab")
-
-
 def test_space_index_is_built_on_first_lookup():
     def fresh() -> FiniteSpace:
         return FiniteSpace(("b", "a", "c"))
@@ -276,21 +250,6 @@ def test_a_rejected_shift_is_named_as_given():
 # -- tables keyed by label --------------------------------------------------------
 
 XY = FiniteSpace(("x", "y"))
-
-
-def test_a_table_keyed_by_label_is_no_sequence_of_values():
-    # Weights, masses and values are given in space order: a dict's keys are
-    # labels, and the number check names the first.
-    scalar = r"^not a max-plus scalar \(finite number or BOTTOM\): 'a'$"
-    for build, message in (
-        (normalize_idempotent, scalar),
-        (IdempotentMeasure, scalar),
-        (classical_measure, "^not a real number: 'a'$"),
-        (ClassicalMeasure, "^not a real number: 'a'$"),
-        (TestFunction, "^not a real number: 'a'$"),
-    ):
-        with pytest.raises(ValueError, match=message):
-            build(AB, {"a": 0.0, "b": 0.0})
 
 
 def _unpair(label: str) -> tuple:

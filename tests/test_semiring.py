@@ -6,7 +6,8 @@ import math
 import operator
 import random
 import re
-from collections import defaultdict
+from array import array
+from collections import ChainMap, UserList, defaultdict
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import given
 
 import maxplusprob
 from maxplusprob import jsonio, semiring
+from maxplusprob.record import Record
 from maxplusprob import (
     BOTTOM,
     MAX_PLUS,
@@ -103,6 +105,15 @@ def test_exp_and_ln_handle_bottom():
     with pytest.raises(ValueError):
         mp_ln(-0.5)
     assert mp_exp(mp_ln(0.25)) == pytest.approx(0.25, abs=1e-15)
+
+
+def test_exp_past_the_float_range_is_named():
+    # Not Python's bare "math range error".
+    assert mp_exp(709.0) == math.exp(709.0)
+    with pytest.raises(ValueError, match=r"^exp of 1000\.0 overflows the float range$"):
+        mp_exp(1000.0)
+    with pytest.raises(ValueError, match=r"^ln of a non-finite number: inf$"):
+        mp_ln(math.inf)
 
 
 # -- semiring laws -------------------------------------------------------------
@@ -215,6 +226,8 @@ ENTRY_POINTS = {
     "classical_measure": (lambda v: classical_measure(AB, (1.0, v)), NOT_REALS),
     "normalize_idempotent": (lambda v: normalize_idempotent(AB, [v, 0.0]), NOT_REALS),
     "as_scalar": (as_scalar, NOT_REALS),
+    "mp_exp": (mp_exp, NOT_REALS),
+    "mp_ln": (mp_ln, NOT_REALS),
     "SegmentPoint": (lambda v: SegmentPoint(0.0, v), NOT_REALS),
     "scalar_distance": (lambda v: scalar_distance(v, 0.0), NOT_REALS),
     "maxplus_combine": (lambda v: maxplus_combine(0.0, MU, v, MU), NOT_REALS),
@@ -277,6 +290,8 @@ LONG_INT_SIGNS = {
     "IdempotentMeasure": (1, -1),
     "normalize_idempotent": (1, -1),
     "as_scalar": (1, -1),
+    "mp_exp": (1, -1),
+    "mp_ln": (1, -1),
     "maxplus_combine": (1, -1),
     "has_support_at_most": (-1,),
     "eval_density_measure": (1, -1),
@@ -359,24 +374,37 @@ def test_a_value_holding_a_long_int_is_named(name):
 F = PointMap.identity(AB)
 CLASSICAL = point_mass(AB, "a")
 POINT = SegmentPoint(0.0, -1.0)
-CONVERGENCE = convergence_report(DENSITY, LINE, [10])
-COUNTEREXAMPLE = CounterexampleReport(True, True, 0, 0, MU, MU, MU, MU, True, 0.0)
-# A value of each package class that a public parameter is typed with.
-SAMPLES = (AB, MU, CLASSICAL, PHI, F, POINT, DENSITY, LINE, CONVERGENCE, COUNTEREXAMPLE)
-# One row per public parameter typed with a package class: a call that
-# succeeds, and the parameter that the test gives every other value.
+CONVERGENCE = convergence_report(DENSITY, LINE, [10, 20])
+REPORT = (CONVERGENCE.rows, 0.0, True, True)
+WITNESSES = (True, True, 0, 0, MU, MU, MU, MU, True, 0.0)
+COUNTEREXAMPLE = CounterexampleReport(*WITNESSES)
+# A value of each package class that a public parameter or field is typed with.
+SAMPLES = (
+    AB, MU, CLASSICAL, PHI, F, POINT, DENSITY, LINE, CONVERGENCE, CONVERGENCE.rows[0],
+    COUNTEREXAMPLE,
+)
+# One row per public parameter or field typed with a package class, or with a
+# tuple of one: a call that succeeds, and the slot that the test gives every
+# other value.
 KIND_RULE = [
     ("naturality_gap", (F, CLASSICAL), "f"),
     ("naturality_gap", (F, CLASSICAL), "mu"),
     ("roundtrip_gap", (MU,), "mu"),
     ("to_classical", (MU,), "mu"),
     ("to_idempotent", (CLASSICAL,), "mu"),
+    ("ConvergenceReport", REPORT, "rows"),
     ("convergence_report", (DENSITY, LINE, [10]), "d"),
     ("convergence_report", (DENSITY, LINE, [10]), "phi"),
     ("discretize", (DENSITY, 10), "d"),
     ("eval_density_measure", (DENSITY, LINE, 10_000), "d"),
     ("eval_density_measure", (DENSITY, LINE, 10_000), "phi"),
     ("sample_function", (LINE, 10), "phi"),
+    ("CounterexampleReport", WITNESSES, "witness_mu"),
+    ("CounterexampleReport", WITNESSES, "witness_nu"),
+    ("CounterexampleReport", WITNESSES, "witness_image_under_f"),
+    ("CounterexampleReport", WITNESSES, "witness_image_under_g"),
+    ("PointMap", (AB, AB, ("a", "b")), "domain"),
+    ("PointMap", (AB, AB, ("a", "b")), "codomain"),
     ("PointMap.identity", (AB,), "space"),
     ("compose", (F, F), "outer"),
     ("compose", (F, F), "inner"),
@@ -405,6 +433,7 @@ KIND_RULE = [
     ("encode_measure", (MU,), "mu"),
     ("ClassicalMeasure", (AB, (0.5, 0.5)), "space"),
     ("IdempotentMeasure", (AB, (0.0, -1.0)), "space"),
+    ("TestFunction", (AB, (1.0, 2.0)), "space"),
     ("TestFunction.pointwise_max", (PHI, PHI), "other"),
     ("dirac", (AB, "a"), "space"),
     ("evaluate", (MU, PHI), "mu"),
@@ -416,35 +445,12 @@ KIND_RULE = [
     ("point_mass", (AB, "a"), "space"),
     ("support", (MU,), "mu"),
 ]
-# The public classes by name; a parameter annotated with one needs it.
+# The public classes by name; a slot annotated with one needs it.
 CLASSES = {
     name: value
     for name in maxplusprob.__all__
     if inspect.isclass(value := getattr(maxplusprob, name))
 }
-
-
-def _needed(op, slot: str):
-    # The package class that parameter ``slot`` of ``op`` is annotated with
-    # (quoted or not), or None.
-    return CLASSES.get(str(inspect.signature(op).parameters[slot].annotation).strip("'\""))
-
-
-@pytest.mark.parametrize("name, args, slot", KIND_RULE, ids=[f"{n}-{s}" for n, _, s in KIND_RULE])
-def test_every_parameter_typed_with_a_package_class_refuses_anything_else(name, args, slot):
-    # No attribute of a wrong value is looked up, nor masses read as weights:
-    # the answer is a TypeError naming the measure kind or the class's noun.
-    op = operator.attrgetter(name)(maxplusprob)
-    cls, at = _needed(op, slot), list(inspect.signature(op).parameters).index(slot)
-    assert op(*args) is not None
-    others = [value for value in SAMPLES if not isinstance(value, cls)]
-    for bad in ("x", ("a", "b"), ["a", "b"], None, HUGE, *others):
-        if kind := getattr(cls, "kind", None):
-            needed = f"{kind} measure required, got {type(bad).__name__}"
-        else:
-            needed = f"not a {cls.noun}: {semiring._shown(bad)}"
-        with pytest.raises(TypeError, match=f"^{re.escape(needed)}$"):
-            op(*args[:at], bad, *args[at + 1 :])
 
 
 def _public_callables():
@@ -461,16 +467,133 @@ def _public_callables():
                     yield f"{name}.{attr}", method
 
 
-def test_the_kind_rule_covers_every_parameter_typed_with_a_package_class():
-    # An alias is the same object as the callable it names, so it counts
-    # once, under its first public name.  ``Measure`` itself builds nothing:
-    # it names the two kinds to build.
-    seen, slots = set(), set()
+def _annotations(op) -> dict:
+    # Each slot of ``op`` with its annotation as written, quotes stripped: the
+    # parameters, or for a class that ``Record.__init__`` builds (its
+    # signature is ``(*args, **kwargs)``) the fields it binds, in order.
+    if getattr(op, "__init__", None) is Record.__init__:
+        written = ChainMap(*(vars(c).get("__annotations__", {}) for c in op.__mro__))
+        slots = [(field, written[field]) for field in op._fields]
+    else:
+        slots = [(p.name, p.annotation) for p in inspect.signature(op).parameters.values()]
+    return {slot: str(annotation).strip("'\"") for slot, annotation in slots}
+
+
+def _slots():
+    # ``(name, slot, annotation)`` for every slot of every public callable.  An
+    # alias is the same object as the callable it names, so it counts once,
+    # under its first public name.  ``Measure`` itself builds nothing: it
+    # names the two kinds to build.
+    seen = set()
     for name, op in _public_callables():
         if op not in seen and name != "Measure":
-            slots |= {(name, p) for p in inspect.signature(op).parameters if _needed(op, p)}
+            yield from ((name, slot, a) for slot, a in _annotations(op).items())
         seen.add(op)
+
+
+def _kind(annotation: str):
+    # ``(cls, items)`` for an annotation naming the package class ``cls``, alone
+    # or as the items of a tuple (``tuple[cls, ...]``); None for any other.
+    tuple_of = re.fullmatch(r"tuple\[(\w+), \.\.\.\]", annotation)
+    cls = CLASSES.get(tuple_of[1] if tuple_of else annotation)
+    return cls and (cls, tuple_of is not None)
+
+
+def _call_with(name: str, args: tuple, slot: str, value: object):
+    # ``name(*args)`` with ``value`` in ``slot``.
+    op = operator.attrgetter(name)(maxplusprob)
+    at = list(_annotations(op)).index(slot)
+    return op(*args[:at], value, *args[at + 1 :])
+
+
+@pytest.mark.parametrize("name, args, slot", KIND_RULE, ids=[f"{n}-{s}" for n, _, s in KIND_RULE])
+def test_every_parameter_typed_with_a_package_class_refuses_anything_else(name, args, slot):
+    # No attribute of a wrong value is looked up, nor masses read as weights:
+    # the answer is a TypeError naming the measure kind or the class's noun.
+    op = operator.attrgetter(name)(maxplusprob)
+    cls, items = _kind(_annotations(op)[slot])
+    assert op(*args) is not None
+    others = [value for value in SAMPLES if not isinstance(value, cls)]
+    for bad in ("x", ("a", "b"), ["a", "b"], None, HUGE, *others):
+        if kind := getattr(cls, "kind", None):
+            needed = f"{kind} measure required, got {type(bad).__name__}"
+        else:
+            needed = f"not a {cls.noun}: {semiring._shown(bad)}"
+        with pytest.raises(TypeError, match=f"^{re.escape(needed)}$"):
+            _call_with(name, args, slot, (bad,) if items else bad)
+
+
+def test_the_kind_rule_covers_every_parameter_typed_with_a_package_class():
+    # A field that ``Record.__init__`` binds counts as a parameter.
+    slots = {(name, slot) for name, slot, annotation in _slots() if _kind(annotation)}
     assert slots == {(name, slot) for name, _, slot in KIND_RULE}
+
+
+# -- the collection rule -----------------------------------------------------------
+
+AT_AB = dirac(FiniteSpace(("ab", "c")), "ab")  # "ab" is one label here
+# One row per collection a caller passes: a call that succeeds, the slot, and
+# how the message names the slot and its items.
+COLLECTION_RULE = [
+    ("FiniteSpace", (("a", "b"),), "points", "points", "labels"),
+    ("PointMap", (AB, AB, ("a", "b")), "assignment", "assignment", "labels"),
+    ("support_meets", (AT_AB, ("ab",)), "targets", "targets", "labels"),
+    ("TestFunction", (AB, (1.0, 2.0)), "values", "values", "real numbers"),
+    ("IdempotentMeasure", (AB, (0.0, -1.0)), "weights", "weights", "max-plus scalars"),
+    ("ClassicalMeasure", (AB, (0.25, 0.75)), "weights", "weights", "real numbers"),
+    ("normalize_idempotent", (AB, (1.0, 0.0)), "raw", "weights", "max-plus scalars"),
+    ("PiecewiseLinear", (LINE.breakpoints, 1.0), "breakpoints", "breakpoints", "(x, y) pairs"),
+    ("DensityMeasure", (DENSITY.breakpoints, 1.0), "breakpoints", "breakpoints",
+     "(x, y) pairs"),
+    ("ContinuousTestFunction", (LINE.breakpoints, 1.0), "breakpoints", "breakpoints",
+     "(x, y) pairs"),
+    ("PiecewiseLinear.sample", (LINE, (0.25, 0.5)), "xs", "the points", "real numbers"),
+    ("convergence_report", (DENSITY, LINE, (10, 20)), "ns", "the grid sizes", "integers"),
+    ("ConvergenceReport", REPORT, "rows", "rows", "convergence rows"),
+]
+# The only slots where order does not matter, so a set is read.
+UNORDERED = {("support_meets", "targets"), ("convergence_report", "ns")}
+# Tables a caller might pass for a collection: keyed by label (images, then
+# weights) and by grid size.  Read as their keys, the first gives the
+# identity map and the last the grid sizes ``(10,)``.
+TABLES = ({"a": "b", "b": "a"}, {"a": 0.0, "b": 0.0}, {10: "x"})
+
+
+@pytest.mark.parametrize(
+    "name, args, slot, what, of", COLLECTION_RULE, ids=[f"{r[0]}-{r[2]}" for r in COLLECTION_RULE]
+)
+def test_every_collection_is_read_by_one_rule(name, args, slot, what, of):
+    # Any sequence gives the same value, bit for bit; a string's characters,
+    # a mapping's keys and, where order matters, a set's hash order are
+    # refused by name, as is anything that is no collection.
+    given = args[list(_annotations(operator.attrgetter(name)(maxplusprob))).index(slot)]
+    forms = [list(given), (v for v in given), UserList(given), dict.fromkeys(given).keys()]
+    if all(type(v) is float for v in given):
+        forms.append(array("d", given))
+    refused = [("the string 'ab'", "ab"), ("the string '10'", "10"), ("None", None), ("5", 5)]
+    for table in TABLES:
+        refused += [("a dict", table), ("a defaultdict", defaultdict(str, table))]
+    for kind in (set, frozenset):
+        if (name, slot) in UNORDERED:
+            forms.append(kind(given))
+        else:
+            refused.append((f"a {kind.__name__}", kind(given)))
+    expected = repr(_call_with(name, args, slot, given))
+    assert [repr(_call_with(name, args, slot, form)) for form in forms] == [expected] * len(forms)
+    for got, bad in refused:
+        message = f"{what} must be a collection of {of}, got {got}"
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+            _call_with(name, args, slot, bad)
+
+
+def test_the_collection_rule_covers_every_slot_typed_as_a_collection():
+    # ``big_oplus`` folds the package's own weights inside the kernels.
+    slots = {
+        (name, slot)
+        for name, slot, annotation in _slots()
+        if re.match(r"(tuple|list|Sequence|Iterable)\b", annotation)
+    }
+    assert slots - {("big_oplus", "values")} == {(n, s) for n, _, s, *_ in COLLECTION_RULE}
 
 
 def test_the_library_has_no_public_options():
@@ -557,47 +680,6 @@ def test_an_unhashable_target_is_named_once():
         support_meets(dirac(AB, "a"), [["a"]])
     with pytest.raises(ValueError, match=r"^points not in space: \['z', 1, \['a'\]\]$"):
         support_meets(MU, [["a"], "z", "a", ["a"], 1, "z", True])
-
-
-def test_no_collection_of_labels_is_read_from_a_mapping():
-    # Read as its keys, this dict of images would give the identity map.
-    table = {"a": "b", "b": "a"}
-    for what, call in (
-        ("points", FiniteSpace),
-        ("assignment", lambda t: PointMap(AB, AB, t)),
-        ("targets", lambda t: support_meets(MU, t)),
-    ):
-        for given_table in (table, defaultdict(str, table)):
-            message = f"{what} must be a collection of labels, got a {type(given_table).__name__}"
-            with pytest.raises(TypeError, match=f"^{message}$"):
-                call(given_table)
-    assert PointMap(AB, AB, tuple(table.values()))("a") == "b"
-
-
-@pytest.mark.parametrize("bad", [None, 5])
-@pytest.mark.parametrize(
-    "what, call",
-    [
-        ("points", FiniteSpace),
-        ("assignment", lambda t: PointMap(AB, AB, t)),
-        ("targets", lambda t: support_meets(MU, t)),
-    ],
-    ids=["FiniteSpace", "PointMap", "support_meets"],
-)
-def test_a_value_that_is_no_collection_of_labels_is_named(what, call, bad):
-    # Named with the rule it breaks, not as Python's bare "not iterable".
-    with pytest.raises(TypeError, match=f"^{what} must be a collection of labels, got {bad}$"):
-        call(bad)
-
-
-@pytest.mark.parametrize(
-    "sizes, got", [("10", "the string '10'"), ({10: "x"}, "a dict"), (10, "10"), (None, "None")]
-)
-def test_grid_sizes_follow_the_collection_rule(sizes, got):
-    # Never a string's characters, a mapping's keys or Python's bare "not iterable".
-    message = f"the grid sizes must be a collection of integers, got {got}"
-    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
-        convergence_report(DENSITY, LINE, sizes)
 
 
 def test_unknown_targets_of_mixed_types_are_named_in_order():
@@ -742,9 +824,10 @@ def test_only_of_kind_checks_a_package_class():
 
 
 def test_every_source_line_fits_in_99_columns():
+    tests = Path(__file__).resolve().parent
     long_lines = [
         f"{path.name}:{number} ({len(line)})"
-        for path in sorted(SRC.glob("*.py"))
+        for path in sorted([*SRC.glob("*.py"), *tests.glob("*.py")])
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
         if len(line) > 99
     ]
